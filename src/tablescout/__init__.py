@@ -6,43 +6,13 @@ pairwise for join compatibility. Online, a query retrieves its top-k tables,
 one generation call selects a joinable subset, and a restoration pass adds
 back strongly compatible candidates. An evaluation harness scores selections,
 checks SQL execution matches, and accounts for token costs.
+
+The package root re-exports the names a caller needs to run each stage and
+the error types; everything else is imported from its module.
 """
 
-from .compatibility import (
-    JOINABILITY_THRESHOLD,
-    ColumnPairScore,
-    CompatibilityCache,
-    GoldJoin,
-    JoinEdge,
-    build_cache,
-    column_pair_score,
-    column_uniqueness,
-    evaluate_cache,
-    exact_name_match,
-    gold_joins_from_records,
-    header_name_score,
-    header_semantic_score,
-    header_text,
-    jaccard,
-    subset_relation,
-    table_compatibility,
-)
-from .corpus import (
-    DEFAULT_SAMPLE_ROWS,
-    DEFAULT_SEED,
-    NULL,
-    Column,
-    Table,
-    TableCorpus,
-    load_corpus,
-    load_tables,
-    markdown_grid,
-    normalize_value,
-    pool_corpora,
-    sample_rows,
-    save_corpus,
-    serialize_markdown,
-)
+from .compatibility import CompatibilityCache, build_cache, column_pair_score
+from .corpus import Table, TableCorpus, markdown_grid, pool_corpora, sample_rows, serialize_markdown
 from .errors import (
     BackendError,
     BackendMismatchError,
@@ -52,59 +22,19 @@ from .errors import (
     TablescoutError,
 )
 from .evaluation import (
-    EXECUTION_TIMEOUT_SECONDS,
-    INPUT_RATE_PER_MILLION,
-    OUTPUT_RATE_PER_MILLION,
     CostLedger,
-    EvalRecord,
     ExecutionOutcome,
-    GoldQuery,
     aggregate_metrics,
     cost_estimate,
-    evaluate_selection,
     execution_match,
     generate_sql,
-    load_gold_queries,
-    load_result_records,
     render_execution_table,
     render_metrics_table,
     selection_metrics,
     stratified_execution_summary,
 )
-from .indexing import (
-    PURPOSE_MAX_TOKENS,
-    PURPOSE_PROMPT,
-    DenseIndex,
-    EnrichedTable,
-    EnrichmentStore,
-    enrich_tables,
-    enriched_text,
-    generate_purpose,
-)
-from .pipeline import (
-    DEFAULT_RESTORE_THRESHOLD,
-    DEFAULT_TOP_K,
-    CandidateSet,
-    OnlinePipeline,
-    SelectionResult,
-    adjust,
-    build_selection_prompt,
-    parse_selection,
-    record_line,
-    result_record,
-    retrieve_topk,
-)
-from .prompts import SELECTION_PROMPT_TEMPLATE
-from .services import (
-    CachingEmbedder,
-    GenerationRequest,
-    GenerationResponse,
-    HashingEmbedder,
-    HttpEmbeddingClient,
-    HttpGenerationClient,
-    ScriptedGenerator,
-    TokenLedger,
-    cosine,
-)
+from .indexing import DenseIndex, enrich_tables, enriched_text
+from .pipeline import OnlinePipeline, record_line, result_record
+from .services import HashingEmbedder, ScriptedGenerator, TokenLedger
 
 __version__ = "0.1.0"

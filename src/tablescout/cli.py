@@ -27,7 +27,6 @@ from .compatibility import (
 from .corpus import (
     DEFAULT_SAMPLE_ROWS,
     DEFAULT_SEED,
-    TableCorpus,
     load_corpus,
     load_tables,
     pool_corpora,
@@ -38,6 +37,8 @@ from .evaluation import (
     INPUT_RATE_PER_MILLION,
     OUTPUT_RATE_PER_MILLION,
     CostLedger,
+    ExecutionOutcome,
+    _read_jsonl,
     cost_estimate,
     evaluate_selection,
     execution_match,
@@ -175,18 +176,11 @@ def _embedder_with_cache(spec: str, out: Path) -> CachingEmbedder:
 def _load_queries(path: str | Path) -> list[tuple[str, str]]:
     """JSON lines {query_id, question} -> [(query_id, question)]."""
     pairs = []
-    try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read queries file {path}: {exc}") from exc
-    for lineno, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, record in _read_jsonl(path, "queries file"):
         try:
-            record = json.loads(line)
             pairs.append((str(record["query_id"]), str(record["question"])))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CorpusError(f"{path}:{lineno}: bad query record: {exc}") from exc
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: bad query record: missing field {exc}") from exc
     if not pairs:
         raise CorpusError(f"queries file {path} holds no queries")
     return pairs
@@ -298,7 +292,7 @@ def _build_pipeline(args: argparse.Namespace, config: dict, out: Path) -> tuple[
         _require_artifact(out / "compat_cache.json", "cache"), embedder.backend_id
     )
     store = EnrichmentStore(_require_artifact(out / "enriched.json", "enrich"))
-    fallback_only = bool(getattr(args, "fallback_only", False))
+    fallback_only = args.fallback_only
     generator = None
     if not fallback_only:
         generator_spec = _setting(args, config, "generator")
@@ -321,7 +315,7 @@ def _build_pipeline(args: argparse.Namespace, config: dict, out: Path) -> tuple[
         k=k,
         tau=tau,
         ledger=ledger,
-        strict_parse=bool(getattr(args, "strict_parse", False)),
+        strict_parse=args.strict_parse,
         fallback_only=fallback_only,
     )
     return pipeline, store, ledger
@@ -414,8 +408,13 @@ def cmd_e2e(args: argparse.Namespace, config: dict) -> int:
             eval_pairs.append((result_record(g.query_id, result), g))
         if g.gold_sql:
             tables = [(tid, store.get(tid).text) for tid in result.final if tid in store]
-            pred_sql = generate_sql(g.question, tables, sql_generator, ledger=ledger)
-            outcome = execution_match(args.db, pred_sql, g.gold_sql)
+            try:
+                pred_sql = generate_sql(g.question, tables, sql_generator, ledger=ledger)
+            except BackendError as exc:
+                # a query without SQL counts as wrong; the batch goes on
+                outcome = ExecutionOutcome("gen_error", str(exc))
+            else:
+                outcome = execution_match(args.db, pred_sql, g.gold_sql)
             em_results.append((outcome, len(g.gold_tables)))
     (out / "results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     report: dict = {}
@@ -475,12 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", parents=[common], help="build the pairwise compatibility cache")
     p.set_defaults(func=cmd_cache)
 
-    p = sub.add_parser("retrieve", parents=[common], help="answer a batch of queries")
+    querying = argparse.ArgumentParser(add_help=False)
+    querying.add_argument("--k", type=int, help="candidates per query (default 10)")
+    querying.add_argument("--tau", type=float, help="restoration threshold (default 0.3)")
+    querying.add_argument("--fallback-only", action="store_true", help="skip selection; emit top-k sets")
+    querying.add_argument("--strict-parse", action="store_true", help="require pure-JSON selection replies")
+
+    p = sub.add_parser("retrieve", parents=[common, querying], help="answer a batch of queries")
     p.add_argument("--queries", required=True, help="JSON lines {query_id, question}")
-    p.add_argument("--k", type=int, help="candidates per query (default 10)")
-    p.add_argument("--tau", type=float, help="restoration threshold (default 0.3)")
-    p.add_argument("--fallback-only", action="store_true", help="skip selection; emit top-k sets")
-    p.add_argument("--strict-parse", action="store_true", help="require pure-JSON selection replies")
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("eval", parents=[common], help="score results and/or the compatibility cache")
@@ -490,13 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joinability-threshold", type=float, dest="joinability_threshold")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("e2e", parents=[common], help="retrieve, write SQL, and check execution")
+    p = sub.add_parser("e2e", parents=[common, querying], help="retrieve, write SQL, and check execution")
     p.add_argument("--gold", required=True, help="gold JSON lines with gold_sql")
     p.add_argument("--db", required=True, help="SQLite database file")
-    p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--fallback-only", action="store_true")
-    p.add_argument("--strict-parse", action="store_true")
     p.add_argument("--input-rate", type=float, dest="input_rate", help="$ per 1M input tokens")
     p.add_argument("--output-rate", type=float, dest="output_rate", help="$ per 1M output tokens")
     p.set_defaults(func=cmd_e2e)

@@ -30,7 +30,7 @@ CACHE_FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def column_uniqueness(column: Column) -> float:
+def _column_uniqueness(column: Column) -> float:
     """1.0 when the column's normalized non-NULL values are all distinct.
 
     Columns with no non-NULL values score 0.0: an all-NULL column gives no
@@ -42,7 +42,7 @@ def column_uniqueness(column: Column) -> float:
     return 1.0 if len(set(values)) == len(values) else 0.0
 
 
-def subset_relation(a: Column, b: Column) -> float:
+def _subset_relation(a: Column, b: Column) -> float:
     """1.0 when either distinct value set contains the other, else 0.0.
 
     Empty sets never qualify; containment of nothing is not evidence of a
@@ -55,7 +55,7 @@ def subset_relation(a: Column, b: Column) -> float:
     return 1.0 if sa <= sb or sb <= sa else 0.0
 
 
-def jaccard(a: Column, b: Column) -> float:
+def _jaccard(a: Column, b: Column) -> float:
     """Jaccard overlap of the distinct value sets; 0.0 on an empty union."""
     sa = a.distinct_values()
     sb = b.distinct_values()
@@ -69,7 +69,7 @@ def _name_key(name: str) -> str:
     return name.casefold().replace("-", "_").replace(" ", "_")
 
 
-def exact_name_match(a: Column, b: Column) -> float:
+def _exact_name_match(a: Column, b: Column) -> float:
     """1.0 when the header names agree up to case and -/space vs underscore."""
     return 1.0 if _name_key(a.name) == _name_key(b.name) else 0.0
 
@@ -79,73 +79,33 @@ def header_text(column: Column) -> str:
     return f"{column.table_name}.{column.name}"
 
 
-def header_semantic_score(a: Column, b: Column, embedder: Embedder) -> float:
-    """Cosine similarity of the header embeddings, clamped at zero."""
-    sim = cosine(embedder.embed(header_text(a)), embedder.embed(header_text(b)))
-    return max(0.0, sim)
-
-
-def header_name_score(a: Column, b: Column, embedder: Embedder) -> tuple[float, float, float]:
-    """(ex, sem, name): exact and semantic header agreement, evenly blended."""
-    ex = exact_name_match(a, b)
-    sem = header_semantic_score(a, b, embedder)
-    return ex, sem, 0.5 * sem + 0.5 * ex
-
-
-@dataclass(frozen=True)
-class ColumnPairScore:
-    """All signals behind one cross-table column pair's join score.
-
-    The pair is valid only when at least one side is unique and one side's
-    distinct values contain the other's; s = valid * (jac + name) / 2.
-    """
-
-    jac: float
-    ex: float
-    sem: float
-    name: float
-    sub: float
-    valid: float
-    s: float
-
-
-def _pair_score(
+def column_pair_score(
     a: Column,
     b: Column,
-    vec_a: np.ndarray | None,
-    vec_b: np.ndarray | None,
     embedder: Embedder,
+    vec_a: np.ndarray | None = None,
+    vec_b: np.ndarray | None = None,
 ) -> float:
-    if subset_relation(a, b) == 0.0:
+    """Join score of one cross-table column pair, in [0, 1].
+
+    The pair is valid only when one side's distinct values contain the
+    other's and at least one side is unique; an invalid pair scores 0.0.
+    A valid pair scores ``0.5*jac + 0.5*(0.5*sem + 0.5*ex)``: value-set
+    Jaccard, header-embedding cosine clamped at zero, and exact header-name
+    agreement. ``vec_a``/``vec_b`` are the header embeddings when the caller
+    already has them; otherwise the headers are embedded here.
+    """
+    if _subset_relation(a, b) == 0.0:
         return 0.0
-    if column_uniqueness(a) == 0.0 and column_uniqueness(b) == 0.0:
+    if _column_uniqueness(a) == 0.0 and _column_uniqueness(b) == 0.0:
         return 0.0
     if vec_a is None:
         vec_a = embedder.embed(header_text(a))
     if vec_b is None:
         vec_b = embedder.embed(header_text(b))
     sem = max(0.0, cosine(vec_a, vec_b))
-    name = 0.5 * sem + 0.5 * exact_name_match(a, b)
-    return 0.5 * jaccard(a, b) + 0.5 * name
-
-
-def column_pair_score(a: Column, b: Column, embedder: Embedder) -> ColumnPairScore:
-    """All join signals for one cross-table column pair."""
-    if a.table_name == b.table_name:
-        raise ValueError("column pair must come from two different tables")
-    sub = subset_relation(a, b)
-    valid = 1.0 if sub == 1.0 and (column_uniqueness(a) == 1.0 or column_uniqueness(b) == 1.0) else 0.0
-    jac = jaccard(a, b)
-    ex, sem, name = header_name_score(a, b, embedder)
-    return ColumnPairScore(
-        jac=jac,
-        ex=ex,
-        sem=sem,
-        name=name,
-        sub=sub,
-        valid=valid,
-        s=valid * (0.5 * jac + 0.5 * name),
-    )
+    name = 0.5 * sem + 0.5 * _exact_name_match(a, b)
+    return 0.5 * _jaccard(a, b) + 0.5 * name
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +153,7 @@ def table_compatibility(
         for cb in b.columns:
             va = _vectors.get((a.id, ca.position)) if _vectors is not None else None
             vb = _vectors.get((b.id, cb.position)) if _vectors is not None else None
-            s = _pair_score(ca, cb, va, vb, embedder)
+            s = column_pair_score(ca, cb, embedder, va, vb)
             if s <= 0.0:
                 continue
             if best is None or s > best[0]:
@@ -255,16 +215,6 @@ class CompatibilityCache:
         """Join columns oriented as (column of ti, column of tj), or None."""
         edge = self.edge(ti, tj)
         return edge.oriented(ti) if edge is not None else None
-
-    def neighbors(self, ti: str) -> list[tuple[str, float]]:
-        """(other_id, score) for every cached pair involving ti, best first."""
-        found = [
-            (right if left == ti else left, e.score)
-            for (left, right), e in self._pairs.items()
-            if left == ti or right == ti
-        ]
-        found.sort(key=lambda item: (-item[1], item[0]))
-        return found
 
     def save(self, path: str | Path) -> None:
         pairs = {}

@@ -164,7 +164,7 @@ def _safe_table_name(name: str) -> str:
     return name.strip().replace("|", "¦")
 
 
-def read_source_manifest(directory: Path) -> list[dict[str, str]] | None:
+def _read_source_manifest(directory: Path) -> list[dict[str, str]] | None:
     """Read the optional per-directory manifest listing file/table/source triples."""
     path = directory / _MANIFEST_NAME
     if not path.exists():
@@ -183,7 +183,9 @@ def read_source_manifest(directory: Path) -> list[dict[str, str]] | None:
 
 def _load_csv_table(path: Path, table_name: str) -> Table:
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        # utf-8-sig drops a byte-order mark, which would otherwise stick to
+        # the first header name
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -205,7 +207,7 @@ def _load_csv_table(path: Path, table_name: str) -> Table:
 
 
 def _load_csv_dir(directory: Path) -> list[Table]:
-    manifest = read_source_manifest(directory)
+    manifest = _read_source_manifest(directory)
     tables: list[Table] = []
     if manifest is not None:
         for entry in manifest:
@@ -241,7 +243,8 @@ def _load_sqlite_file(path: Path) -> list[Table]:
         ]
         tables = []
         for raw_name in names:
-            cur = conn.execute(f'SELECT * FROM "{raw_name}"')
+            quoted = raw_name.replace('"', '""')
+            cur = conn.execute(f'SELECT * FROM "{quoted}"')
             header = [d[0] for d in cur.description]
             rows = [[_sqlite_cell(v) for v in row] for row in cur.fetchall()]
             name = _safe_table_name(raw_name)

@@ -109,13 +109,18 @@ class GoldQuery:
     gold_sql: str | None = None
 
 
-def load_gold_queries(path: str | Path) -> list[GoldQuery]:
-    """Read gold annotations from JSON lines: {query_id, question, gold_tables, gold_sql?}."""
-    gold = []
+def _read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file.
+
+    An unreadable file, a line that is not JSON or a line that is not a JSON
+    object raises :class:`CorpusError`; ``what`` names the file in the
+    message and each bad line is named as ``path:lineno``.
+    """
     try:
         raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise CorpusError(f"cannot read gold file {path}: {exc}") from exc
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+    records = []
     for lineno, line in enumerate(raw_lines, start=1):
         if not line.strip():
             continue
@@ -123,6 +128,16 @@ def load_gold_queries(path: str | Path) -> list[GoldQuery]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+        records.append((lineno, record))
+    return records
+
+
+def load_gold_queries(path: str | Path) -> list[GoldQuery]:
+    """Read gold annotations from JSON lines: {query_id, question, gold_tables, gold_sql?}."""
+    gold = []
+    for lineno, record in _read_jsonl(path, "gold file"):
         try:
             gold.append(
                 GoldQuery(
@@ -140,17 +155,7 @@ def load_gold_queries(path: str | Path) -> list[GoldQuery]:
 def load_result_records(path: str | Path) -> list[dict]:
     """Read per-query result records from JSON lines."""
     records = []
-    try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read results file {path}: {exc}") from exc
-    for lineno, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    for lineno, record in _read_jsonl(path, "results file"):
         if "query_id" not in record or "final" not in record:
             raise CorpusError(f"{path}:{lineno}: record needs query_id and final")
         records.append(record)
@@ -163,19 +168,28 @@ def evaluate_selection(
 ) -> tuple[list[EvalRecord], dict[str, float]]:
     """Score result records against gold tables, matching on query_id.
 
-    Queries with empty gold sets are excluded; records without gold (or the
-    reverse) are an input error so mismatched files fail loudly.
+    Queries with empty gold sets are excluded and need no record. A record
+    without gold, a repeated query_id, or a gold query with tables but no
+    record is an input error, so mismatched files fail loudly instead of
+    scoring a subset.
     """
     by_id = {g.query_id: g for g in gold}
     evaluated = []
+    seen: set[str] = set()
     for record in records:
         qid = str(record["query_id"])
         if qid not in by_id:
             raise CorpusError(f"no gold annotation for query {qid!r}")
+        if qid in seen:
+            raise CorpusError(f"more than one result record for query {qid!r}")
+        seen.add(qid)
         g = by_id[qid]
         if not g.gold_tables:
             continue
         evaluated.append(selection_metrics(record["final"], g.gold_tables, query_id=qid))
+    missing = [g.query_id for g in gold if g.gold_tables and g.query_id not in seen]
+    if missing:
+        raise CorpusError(f"{len(missing)} gold queries have no result record, e.g. {missing[0]!r}")
     if not evaluated:
         raise CorpusError("no queries left to evaluate (all gold sets empty?)")
     return evaluated, aggregate_metrics(evaluated)
@@ -229,7 +243,7 @@ def _execute_sql(
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    status: str  # match | mismatch | error | timeout | gold_error
+    status: str  # match | mismatch | error | timeout | gen_error | gold_error
     detail: str = ""
 
     @property

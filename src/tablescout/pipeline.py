@@ -5,8 +5,8 @@ tables by cosine. A single generation call, prompted with the candidates and
 their cached compatibility evidence, picks a joinable subset. Restoration
 then adds back, for each chosen table, its most compatible unchosen candidate
 when that score clears a threshold, so the final set can only gain recall
-over the model's choice. Any generation or parsing failure falls back to the
-full top-k set rather than guessing.
+over the model's choice. Any generation or parsing failure, an empty pick
+included, falls back to the full top-k set rather than guessing.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class CandidateSet:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(tid for tid, _ in self.ranked)
-
-    def rs(self, table_id: str) -> float:
-        for tid, score in self.ranked:
-            if tid == table_id:
-                return score
-        raise KeyError(f"{table_id!r} is not a candidate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +177,8 @@ def parse_selection(
     surrounding prose are tolerated; ``strict`` requires the response to be
     exactly one JSON document. Any deviation from the expected shape raises
     :class:`SelectionParseError`; callers treat that as the fallback signal.
-    Rationale fields are ignored.
+    A selected group with no tables is malformed too: it would answer the
+    query from nothing. Rationale fields are ignored.
     """
     obj = _extract_json_object(response_text, strict)
 
@@ -217,6 +212,8 @@ def parse_selection(
 
     if selected_index not in by_index:
         raise SelectionParseError(f"selected_group_index {selected_index} names no group")
+    if not by_index[selected_index]:
+        raise SelectionParseError(f"selected group {selected_index} picks no tables")
     return ParsedSelection(
         groups=tuple(ordered),
         selected_group_index=selected_index,
@@ -308,67 +305,45 @@ class OnlinePipeline:
         self.fallback_only = fallback_only
         self.selection_max_tokens = selection_max_tokens
 
-    def _fallback(self, candidates: CandidateSet, input_tokens: int, output_tokens: int) -> SelectionResult:
-        return SelectionResult(
-            query=candidates.query,
-            candidates=candidates,
-            selected=(),
-            restored=(),
-            final=candidates.ids(),
-            tau=self.tau,
-            fallback_used=True,
-            groups=(),
-            selected_group_index=None,
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
-        )
-
     def run_query(self, query: str) -> SelectionResult:
         """Run all stages for one query.
 
         Embedding failures propagate (the query cannot be answered at all);
-        generation and parsing failures degrade to the fallback result.
+        generation and parsing failures degrade to the fallback result, the
+        whole candidate list. An empty index gives an empty result that is
+        not a fallback.
         """
         if len(self.index) == 0:
-            empty = CandidateSet(query=query, query_vector=np.zeros(0), ranked=())
-            return SelectionResult(
-                query=query,
-                candidates=empty,
-                selected=(),
-                restored=(),
-                final=(),
-                tau=self.tau,
-                fallback_used=False,
-                groups=(),
-                selected_group_index=None,
-                input_tokens=0,
-                output_tokens=0,
+            candidates = CandidateSet(query=query, query_vector=np.zeros(0), ranked=())
+        else:
+            candidates = retrieve_topk(query, self.index, self.embedder, self.k)
+        response = parsed = None
+        if len(candidates) and not self.fallback_only:
+            request = build_selection_prompt(
+                query, candidates, self.cache, self.texts, max_tokens=self.selection_max_tokens
             )
-        candidates = retrieve_topk(query, self.index, self.embedder, self.k)
-        if self.fallback_only:
-            return self._fallback(candidates, 0, 0)
-
-        request = build_selection_prompt(
-            query, candidates, self.cache, self.texts, max_tokens=self.selection_max_tokens
-        )
-        try:
-            response = self.generator.generate(request)
-        except BackendError:
-            return self._fallback(candidates, 0, 0)
-        if self.ledger is not None:
-            self.ledger.record(SELECTION_STAGE, response.input_tokens, response.output_tokens)
-
-        try:
-            parsed = parse_selection(response.text, candidates, strict=self.strict_parse)
-        except SelectionParseError:
-            return self._fallback(candidates, response.input_tokens, response.output_tokens)
+            try:
+                response = self.generator.generate(request)
+            except BackendError:
+                pass
+            else:
+                if self.ledger is not None:
+                    self.ledger.record(SELECTION_STAGE, response.input_tokens, response.output_tokens)
+                try:
+                    parsed = parse_selection(response.text, candidates, strict=self.strict_parse)
+                except SelectionParseError:
+                    pass
 
         ids = candidates.ids()
-        selected_set = {ids[i] for i in parsed.selected_indices}
-        selected = tuple(tid for tid in ids if tid in selected_set)
-        restored = adjust(selected, candidates, self.cache, self.tau)
-        final_set = selected_set | set(restored)
-        final = tuple(tid for tid in ids if tid in final_set)
+        if parsed is None:
+            selected = restored = ()
+            final = ids
+        else:
+            selected_set = {ids[i] for i in parsed.selected_indices}
+            selected = tuple(tid for tid in ids if tid in selected_set)
+            restored = adjust(selected, candidates, self.cache, self.tau)
+            final_set = selected_set | set(restored)
+            final = tuple(tid for tid in ids if tid in final_set)
         return SelectionResult(
             query=query,
             candidates=candidates,
@@ -376,11 +351,11 @@ class OnlinePipeline:
             restored=restored,
             final=final,
             tau=self.tau,
-            fallback_used=False,
-            groups=parsed.groups,
-            selected_group_index=parsed.selected_group_index,
-            input_tokens=response.input_tokens,
-            output_tokens=response.output_tokens,
+            fallback_used=parsed is None and len(candidates) > 0,
+            groups=parsed.groups if parsed is not None else (),
+            selected_group_index=parsed.selected_group_index if parsed is not None else None,
+            input_tokens=response.input_tokens if response is not None else 0,
+            output_tokens=response.output_tokens if response is not None else 0,
         )
 
 

@@ -94,11 +94,6 @@ class HashingEmbedder:
         return vec / norm
 
 
-def stub_embedder(text: str, dimension: int = DEFAULT_STUB_DIMENSION) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`HashingEmbedder`."""
-    return HashingEmbedder(dimension=dimension).embed(text)
-
-
 # ---------------------------------------------------------------------------
 # Persistent embedding cache
 # ---------------------------------------------------------------------------

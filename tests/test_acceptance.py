@@ -16,19 +16,17 @@ from tablescout import (
     CompatibilityCache,
     DenseIndex,
     HashingEmbedder,
-    JoinEdge,
     OnlinePipeline,
     ScriptedGenerator,
     TableCorpus,
     build_cache,
     enriched_text,
-    evaluate_cache,
-    gold_joins_from_records,
     record_line,
     result_record,
     sample_rows,
     selection_metrics,
 )
+from tablescout.compatibility import JoinEdge, evaluate_cache, gold_joins_from_records
 from tablescout.evaluation import (
     INPUT_RATE_PER_MILLION,
     OUTPUT_RATE_PER_MILLION,

@@ -418,22 +418,27 @@ class TestEval:
 # ---------------------------------------------------------------------------
 
 
+def world_db(tmp_path):
+    db = tmp_path / "world.sqlite"
+    conn = sqlite3.connect(db)
+    conn.executescript(
+        """
+        CREATE TABLE museums (museum_id INTEGER, name TEXT, city_id INTEGER);
+        INSERT INTO museums VALUES (1,'City Museum',1),(2,'Art House',2),
+                                   (3,'Rail Museum',1),(4,'Sea Museum',3);
+        CREATE TABLE cities (city_id INTEGER, city TEXT);
+        INSERT INTO cities VALUES (1,'Bern'),(2,'Oslo'),(3,'Rome');
+        """
+    )
+    conn.commit()
+    conn.close()
+    return db
+
+
 class TestE2E:
     def test_full_run(self, built, tmp_path, capsys):
         out_dir, _ = built
-        db = tmp_path / "world.sqlite"
-        conn = sqlite3.connect(db)
-        conn.executescript(
-            """
-            CREATE TABLE museums (museum_id INTEGER, name TEXT, city_id INTEGER);
-            INSERT INTO museums VALUES (1,'City Museum',1),(2,'Art House',2),
-                                       (3,'Rail Museum',1),(4,'Sea Museum',3);
-            CREATE TABLE cities (city_id INTEGER, city TEXT);
-            INSERT INTO cities VALUES (1,'Bern'),(2,'Oslo'),(3,'Rome');
-            """
-        )
-        conn.commit()
-        conn.close()
+        db = world_db(tmp_path)
         gold = tmp_path / "gold.jsonl"
         gold_sql = "SELECT count(*) FROM museums"
         write_jsonl(
@@ -472,6 +477,31 @@ class TestE2E:
         assert report["selection"]["queries"] == 1.0
         records = read_results(out_dir)
         assert records[0]["query_id"] == "q1"
+
+    def test_sql_backend_error_is_a_per_query_outcome(self, built, tmp_path):
+        out_dir, _ = built
+        db = world_db(tmp_path)
+        gold = tmp_path / "gold.jsonl"
+        gold_sql = "SELECT count(*) FROM museums"
+        write_jsonl(
+            gold,
+            [
+                {"query_id": q, "question": "how many museums", "gold_tables": ["museums"],
+                 "gold_sql": gold_sql}
+                for q in ("q1", "q2")
+            ],
+        )
+        # the script runs out on the second query's SQL call
+        spec = f"scripted:{scripted_file(tmp_path, [selection_json([0]), gold_sql, selection_json([0])])}"
+        code = main(
+            ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(db), "--generator", spec]
+        )
+        assert code == EXIT_OK
+        assert [r["query_id"] for r in read_results(out_dir)] == ["q1", "q2"]
+        report = json.loads((out_dir / "e2e_report.json").read_text())
+        assert report["execution"]["queries"] == 2.0
+        assert report["execution"]["em_all"] == 50.0
+        assert report["selection"]["queries"] == 2.0
 
     def test_rate_overrides_change_cost(self, built, tmp_path):
         out_dir, _ = built

@@ -9,30 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablescout import (
-    NULL,
     BackendMismatchError,
     CompatibilityCache,
     CorpusError,
-    GoldJoin,
     HashingEmbedder,
-    JoinEdge,
     Table,
     TableCorpus,
     build_cache,
     column_pair_score,
-    column_uniqueness,
+)
+from tablescout.compatibility import (
+    JOINABILITY_THRESHOLD,
+    GoldJoin,
+    JoinEdge,
+    _column_uniqueness,
+    _exact_name_match,
+    _jaccard,
+    _subset_relation,
     evaluate_cache,
-    exact_name_match,
     gold_joins_from_records,
-    header_name_score,
-    header_semantic_score,
     header_text,
-    jaccard,
-    subset_relation,
     table_compatibility,
 )
-from tablescout.compatibility import JOINABILITY_THRESHOLD
-from tablescout.corpus import Column
+from tablescout.corpus import NULL, Column
 
 from synth import MappedEmbedder, oracle_pair_score, oracle_table_compatibility, random_corpus
 
@@ -62,99 +61,99 @@ class CountingEmbedder(HashingEmbedder):
 
 class TestColumnUniqueness:
     def test_all_distinct(self):
-        assert column_uniqueness(col(["1", "2", "3"])) == 1.0
+        assert _column_uniqueness(col(["1", "2", "3"])) == 1.0
 
     def test_repeated_value(self):
-        assert column_uniqueness(col(["1", "1", "2"])) == 0.0
+        assert _column_uniqueness(col(["1", "1", "2"])) == 0.0
 
     def test_nulls_ignored(self):
-        assert column_uniqueness(col(["1", NULL, "2", NULL])) == 1.0
+        assert _column_uniqueness(col(["1", NULL, "2", NULL])) == 1.0
 
     def test_all_null_is_not_a_key(self):
-        assert column_uniqueness(col([NULL, NULL])) == 0.0
+        assert _column_uniqueness(col([NULL, NULL])) == 0.0
 
     def test_empty_column(self):
-        assert column_uniqueness(col([])) == 0.0
+        assert _column_uniqueness(col([])) == 0.0
 
     def test_normalization_collapses_duplicates(self):
-        assert column_uniqueness(col([" A ", "a"])) == 0.0
+        assert _column_uniqueness(col([" A ", "a"])) == 0.0
 
 
 class TestSubsetRelation:
     def test_contained(self):
-        assert subset_relation(col(["1", "2"]), col(["1", "2", "3"])) == 1.0
+        assert _subset_relation(col(["1", "2"]), col(["1", "2", "3"])) == 1.0
 
     def test_contained_other_direction(self):
-        assert subset_relation(col(["1", "2", "3"]), col(["1", "2"])) == 1.0
+        assert _subset_relation(col(["1", "2", "3"]), col(["1", "2"])) == 1.0
 
     def test_partial_overlap_fails(self):
-        assert subset_relation(col(["1", "4"]), col(["1", "2", "3"])) == 0.0
+        assert _subset_relation(col(["1", "4"]), col(["1", "2", "3"])) == 0.0
 
     def test_empty_side_fails(self):
-        assert subset_relation(col([]), col(["1", "2"])) == 0.0
-        assert subset_relation(col([NULL]), col(["1", "2"])) == 0.0
+        assert _subset_relation(col([]), col(["1", "2"])) == 0.0
+        assert _subset_relation(col([NULL]), col(["1", "2"])) == 0.0
 
     def test_duplicates_do_not_matter(self):
-        assert subset_relation(col(["1", "1", "2"]), col(["2", "1"])) == 1.0
+        assert _subset_relation(col(["1", "1", "2"]), col(["2", "1"])) == 1.0
 
 
 class TestJaccard:
     def test_half_overlap(self):
-        assert jaccard(col(["1", "2", "3"]), col(["2", "3", "4"])) == 0.5
+        assert _jaccard(col(["1", "2", "3"]), col(["2", "3", "4"])) == 0.5
 
     def test_identical_sets(self):
-        assert jaccard(col(["1", "2"]), col(["2", "1", "1"])) == 1.0
+        assert _jaccard(col(["1", "2"]), col(["2", "1", "1"])) == 1.0
 
     def test_disjoint_sets(self):
-        assert jaccard(col(["1"]), col(["2"])) == 0.0
+        assert _jaccard(col(["1"]), col(["2"])) == 0.0
 
     def test_empty_union(self):
-        assert jaccard(col([NULL]), col([])) == 0.0
+        assert _jaccard(col([NULL]), col([])) == 0.0
 
     def test_distinct_sets_not_multisets(self):
         # {1} vs {1}: overlap 1.0 regardless of repetition counts
-        assert jaccard(col(["1", "1", "1"]), col(["1"])) == 1.0
+        assert _jaccard(col(["1", "1", "1"]), col(["1"])) == 1.0
 
 
 class TestHeaderSignals:
     def test_exact_match_tolerates_case_and_separators(self):
-        assert exact_name_match(col([], name="museum_id"), col([], name="Museum-ID")) == 1.0
-        assert exact_name_match(col([], name="city name"), col([], name="CITY_NAME")) == 1.0
+        assert _exact_name_match(col([], name="museum_id"), col([], name="Museum-ID")) == 1.0
+        assert _exact_name_match(col([], name="city name"), col([], name="CITY_NAME")) == 1.0
 
     def test_exact_match_rejects_different_names(self):
-        assert exact_name_match(col([], name="id"), col([], name="name")) == 0.0
+        assert _exact_name_match(col([], name="id"), col([], name="name")) == 0.0
 
     def test_header_text(self):
         assert header_text(col([], name="id", table="museums")) == "museums.id"
 
+    # The header cases below score pairs that are valid with Jaccard 1.0, so
+    # s = 0.5 + 0.5 * (0.5*sem + 0.5*ex) isolates the header blend.
+
     def test_semantic_score_identical_headers(self):
-        emb = HashingEmbedder(dimension=64)
-        a = col([], name="id", table="m")
-        b = col([], name="id", table="m")
-        assert header_semantic_score(a, b, emb) == pytest.approx(1.0)
+        emb = MappedEmbedder({"t1.a": [0.6, 0.8], "t2.b": [0.6, 0.8]})
+        a = col(["1"], name="a", table="t1")
+        b = col(["1"], name="b", table="t2")
+        # sem 1.0, ex 0: s = 0.5 + 0.5 * 0.5
+        assert column_pair_score(a, b, emb) == pytest.approx(0.75, abs=1e-12)
 
     def test_semantic_score_clamped_at_zero(self):
         emb = MappedEmbedder({"t1.a": [1.0, 0.0], "t2.b": [-1.0, 0.0]})
-        a = col([], name="a", table="t1")
-        b = col([], name="b", table="t2")
-        assert header_semantic_score(a, b, emb) == 0.0
+        a = col(["1"], name="a", table="t1")
+        b = col(["1"], name="b", table="t2")
+        assert column_pair_score(a, b, emb) == pytest.approx(0.5, abs=1e-12)
 
     def test_name_score_blend(self):
         emb = MappedEmbedder({"t1.a": [1.0, 0.0], "t2.b": [0.6, 0.8]})
-        ex, sem, name = header_name_score(
-            col([], name="a", table="t1"), col([], name="b", table="t2"), emb
-        )
-        assert ex == 0.0
-        assert sem == pytest.approx(0.6, abs=1e-12)
-        assert name == pytest.approx(0.3, abs=1e-12)
+        a = col(["1"], name="a", table="t1")
+        b = col(["1"], name="b", table="t2")
+        # ex 0, sem 0.6: name 0.3
+        assert column_pair_score(a, b, emb) == pytest.approx(0.5 + 0.5 * 0.3, abs=1e-12)
 
     def test_name_score_full_agreement(self):
         emb = HashingEmbedder(dimension=64)
-        ex, sem, name = header_name_score(
-            col([], name="id", table="m"), col([], name="id", table="m"), emb
-        )
-        assert (ex, name) == (1.0, pytest.approx(1.0))
-        assert sem == pytest.approx(1.0)
+        a = col(["1"], name="id", table="m")
+        b = col(["1"], name="id", table="m")
+        assert column_pair_score(a, b, emb) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,45 +173,33 @@ class TestColumnPairScore:
         )
         parent = col(["1", "2", "3", "4", "5"], name="museum_id", table="t1")
         child = col(["1", "2", "3", "4", "1"], name="museum_id", table="t2")
-        score = column_pair_score(parent, child, emb)
-        assert score.sub == 1.0
-        assert score.valid == 1.0
-        assert score.jac == pytest.approx(0.8, abs=1e-12)
-        assert score.ex == 1.0
-        assert score.sem == pytest.approx(0.9, abs=1e-12)
-        assert score.name == pytest.approx(0.95, abs=1e-12)
-        assert score.s == pytest.approx(0.875, abs=1e-12)
-
-    def test_same_table_rejected(self):
-        emb = HashingEmbedder(dimension=16)
-        with pytest.raises(ValueError):
-            column_pair_score(col([], table="t"), col([], table="t"), emb)
+        assert _jaccard(parent, child) == pytest.approx(0.8, abs=1e-12)
+        assert column_pair_score(parent, child, emb) == pytest.approx(0.875, abs=1e-12)
+        assert column_pair_score(child, parent, emb) == pytest.approx(0.875, abs=1e-12)
 
     def test_neither_side_unique_scores_zero(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "1", "2"], name="x", table="t1")
         b = col(["1", "2", "2"], name="x", table="t2")
-        score = column_pair_score(a, b, emb)
-        assert score.valid == 0.0
-        assert score.s == 0.0
-        assert score.jac == 1.0  # signals still reported
+        assert _jaccard(a, b) == 1.0  # full overlap, yet no key side
+        assert column_pair_score(a, b, emb) == 0.0
+        # " A " and "a" normalize to one value, so neither side is a key
+        a = col([" A ", "a"], name="x", table="t1")
+        b = col(["a", "A"], name="x", table="t2")
+        assert column_pair_score(a, b, emb) == 0.0
 
     def test_no_containment_scores_zero(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "4"], name="x", table="t1")
         b = col(["1", "2", "3"], name="x", table="t2")
-        score = column_pair_score(a, b, emb)
-        assert score.sub == 0.0
-        assert score.valid == 0.0
-        assert score.s == 0.0
+        assert column_pair_score(a, b, emb) == 0.0
+        assert column_pair_score(col([NULL], name="x", table="t1"), b, emb) == 0.0
 
     def test_valid_pair_scores_positive(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "2", "3"], name="a", table="t1")
         b = col(["2"], name="b", table="t2")
-        score = column_pair_score(a, b, emb)
-        assert score.valid == 1.0
-        assert score.s > 0.0
+        assert column_pair_score(a, b, emb) > 0.0
 
     @given(
         va=st.lists(st.sampled_from(["1", "2", "3", "b", " 1 ", NULL]), max_size=10),
@@ -223,14 +210,12 @@ class TestColumnPairScore:
         emb = HashingEmbedder(dimension=32)
         a = col(va, name="alpha", table="t1")
         b = col(vb, name="beta", table="t2")
-        score = column_pair_score(a, b, emb)
-        assert 0.0 <= score.s <= 1.0
-        assert score.valid in (0.0, 1.0)
-        if score.valid == 0.0:
-            assert score.s == 0.0
-        else:
-            assert score.s > 0.0
-        assert score.s == pytest.approx(oracle_pair_score(a, b, emb), abs=1e-12)
+        s = column_pair_score(a, b, emb)
+        assert 0.0 <= s <= 1.0
+        # valid exactly when positive: a valid pair shares at least one value
+        valid = _subset_relation(a, b) == 1.0 and 1.0 in (_column_uniqueness(a), _column_uniqueness(b))
+        assert (s > 0.0) == valid
+        assert s == pytest.approx(oracle_pair_score(a, b, emb), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +357,6 @@ class TestCompatibilityCache:
         ba = cache.best_join("t2", "t1")
         assert ab == ("id", "id")
         assert ba == (ab[1], ab[0])
-
-    def test_neighbors_sorted_best_first(self):
-        cache = build_cache(small_corpus(), HashingEmbedder(dimension=64))
-        neighbors = cache.neighbors("t1")
-        scores = [s for _, s in neighbors]
-        assert scores == sorted(scores, reverse=True)
-        assert {n for n, _ in neighbors} == {"t2", "t4"}
-        assert cache.neighbors("t3") == []
 
     def test_single_table_corpus_gives_empty_cache(self):
         corpus = TableCorpus(tables=(make_table("t1", ["a"], [["1"]]),), provenance={})

@@ -10,19 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablescout import (
-    NULL,
     CorpusError,
     Table,
     TableCorpus,
-    load_corpus,
-    load_tables,
     markdown_grid,
-    normalize_value,
     pool_corpora,
     sample_rows,
-    save_corpus,
     serialize_markdown,
 )
+from tablescout.corpus import NULL, load_corpus, load_tables, normalize_value, save_corpus
 
 
 def make_table(name: str, column_names, rows, table_id=None):
@@ -77,6 +73,11 @@ class TestLoadCsv:
         with pytest.raises(CorpusError, match="missing header"):
             load_tables(tmp_path, "csv-dir")
 
+    def test_byte_order_mark_stripped_from_first_header(self, tmp_path):
+        (tmp_path / "t.csv").write_text("id,name\n1,Ada\n", encoding="utf-8-sig")
+        (t,) = load_tables(tmp_path, "csv-dir")
+        assert t.column_names() == ("id", "name")
+
     def test_manifest_controls_table_names(self, tmp_path):
         (tmp_path / "f1.csv").write_text("a\n1\n", encoding="utf-8")
         manifest = [{"file": "f1.csv", "table_name": "renamed", "source_label": "s"}]
@@ -100,6 +101,17 @@ class TestLoadSqlite:
         alpha, zed = tables
         assert alpha.columns[1].values == ("1.5",)
         assert zed.columns[0].values == (NULL,)
+
+    def test_table_name_with_double_quote(self, tmp_path):
+        db = tmp_path / "d.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute('CREATE TABLE "we""ird" (a TEXT)')
+        conn.execute("INSERT INTO \"we\"\"ird\" VALUES ('x')")
+        conn.commit()
+        conn.close()
+        (t,) = load_tables(db, "sqlite-file")
+        assert t.name == 'we"ird'
+        assert t.columns[0].values == ("x",)
 
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "x").write_text("", encoding="utf-8")

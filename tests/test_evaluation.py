@@ -8,18 +8,13 @@ import pytest
 from tablescout import (
     CorpusError,
     CostLedger,
-    EvalRecord,
     ExecutionOutcome,
-    GoldQuery,
     ScriptedGenerator,
     TokenLedger,
     aggregate_metrics,
     cost_estimate,
-    evaluate_selection,
     execution_match,
     generate_sql,
-    load_gold_queries,
-    load_result_records,
     render_execution_table,
     render_metrics_table,
     selection_metrics,
@@ -30,6 +25,11 @@ from tablescout.evaluation import (
     INPUT_RATE_PER_MILLION,
     OUTPUT_RATE_PER_MILLION,
     SQL_STAGE,
+    EvalRecord,
+    GoldQuery,
+    evaluate_selection,
+    load_gold_queries,
+    load_result_records,
 )
 
 
@@ -165,6 +165,9 @@ class TestLoading:
         path.write_text('{"question": "no id"}\n')
         with pytest.raises(CorpusError):
             load_gold_queries(path)
+        path.write_text('{"query_id": "q1", "gold_tables": ["a"]}\n["q2"]\n')
+        with pytest.raises(CorpusError, match=r":2: expected a JSON object"):
+            load_gold_queries(path)
         with pytest.raises(CorpusError):
             load_gold_queries(tmp_path / "absent.jsonl")
 
@@ -204,6 +207,23 @@ class TestEvaluateSelection:
                 [GoldQuery("q1", "", frozenset({"a"}))],
             )
 
+    def test_gold_query_without_record_fails(self):
+        gold = [
+            GoldQuery("q1", "", frozenset({"a"})),
+            GoldQuery("q2", "", frozenset({"b"})),
+        ]
+        # answering one of two gold queries perfectly must not score 100
+        with pytest.raises(CorpusError, match="no result record"):
+            evaluate_selection([{"query_id": "q1", "final": ["a"]}], gold)
+
+    def test_repeated_query_id_fails(self):
+        records = [
+            {"query_id": "q1", "final": ["a"]},
+            {"query_id": "q1", "final": ["b"]},
+        ]
+        with pytest.raises(CorpusError, match="more than one"):
+            evaluate_selection(records, [GoldQuery("q1", "", frozenset({"a"}))])
+
     def test_empty_gold_sets_are_skipped(self):
         records = [
             {"query_id": "q1", "final": ["a"]},
@@ -214,6 +234,9 @@ class TestEvaluateSelection:
             GoldQuery("q2", "", frozenset({"b"})),
         ]
         evaluated, summary = evaluate_selection(records, gold)
+        assert [e.query_id for e in evaluated] == ["q2"]
+        # a query with an empty gold set needs no record
+        evaluated, _ = evaluate_selection(records[1:], gold)
         assert [e.query_id for e in evaluated] == ["q2"]
         with pytest.raises(CorpusError):
             evaluate_selection(

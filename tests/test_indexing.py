@@ -6,23 +6,25 @@ import numpy as np
 import pytest
 
 from tablescout import (
-    PURPOSE_MAX_TOKENS,
-    PURPOSE_PROMPT,
     BackendError,
     BackendMismatchError,
     DenseIndex,
-    EnrichmentStore,
-    GenerationResponse,
     HashingEmbedder,
     ScriptedGenerator,
     Table,
     TokenLedger,
     enrich_tables,
     enriched_text,
-    generate_purpose,
     sample_rows,
     serialize_markdown,
 )
+from tablescout.indexing import (
+    PURPOSE_MAX_TOKENS,
+    PURPOSE_PROMPT,
+    EnrichmentStore,
+    generate_purpose,
+)
+from tablescout.services import GenerationResponse
 
 
 class RecordingGenerator:

@@ -6,26 +6,26 @@ import numpy as np
 import pytest
 
 from tablescout import (
-    CandidateSet,
     CompatibilityCache,
     DenseIndex,
     HashingEmbedder,
-    JoinEdge,
     OnlinePipeline,
     ScriptedGenerator,
     SelectionParseError,
     TokenLedger,
-    adjust,
-    build_selection_prompt,
-    parse_selection,
     record_line,
     result_record,
-    retrieve_topk,
 )
+from tablescout.compatibility import JoinEdge
 from tablescout.pipeline import (
     DEFAULT_RESTORE_THRESHOLD,
     DEFAULT_TOP_K,
     SELECTION_MAX_TOKENS,
+    CandidateSet,
+    adjust,
+    build_selection_prompt,
+    parse_selection,
+    retrieve_topk,
 )
 from tablescout.prompts import SELECTION_PROMPT_TEMPLATE
 from tablescout.services import cosine
@@ -68,7 +68,7 @@ class TestRetrieveTopk:
         index = DenseIndex.build(texts, emb)
         out = retrieve_topk("train schedules", index, emb, k=2)
         assert out.ids()[0] == "t2"
-        assert out.rs("t2") == pytest.approx(1.0)
+        assert dict(out.ranked)["t2"] == pytest.approx(1.0)
         assert len(out) == 2
 
     def test_k_clamped_to_corpus_size(self):
@@ -284,9 +284,12 @@ class TestParseSelection:
         parsed = parse_selection(selection_json([[2, 0, 2, 1]]), self.candidates)
         assert parsed.selected_indices == (2, 0, 1)
 
-    def test_empty_selection_allowed(self):
-        parsed = parse_selection(selection_json([[]]), self.candidates)
-        assert parsed.selected_indices == ()
+    def test_empty_selection_rejected(self):
+        with pytest.raises(SelectionParseError, match="picks no tables"):
+            parse_selection(selection_json([[]]), self.candidates)
+        # only the selected group must pick tables
+        parsed = parse_selection(selection_json([[], [1]], selected=1), self.candidates)
+        assert parsed.selected_indices == (1,)
 
     def test_missing_table_indices_rejected(self):
         text = json.dumps(
@@ -488,12 +491,16 @@ class TestOnlinePipeline:
         assert result.candidates.ids() == ("t0", "t1")
         assert result.final == ("t0",)  # t0's neighbor t2 is not a candidate
 
-    def test_empty_selection_is_not_a_fallback(self):
-        pipeline, _ = pipeline_fixture([selection_json([[]])])
+    def test_empty_selection_falls_back(self):
+        ledger = TokenLedger()
+        pipeline, _ = pipeline_fixture([selection_json([[]])], ledger=ledger)
         result = pipeline.run_query("the alpha question")
-        assert not result.fallback_used
+        assert result.fallback_used
         assert result.selected == ()
-        assert result.final == ()
+        assert result.restored == ()
+        assert result.final == ("t0", "t1", "t2", "t3", "t4")
+        assert result.input_tokens > 0  # the reply was received and metered
+        assert ledger.stage_totals()["selection"] == (result.input_tokens, result.output_tokens)
 
     def test_strict_parse_plumbed_through(self):
         wrapped = "prose first\n" + selection_json([[0]])
@@ -525,6 +532,7 @@ class TestOnlinePipeline:
         rng = np.random.default_rng(17)
         emb = HashingEmbedder(dimension=32)
         words = ["ore", "tide", "lamp", "vine", "moss", "dust", "peak", "fern"]
+        empty_picks = 0
         for _ in range(40):
             n = int(rng.integers(3, 10))
             texts = {
@@ -550,6 +558,14 @@ class TestOnlinePipeline:
             result = pipeline.run_query(" ".join(rng.choice(words, size=3)))
             topk = result.candidates.ids()
             assert len(topk) == k
+            if not pick:
+                # an empty pick is malformed: the whole top-k, nothing restored
+                empty_picks += 1
+                assert result.fallback_used
+                assert result.final == topk
+                assert result.selected == result.restored == ()
+                continue
+            assert not result.fallback_used
             assert set(result.selected) <= set(topk)
             assert set(result.final) == set(result.selected) | set(result.restored)
             assert not set(result.restored) & set(result.selected)
@@ -559,15 +575,17 @@ class TestOnlinePipeline:
                 assert result.restored == ()
             expected = oracle_adjust(result.selected, result.candidates, cache, tau)
             assert set(result.restored) == expected
+        assert empty_picks > 0  # the draw exercised the fallback case
 
 
 def oracle_adjust(selected, candidates, cache, tau):
     chosen = set(selected)
     unchosen = [t for t in candidates.ids() if t not in chosen]
+    rs = dict(candidates.ranked)
     restored = set()
     for s in selected:
         scored = [
-            (cache.score(s, u), candidates.rs(u), u)
+            (cache.score(s, u), rs[u], u)
             for u in unchosen
             if cache.score(s, u) > 0.0
         ]

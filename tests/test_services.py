@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from tablescout import (
     BackendError,
     BackendMismatchError,
-    CachingEmbedder,
-    GenerationRequest,
     HashingEmbedder,
-    HttpEmbeddingClient,
-    HttpGenerationClient,
     ScriptedGenerator,
     TokenLedger,
+)
+from tablescout.services import (
+    CachingEmbedder,
+    GenerationRequest,
+    HttpEmbeddingClient,
+    HttpGenerationClient,
     cosine,
 )
-from tablescout.services import stub_embedder
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +61,6 @@ class TestHashingEmbedder:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             HashingEmbedder(dimension=0)
-
-    def test_one_shot_helper_matches_class(self):
-        assert np.array_equal(stub_embedder("abc", 64), HashingEmbedder(64).embed("abc"))
 
     def test_backend_id_names_configuration(self):
         assert HashingEmbedder(dimension=128).backend_id != HashingEmbedder(dimension=64).backend_id
