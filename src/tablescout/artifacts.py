@@ -1,0 +1,146 @@
+"""Every file a run keeps: how it is written, read and refused.
+
+Writes go to ``<name>.tmp`` beside the target and are moved over it with
+``os.replace``, so a killed process leaves the old file or the new one, never
+a torn one. No fsync: the fault covered is a killed process, not a lost
+machine, and enrichment saves once per table. Reads turn an unreadable or
+malformed file into :class:`CorpusError` naming it. Persisted artifacts carry
+one header, ``version`` plus ``backend_id`` where the content depends on the
+embedder, and :func:`check_header` is the one place that refuses a wrong
+version or a different backend.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import zipfile
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
+import numpy as np
+
+from .errors import BackendMismatchError, CorpusError
+
+#: Format version written into, and required of, every persisted artifact.
+FORMAT_VERSION = 1
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield a temp path to write; on success it replaces ``path`` atomically.
+
+    If the block raises, the temp file is removed and ``path`` is untouched.
+    """
+    target = Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write(path: str | Path, text: str) -> None:
+    with replacing(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """Compact, key-sorted JSON: the layout of every JSON artifact."""
+    _write(path, json.dumps(payload, sort_keys=True, ensure_ascii=False))
+
+
+def write_report(path: str | Path, payload: object) -> None:
+    """Indented, key-sorted JSON for the reports people read."""
+    _write(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+
+
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write ``lines`` newline-terminated, e.g. the records of a JSON-lines file."""
+    _write(path, "\n".join(lines) + "\n")
+
+
+def read_json(path: str | Path, what: str, error: type[Exception] = CorpusError) -> object:
+    """Parse a JSON file; ``what`` names it in the ``error`` raised on failure."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        raise error(f"malformed {what} {path}: {exc}") from exc
+
+
+def check_header(data: object, path: str | Path, what: str, backend_id: str | None = None) -> dict:
+    """Return ``data`` if it is an artifact of this format (and backend).
+
+    A wrong or missing version raises :class:`CorpusError`; when
+    ``backend_id`` is given, an artifact built with another backend raises
+    :class:`BackendMismatchError`.
+    """
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != FORMAT_VERSION:
+        raise CorpusError(f"unsupported {what} format version {version!r} in {path}")
+    if backend_id is not None and data.get("backend_id") != backend_id:
+        raise BackendMismatchError(
+            f"{what} {path} was built with backend {data.get('backend_id')!r}, "
+            f"configured {backend_id!r}"
+        )
+    return data
+
+
+def read_artifact(path: str | Path, what: str, backend_id: str | None = None) -> dict:
+    """A JSON artifact written with :func:`write_json`, its header checked."""
+    return check_header(read_json(path, what), path, what, backend_id)
+
+
+def write_npz(path: str | Path, meta: dict, **arrays: np.ndarray) -> None:
+    """Save ``arrays`` plus ``meta`` (stored as a JSON string) in one ``.npz``."""
+    meta_array = np.asarray(json.dumps(meta, sort_keys=True))
+    # a file object, because np.savez appends ".npz" to a path lacking it
+    with replacing(path) as tmp, tmp.open("wb") as handle:
+        np.savez(handle, **arrays, meta=meta_array)
+
+
+def read_npz(
+    path: str | Path, what: str, backend_id: str | None = None
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Load an ``.npz`` written by :func:`write_npz`: (checked meta, arrays)."""
+    try:
+        # an open handle, because np.load leaks its own on a torn zip
+        with Path(path).open("rb") as handle, np.load(handle, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise CorpusError(f"malformed {what} {path}: {exc}") from exc
+    return check_header(meta, path, what, backend_id), arrays
+
+
+def read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file.
+
+    An unreadable file, a line that is not JSON or a line that is not a JSON
+    object raises :class:`CorpusError`; ``what`` names the file in the
+    message and each bad line is named as ``path:lineno``.
+    """
+    try:
+        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"malformed {what} {path}: {exc}") from exc
+    records = []
+    for lineno, line in enumerate(raw_lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+        records.append((lineno, record))
+    return records

@@ -12,11 +12,11 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
+from .artifacts import FORMAT_VERSION, read_json, read_jsonl, write_lines, write_report
 from .compatibility import (
     JOINABILITY_THRESHOLD,
     CompatibilityCache,
@@ -38,7 +38,6 @@ from .evaluation import (
     OUTPUT_RATE_PER_MILLION,
     CostLedger,
     ExecutionOutcome,
-    _read_jsonl,
     cost_estimate,
     evaluate_selection,
     execution_match,
@@ -96,12 +95,7 @@ _DEFAULTS = {
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "config file", ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
@@ -139,12 +133,7 @@ def parse_generator_spec(spec: str) -> Generator:
     """scripted:<responses.json> | http:<base_url>,<model>"""
     if spec.startswith("scripted:"):
         path = spec[len("scripted:") :]
-        try:
-            responses = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read scripted responses {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scripted responses {path} are not valid JSON: {exc}") from exc
+        responses = read_json(path, "scripted responses", ConfigError)
         if not isinstance(responses, list):
             raise ConfigError(f"scripted responses {path} must be a JSON list")
         return ScriptedGenerator(responses=responses)
@@ -176,7 +165,7 @@ def _embedder_with_cache(spec: str, out: Path) -> CachingEmbedder:
 def _load_queries(path: str | Path) -> list[tuple[str, str]]:
     """JSON lines {query_id, question} -> [(query_id, question)]."""
     pairs = []
-    for lineno, record in _read_jsonl(path, "queries file"):
+    for lineno, record in read_jsonl(path, "queries file"):
         try:
             pairs.append((str(record["query_id"]), str(record["question"])))
         except KeyError as exc:
@@ -184,13 +173,6 @@ def _load_queries(path: str | Path) -> list[tuple[str, str]]:
     if not pairs:
         raise CorpusError(f"queries file {path} holds no queries")
     return pairs
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +202,7 @@ def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     corpus = pool_corpora(sources)
     save_corpus(corpus, out / "corpus.json")
     manifest = {
-        "version": 1,
+        "version": FORMAT_VERSION,
         "sources": sorted(seen_labels),
         "tables": [
             {
@@ -233,7 +215,7 @@ def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
             for t in sorted(corpus, key=lambda t: t.id)
         ],
     }
-    _write_json(out / "manifest.json", manifest)
+    write_report(out / "manifest.json", manifest)
     logger.info("pooled %d tables from %d sources into %s", len(corpus), len(sources), out)
     print(f"ingested {len(corpus)} tables -> {out / 'corpus.json'}")
     return EXIT_OK
@@ -329,7 +311,7 @@ def cmd_retrieve(args: argparse.Namespace, config: dict) -> int:
     for query_id, question in queries:
         result = pipeline.run_query(question)
         lines.append(record_line(result_record(query_id, result)))
-    (out / "results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out / "results.jsonl", lines)
     logger.info(
         "retrieved %d queries, selection tokens in/out = %d/%d",
         len(queries), ledger.input_tokens, ledger.output_tokens,
@@ -359,17 +341,12 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
                 for r in per_query
             ],
         }
-        _write_json(out / "eval_report.json", report)
+        write_report(out / "eval_report.json", report)
         print(render_metrics_table(summary))
         did_something = True
     if args.gold_joins is not None:
         cache = CompatibilityCache.load(_require_artifact(out / "compat_cache.json", "cache"))
-        try:
-            raw = json.loads(Path(args.gold_joins).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise CorpusError(f"cannot read gold joins {args.gold_joins}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"gold joins {args.gold_joins} are not valid JSON: {exc}") from exc
+        raw = read_json(args.gold_joins, "gold joins")
         corpus = None
         if (out / "corpus.json").exists():
             corpus = load_corpus(out / "corpus.json")
@@ -379,7 +356,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             corpus=corpus,
             threshold=float(_setting(args, config, "joinability_threshold")),
         )
-        _write_json(out / "compat_report.json", metrics)
+        write_report(out / "compat_report.json", metrics)
         print(
             f"joinability_accuracy: {100 * metrics['joinability_accuracy']:.1f}\n"
             f"column_accuracy: {100 * metrics['column_accuracy']:.1f}\n"
@@ -416,7 +393,7 @@ def cmd_e2e(args: argparse.Namespace, config: dict) -> int:
             else:
                 outcome = execution_match(args.db, pred_sql, g.gold_sql)
             em_results.append((outcome, len(g.gold_tables)))
-    (out / "results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out / "results.jsonl", lines)
     report: dict = {}
     if eval_pairs:
         _, summary = evaluate_selection([r for r, _ in eval_pairs], gold)
@@ -437,7 +414,7 @@ def cmd_e2e(args: argparse.Namespace, config: dict) -> int:
         "stages": {s: list(t) for s, t in ledger.stage_totals().items()},
         "dollars": cost_estimate(cost),
     }
-    _write_json(out / "e2e_report.json", report)
+    write_report(out / "e2e_report.json", report)
     print(f"estimated cost: ${cost_estimate(cost):.2f}")
     return EXIT_OK
 

@@ -10,19 +10,18 @@ by construction: every pair is computed with the tables in sorted-id order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import FORMAT_VERSION, read_artifact, write_json
 from .corpus import Column, Table, TableCorpus
-from .errors import BackendMismatchError, CorpusError
+from .errors import CorpusError
 from .services import Embedder, cosine
 
 JOINABILITY_THRESHOLD = 0.5
-CACHE_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +222,12 @@ class CompatibilityCache:
                 "cs": e.score,
                 "join": [f"{e.left_table}.{e.left_column}", f"{e.right_table}.{e.right_column}"],
             }
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "backend_id": self.backend_id,
-            "pairs": pairs,
-        }
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-        )
+        write_json(path, {"version": FORMAT_VERSION, "backend_id": self.backend_id, "pairs": pairs})
 
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "CompatibilityCache":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorpusError(f"cannot read compatibility cache {path}: {exc}") from exc
-        backend_id = data.get("backend_id", "")
-        if expected_backend_id is not None and backend_id != expected_backend_id:
-            raise BackendMismatchError(
-                f"compatibility cache {path} was built with backend {backend_id!r}, "
-                f"configured {expected_backend_id!r}"
-            )
-        cache = cls(backend_id=backend_id)
+        data = read_artifact(path, "compatibility cache", expected_backend_id)
+        cache = cls(backend_id=data.get("backend_id", ""))
         for key, record in data.get("pairs", {}).items():
             left, sep, right = key.partition("|")
             if not sep:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import FORMAT_VERSION, read_artifact, read_json, write_json
 from .errors import CorpusError
 
 #: Distinguished marker for missing cells; distinct from the empty string.
@@ -169,10 +169,7 @@ def _read_source_manifest(directory: Path) -> list[dict[str, str]] | None:
     path = directory / _MANIFEST_NAME
     if not path.exists():
         return None
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorpusError(f"unreadable manifest {path}: {exc}") from exc
+    entries = read_json(path, "manifest")
     if not isinstance(entries, list):
         raise CorpusError(f"manifest {path} must be a JSON list")
     for entry in entries:
@@ -347,10 +344,17 @@ def sample_rows(table: Table, n: int = DEFAULT_SAMPLE_ROWS, seed: int = DEFAULT_
     return sorted(int(i) for i in picked)
 
 
+# every character str.splitlines() breaks on, written as its escape, so that
+# each grid row stays one line
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _escape_cell(value: str | None) -> str:
     if value is None:
         return ""
-    return value.replace("|", "\\|")
+    value = value.replace("|", "\\|")
+    # line breaks are unprintable; the check spares the slower translate
+    return value if value.isprintable() else value.translate(_LINE_BREAKS)
 
 
 def markdown_grid(table: Table, sample: Sequence[int]) -> str:
@@ -371,8 +375,9 @@ def serialize_markdown(table: Table, sample: Sequence[int]) -> str:
     """Serialize a table to its Markdown snapshot.
 
     Layout: a ``Table name:`` line, an ``Example table content:`` line, then
-    the pipe table with one row per sampled index. NULL cells render as empty
-    and cell-internal pipes are escaped as ``\\|``.
+    the pipe table with one row per sampled index. NULL cells render as empty,
+    cell-internal pipes are escaped as ``\\|`` and line breaks as ``\\n``,
+    ``\\r`` and so on.
     """
     return f"Table name: {table.name}\nExample table content:\n{markdown_grid(table, sample)}"
 
@@ -381,12 +386,9 @@ def serialize_markdown(table: Table, sample: Sequence[int]) -> str:
 # Persistence
 # ---------------------------------------------------------------------------
 
-CORPUS_FORMAT_VERSION = 1
-
-
-def corpus_to_dict(corpus: TableCorpus) -> dict:
-    return {
-        "version": CORPUS_FORMAT_VERSION,
+def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
+    payload = {
+        "version": FORMAT_VERSION,
         "tables": [
             {
                 "id": t.id,
@@ -398,11 +400,11 @@ def corpus_to_dict(corpus: TableCorpus) -> dict:
             for t in corpus.tables
         ],
     }
+    write_json(path, payload)
 
 
-def corpus_from_dict(data: dict) -> TableCorpus:
-    if data.get("version") != CORPUS_FORMAT_VERSION:
-        raise CorpusError(f"unsupported corpus format version: {data.get('version')!r}")
+def load_corpus(path: str | Path) -> TableCorpus:
+    data = read_artifact(path, "corpus file")
     tables = []
     provenance = {}
     for entry in data["tables"]:
@@ -416,20 +418,3 @@ def corpus_from_dict(data: dict) -> TableCorpus:
         )
         provenance[entry["id"]] = entry.get("source", "")
     return TableCorpus(tables=tuple(tables), provenance=provenance)
-
-
-def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(corpus_to_dict(corpus), sort_keys=True, ensure_ascii=False),
-        encoding="utf-8",
-    )
-
-
-def load_corpus(path: str | Path) -> TableCorpus:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CorpusError(f"unreadable corpus file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed corpus file {path}: {exc}") from exc
-    return corpus_from_dict(data)

@@ -9,18 +9,21 @@ per-million-token rates.
 
 from __future__ import annotations
 
-import json
 import sqlite3
-import threading
+import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .artifacts import read_jsonl
 from .errors import CorpusError
 from .services import GenerationRequest, Generator, TokenLedger
 
 EXECUTION_TIMEOUT_SECONDS = 60.0
+# SQLite virtual-machine steps between two deadline checks
+_PROGRESS_STEPS = 1000
 INPUT_RATE_PER_MILLION = 0.15
 OUTPUT_RATE_PER_MILLION = 0.60
 SQL_STAGE = "sql"
@@ -109,35 +112,10 @@ class GoldQuery:
     gold_sql: str | None = None
 
 
-def _read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON-lines file.
-
-    An unreadable file, a line that is not JSON or a line that is not a JSON
-    object raises :class:`CorpusError`; ``what`` names the file in the
-    message and each bad line is named as ``path:lineno``.
-    """
-    try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
-    records = []
-    for lineno, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-        records.append((lineno, record))
-    return records
-
-
 def load_gold_queries(path: str | Path) -> list[GoldQuery]:
     """Read gold annotations from JSON lines: {query_id, question, gold_tables, gold_sql?}."""
     gold = []
-    for lineno, record in _read_jsonl(path, "gold file"):
+    for lineno, record in read_jsonl(path, "gold file"):
         try:
             gold.append(
                 GoldQuery(
@@ -155,7 +133,7 @@ def load_gold_queries(path: str | Path) -> list[GoldQuery]:
 def load_result_records(path: str | Path) -> list[dict]:
     """Read per-query result records from JSON lines."""
     records = []
-    for lineno, record in _read_jsonl(path, "results file"):
+    for lineno, record in read_jsonl(path, "results file"):
         if "query_id" not in record or "final" not in record:
             raise CorpusError(f"{path}:{lineno}: record needs query_id and final")
         records.append(record)
@@ -169,11 +147,15 @@ def evaluate_selection(
     """Score result records against gold tables, matching on query_id.
 
     Queries with empty gold sets are excluded and need no record. A record
-    without gold, a repeated query_id, or a gold query with tables but no
-    record is an input error, so mismatched files fail loudly instead of
-    scoring a subset.
+    without gold, a query_id repeated in the records or in the gold, or a
+    gold query with tables but no record is an input error, so mismatched
+    files fail loudly instead of scoring a subset.
     """
-    by_id = {g.query_id: g for g in gold}
+    by_id: dict[str, GoldQuery] = {}
+    for g in gold:
+        if g.query_id in by_id:
+            raise CorpusError(f"more than one gold annotation for query {g.query_id!r}")
+        by_id[g.query_id] = g
     evaluated = []
     seen: set[str] = set()
     for record in records:
@@ -211,33 +193,20 @@ def _canonical_cell(value: object) -> str:
 
 
 def _execute_sql(
-    db_path: str | Path,
+    conn: sqlite3.Connection,
     sql: str,
     timeout: float,
 ) -> tuple[str, Counter | None, str]:
-    """Run one statement read-only. Returns (status, row multiset, detail)."""
-    uri = f"file:{Path(db_path).as_posix()}?mode=ro"
-    try:
-        conn = sqlite3.connect(uri, uri=True, check_same_thread=False)
-    except sqlite3.Error as exc:
-        return "error", None, f"cannot open database: {exc}"
-    interrupted = threading.Event()
-
-    def _interrupt() -> None:
-        interrupted.set()
-        conn.interrupt()
-
-    timer = threading.Timer(timeout, _interrupt)
-    timer.start()
+    """Run one statement. Returns (status, row multiset, detail)."""
+    deadline = time.monotonic() + timeout
+    # a true return from the handler makes SQLite abort the statement
+    conn.set_progress_handler(lambda: time.monotonic() > deadline, _PROGRESS_STEPS)
     try:
         rows = conn.execute(sql).fetchall()
     except sqlite3.Error as exc:
-        if interrupted.is_set():
+        if time.monotonic() > deadline:
             return "timeout", None, f"exceeded {timeout:g}s"
         return "error", None, str(exc)
-    finally:
-        timer.cancel()
-        conn.close()
     return "ok", Counter(tuple(_canonical_cell(v) for v in row) for row in rows), ""
 
 
@@ -262,12 +231,19 @@ def execution_match(
     Row order is ignored, column order respected, cells compared after
     canonical string rendering (floats via %.12g). A prediction that errors
     or exceeds the timeout is incorrect; a failing gold statement is a
-    dataset problem reported as gold_error so callers can exclude it.
+    dataset problem reported as gold_error so callers can exclude it. Both
+    run on one read-only connection, the gold statement first.
     """
-    gold_status, gold_rows, gold_detail = _execute_sql(db_path, gold_sql, timeout)
-    if gold_status != "ok":
-        return ExecutionOutcome("gold_error", gold_detail)
-    pred_status, pred_rows, pred_detail = _execute_sql(db_path, pred_sql, timeout)
+    uri = f"file:{Path(db_path).as_posix()}?mode=ro"
+    try:
+        conn = sqlite3.connect(uri, uri=True)
+    except sqlite3.Error as exc:
+        return ExecutionOutcome("gold_error", f"cannot open database: {exc}")
+    with closing(conn):
+        gold_status, gold_rows, gold_detail = _execute_sql(conn, gold_sql, timeout)
+        if gold_status != "ok":
+            return ExecutionOutcome("gold_error", gold_detail)
+        pred_status, pred_rows, pred_detail = _execute_sql(conn, pred_sql, timeout)
     if pred_status != "ok":
         return ExecutionOutcome(pred_status, pred_detail)
     if pred_rows == gold_rows:
@@ -324,7 +300,6 @@ def generate_sql(
     generator: Generator,
     *,
     ledger: TokenLedger | None = None,
-    max_tokens: int = SQL_MAX_TOKENS,
 ) -> str:
     """One generation call turning the retrieved tables into a SQL string.
 
@@ -334,7 +309,7 @@ def generate_sql(
     tables_content = "\n\n".join(text for _, text in tables)
     prompt = SQL_PROMPT_TEMPLATE.format(question=question, tables_content=tables_content)
     response = generator.generate(
-        GenerationRequest(prompt=prompt, max_tokens=max_tokens, temperature=0.0)
+        GenerationRequest(prompt=prompt, max_tokens=SQL_MAX_TOKENS, temperature=0.0)
     )
     if ledger is not None:
         ledger.record(SQL_STAGE, response.input_tokens, response.output_tokens)

@@ -9,15 +9,14 @@ together with the backend id so a stale index cannot be queried silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .artifacts import FORMAT_VERSION, read_artifact, read_npz, write_json, write_npz
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
-from .errors import BackendMismatchError, CorpusError
 from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine
 
 PURPOSE_PROMPT = (
@@ -27,8 +26,6 @@ PURPOSE_PROMPT = (
 )
 PURPOSE_MAX_TOKENS = 256
 PURPOSE_STAGE = "purpose"
-
-ENRICHMENT_FORMAT_VERSION = 1
 
 
 def generate_purpose(
@@ -85,33 +82,19 @@ class EnrichmentStore:
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, EnrichedTable] = {}
         if self._path is not None and self._path.exists():
-            self._load(self._path)
-
-    def _load(self, path: Path) -> None:
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorpusError(f"cannot read enrichment store {path}: {exc}") from exc
-        for table_id, record in data.get("entries", {}).items():
-            self._entries[table_id] = EnrichedTable(
-                table_id=table_id,
-                purpose=record["purpose"],
-                text=record["text"],
-            )
+            data = read_artifact(self._path, "enrichment store")
+            for table_id, record in data.get("entries", {}).items():
+                self._entries[table_id] = EnrichedTable(
+                    table_id=table_id,
+                    purpose=record["purpose"],
+                    text=record["text"],
+                )
 
     def save(self) -> None:
         if self._path is None:
             return
-        payload = {
-            "version": ENRICHMENT_FORMAT_VERSION,
-            "entries": {
-                e.table_id: {"purpose": e.purpose, "text": e.text}
-                for e in self._entries.values()
-            },
-        }
-        self._path.write_text(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-        )
+        entries = {e.table_id: {"purpose": e.purpose, "text": e.text} for e in self._entries.values()}
+        write_json(self._path, {"version": FORMAT_VERSION, "entries": entries})
 
     def __contains__(self, table_id: str) -> bool:
         return table_id in self._entries
@@ -181,8 +164,6 @@ class DenseIndex:
     results are stable across runs and across save/load round trips.
     """
 
-    INDEX_FORMAT_VERSION = 1
-
     def __init__(self, ids: list[str], vectors: np.ndarray, backend_id: str):
         if len(ids) != vectors.shape[0]:
             raise ValueError("one vector per table id required")
@@ -231,31 +212,11 @@ class DenseIndex:
         return [(self.ids[i], scores[i]) for i in order[:k]]
 
     def save(self, path: str | Path) -> None:
-        meta = json.dumps(
-            {
-                "version": self.INDEX_FORMAT_VERSION,
-                "backend_id": self.backend_id,
-                "dimension": self.dimension,
-            },
-            sort_keys=True,
-        )
-        np.savez(
-            Path(path),
-            ids=np.asarray(self.ids),
-            vectors=self.vectors,
-            meta=np.asarray(meta),
-        )
+        meta = {"version": FORMAT_VERSION, "backend_id": self.backend_id, "dimension": self.dimension}
+        write_npz(path, meta, ids=np.asarray(self.ids), vectors=self.vectors)
 
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "DenseIndex":
-        with np.load(Path(path), allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            ids = [str(i) for i in data["ids"]]
-            vectors = np.asarray(data["vectors"], dtype=np.float64)
-        backend_id = meta.get("backend_id", "")
-        if expected_backend_id is not None and backend_id != expected_backend_id:
-            raise BackendMismatchError(
-                f"index {path} was built with backend {backend_id!r}, "
-                f"configured {expected_backend_id!r}"
-            )
-        return cls(ids=ids, vectors=vectors, backend_id=backend_id)
+        meta, arrays = read_npz(path, "index", expected_backend_id)
+        ids = [str(i) for i in arrays["ids"]]
+        return cls(ids=ids, vectors=arrays["vectors"], backend_id=meta.get("backend_id", ""))

@@ -34,8 +34,6 @@ class CandidateSet:
     """Ranked dense-retrieval output: (table_id, cosine) in descending order,
     cosine ties broken by ascending table id."""
 
-    query: str
-    query_vector: np.ndarray
     ranked: tuple[tuple[str, float], ...]
 
     def __len__(self) -> int:
@@ -55,12 +53,10 @@ class SelectionResult:
     the entire candidate list.
     """
 
-    query: str
     candidates: CandidateSet
     selected: tuple[str, ...]
     restored: tuple[str, ...]
     final: tuple[str, ...]
-    tau: float
     fallback_used: bool
     groups: tuple[tuple[int, ...], ...]
     selected_group_index: int | None
@@ -76,7 +72,7 @@ def retrieve_topk(
 ) -> CandidateSet:
     """Embed the query and rank the k nearest tables (clamped to the index)."""
     vector = np.asarray(embedder.embed(query), dtype=np.float64)
-    return CandidateSet(query=query, query_vector=vector, ranked=tuple(index.search(vector, k)))
+    return CandidateSet(ranked=tuple(index.search(vector, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +85,6 @@ def build_selection_prompt(
     candidates: CandidateSet,
     cache: CompatibilityCache,
     texts: Mapping[str, str],
-    *,
-    max_tokens: int = SELECTION_MAX_TOKENS,
 ) -> GenerationRequest:
     """Instantiate the selection template for one query.
 
@@ -125,7 +119,7 @@ def build_selection_prompt(
         tables_content=tables_content,
         compatibility_analysis=compatibility_analysis,
     )
-    return GenerationRequest(prompt=prompt, max_tokens=max_tokens, temperature=0.0)
+    return GenerationRequest(prompt=prompt, max_tokens=SELECTION_MAX_TOKENS, temperature=0.0)
 
 
 @dataclass(frozen=True)
@@ -285,7 +279,6 @@ class OnlinePipeline:
         ledger: TokenLedger | None = None,
         strict_parse: bool = False,
         fallback_only: bool = False,
-        selection_max_tokens: int = SELECTION_MAX_TOKENS,
     ):
         if k <= 0:
             raise ValueError("k must be positive")
@@ -303,7 +296,6 @@ class OnlinePipeline:
         self.ledger = ledger
         self.strict_parse = strict_parse
         self.fallback_only = fallback_only
-        self.selection_max_tokens = selection_max_tokens
 
     def run_query(self, query: str) -> SelectionResult:
         """Run all stages for one query.
@@ -314,14 +306,12 @@ class OnlinePipeline:
         not a fallback.
         """
         if len(self.index) == 0:
-            candidates = CandidateSet(query=query, query_vector=np.zeros(0), ranked=())
+            candidates = CandidateSet(ranked=())
         else:
             candidates = retrieve_topk(query, self.index, self.embedder, self.k)
         response = parsed = None
         if len(candidates) and not self.fallback_only:
-            request = build_selection_prompt(
-                query, candidates, self.cache, self.texts, max_tokens=self.selection_max_tokens
-            )
+            request = build_selection_prompt(query, candidates, self.cache, self.texts)
             try:
                 response = self.generator.generate(request)
             except BackendError:
@@ -345,12 +335,10 @@ class OnlinePipeline:
             final_set = selected_set | set(restored)
             final = tuple(tid for tid in ids if tid in final_set)
         return SelectionResult(
-            query=query,
             candidates=candidates,
             selected=selected,
             restored=restored,
             final=final,
-            tau=self.tau,
             fallback_used=parsed is None and len(candidates) > 0,
             groups=parsed.groups if parsed is not None else (),
             selected_group_index=parsed.selected_group_index if parsed is not None else None,

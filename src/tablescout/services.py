@@ -19,11 +19,13 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import BackendError, BackendMismatchError
+from .artifacts import FORMAT_VERSION, read_artifact, write_json
+from .errors import BackendError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_STUB_DIMENSION = 256
+_NGRAM = 3
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 1.0
 
@@ -66,21 +68,18 @@ class HashingEmbedder:
     input; safe for concurrent use.
     """
 
-    def __init__(self, dimension: int = DEFAULT_STUB_DIMENSION, ngram: int = 3):
+    def __init__(self, dimension: int = DEFAULT_STUB_DIMENSION):
         if dimension <= 0:
             raise ValueError("dimension must be positive")
-        if ngram <= 0:
-            raise ValueError("ngram must be positive")
         self.dimension = dimension
-        self.ngram = ngram
-        self.backend_id = f"stub-ngram{ngram}-d{dimension}"
+        self.backend_id = f"stub-ngram{_NGRAM}-d{dimension}"
 
     def embed(self, text: str) -> np.ndarray:
         if text == "":
             raise ValueError("cannot embed an empty string")
         padded = f" {text.casefold()} "
         vec = np.zeros(self.dimension, dtype=np.float64)
-        n = self.ngram
+        n = _NGRAM
         grams = [padded[i : i + n] for i in range(max(1, len(padded) - n + 1))]
         for gram in grams:
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
@@ -98,9 +97,6 @@ class HashingEmbedder:
 # Persistent embedding cache
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 1
-
-
 class CachingEmbedder:
     """Wrap an embedder with an in-memory cache that can persist to JSON.
 
@@ -117,7 +113,11 @@ class CachingEmbedder:
         self._lock = threading.Lock()
         self.backend_calls = 0
         if self._path is not None and self._path.exists():
-            self._load(self._path)
+            data = read_artifact(self._path, "embedding cache", backend.backend_id)
+            self._entries = {
+                key: np.asarray(vec, dtype=np.float64)
+                for key, vec in data.get("entries", {}).items()
+            }
 
     @property
     def backend_id(self) -> str:
@@ -131,28 +131,16 @@ class CachingEmbedder:
     def _key(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def _load(self, path: Path) -> None:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("backend_id") != self._backend.backend_id:
-            raise BackendMismatchError(
-                f"embedding cache {path} was built with backend "
-                f"{data.get('backend_id')!r}, configured {self._backend.backend_id!r}"
-            )
-        self._entries = {
-            key: np.asarray(vec, dtype=np.float64)
-            for key, vec in data.get("entries", {}).items()
-        }
-
     def save(self) -> None:
         if self._path is None:
             return
         payload = {
-            "version": _CACHE_FORMAT_VERSION,
+            "version": FORMAT_VERSION,
             "backend_id": self._backend.backend_id,
             "dimension": self._backend.dimension,
             "entries": {k: v.tolist() for k, v in self._entries.items()},
         }
-        self._path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        write_json(self._path, payload)
 
     def embed(self, text: str) -> np.ndarray:
         key = self._key(text)
@@ -307,7 +295,6 @@ class _HttpClient:
         backoff: float = DEFAULT_BACKOFF_SECONDS,
         sleep: Callable[[float], None] = time.sleep,
         transport: Transport | None = None,
-        log_bodies: bool = False,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -317,7 +304,6 @@ class _HttpClient:
         self._backoff = backoff
         self._sleep = sleep
         self._transport = transport or _requests_transport
-        self._log_bodies = log_bodies
 
     def _headers(self) -> dict:
         import os
@@ -330,13 +316,11 @@ class _HttpClient:
 
     def _post(self, path: str, payload: dict) -> dict:
         url = f"{self.base_url}{path}"
+        # prompts are logged only as a hash: they carry table contents
         prompt_hash = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")
         ).hexdigest()[:12]
-        if self._log_bodies:
-            logger.debug("POST %s payload=%s", url, payload)
-        else:
-            logger.debug("POST %s payload-hash=%s", url, prompt_hash)
+        logger.debug("POST %s payload-hash=%s", url, prompt_hash)
         last_error: str = "no attempts made"
         for attempt in range(self._retries):
             if attempt > 0:
@@ -347,10 +331,7 @@ class _HttpClient:
                 last_error = f"transport failure: {exc}"
                 continue
             if 200 <= status < 300:
-                if self._log_bodies:
-                    logger.debug("reply %s body=%s", url, body)
-                else:
-                    logger.debug("reply %s status=%d", url, status)
+                logger.debug("reply %s status=%d", url, status)
                 return body
             if status >= 500 or status == 429:
                 last_error = f"server status {status}"

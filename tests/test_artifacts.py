@@ -1,0 +1,129 @@
+"""Artifacts on disk: torn, wrong-version or foreign-backend files are refused
+with a clean exit naming the file, and a failed write leaves the old file."""
+
+from __future__ import annotations
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from tablescout.artifacts import replacing
+from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
+from tablescout.compatibility import CompatibilityCache
+from tablescout.corpus import load_corpus, save_corpus
+from tablescout.indexing import DenseIndex, EnrichmentStore
+from tablescout.services import CachingEmbedder, HashingEmbedder
+
+ARTIFACTS = ["corpus.json", "enriched.json", "embedding_cache.json", "index.npz", "compat_cache.json"]
+WITH_BACKEND = ["embedding_cache.json", "index.npz", "compat_cache.json"]
+
+
+@pytest.fixture
+def built(tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    (source / "cities.csv").write_text("city_id,city\n1,Bern\n2,Oslo\n3,Rome\n", encoding="utf-8")
+    (source / "museums.csv").write_text("museum,city_id\nKunst,1\nMunch,2\n", encoding="utf-8")
+    purposes = tmp_path / "purposes.json"
+    purposes.write_text(json.dumps(["city list", "museum list"]), encoding="utf-8")
+    queries = tmp_path / "queries.jsonl"
+    query = {"query_id": "q1", "question": "museums per city"}
+    queries.write_text(json.dumps(query) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--out-dir", str(out), str(source)]) == EXIT_OK
+    assert main(["enrich", "--out-dir", str(out), "--generator", f"scripted:{purposes}"]) == EXIT_OK
+    assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
+    return out, queries
+
+
+def next_command(name, out, queries):
+    """Exit code of the next CLI command that reads ``name``."""
+    if name == "corpus.json":
+        return main(["cache", "--out-dir", str(out)])
+    return main(["retrieve", "--out-dir", str(out), "--queries", str(queries), "--fallback-only"])
+
+
+def edit_header(path, **changes):
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        np.savez(path, **arrays, meta=np.asarray(json.dumps({**meta, **changes})))
+    else:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**data, **changes}), encoding="utf-8")
+
+
+def resave(path):
+    """Write ``path`` again with the code that wrote it."""
+    if path.name == "corpus.json":
+        save_corpus(load_corpus(path), path)
+    elif path.name == "enriched.json":
+        EnrichmentStore(path).save()
+    elif path.name == "embedding_cache.json":
+        CachingEmbedder(HashingEmbedder(), path).save()
+    elif path.name == "index.npz":
+        DenseIndex.load(path).save(path)
+    else:
+        CompatibilityCache.load(path).save(path)
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_torn_artifact_is_an_input_error(built, capsys, name):
+    out, queries = built
+    path = out / name
+    path.write_bytes(path.read_bytes()[:12])
+    assert next_command(name, out, queries) == EXIT_INPUT
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_other_format_version_is_refused(built, capsys, name):
+    out, queries = built
+    path = out / name
+    edit_header(path, version=2)
+    assert next_command(name, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "version 2" in err and str(path) in err
+
+
+@pytest.mark.parametrize("name", WITH_BACKEND)
+def test_other_backend_is_a_backend_error(built, capsys, name):
+    out, queries = built
+    path = out / name
+    edit_header(path, backend_id="stub-ngram3-d64")
+    assert next_command(name, out, queries) == EXIT_BACKEND
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_failed_write_keeps_the_old_file(built, monkeypatch, name):
+    out, _ = built
+    path = out / name
+    before = path.read_bytes()
+
+    def left_behind():
+        return [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+    with pytest.raises(RuntimeError):
+        with replacing(path) as tmp:
+            tmp.write_bytes(before[:12])
+            raise RuntimeError("killed mid-write")
+    assert path.read_bytes() == before
+    assert left_behind() == []
+
+    # the writer itself goes through replacing: a failed rename keeps the old file
+    def refuse(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="no space left"):
+        resave(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert left_behind() == []
+
+    resave(path)
+    assert path.read_bytes() == before

@@ -282,6 +282,17 @@ class TestSerializeMarkdown:
             grid = markdown_grid(t, sample)
             assert len(grid.split("\n")) == 2 + min(5, rows)
 
+    @given(
+        header=st.text(max_size=12),
+        cells=st.lists(st.one_of(st.none(), st.text(max_size=12)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_line_per_row_whatever_the_cell_text(self, header, cells):
+        # a line break in a header or cell must not split its grid row
+        t = make_table("t", [header, header + "_2"], [[c, c] for c in cells])
+        sample = list(range(len(cells)))
+        assert len(markdown_grid(t, sample).splitlines()) == len(sample) + 2
+
     def test_out_of_range_sample_index_rejected(self):
         t = make_table("t", ["a"], [["1"]])
         with pytest.raises(CorpusError):

@@ -224,6 +224,15 @@ class TestEvaluateSelection:
         with pytest.raises(CorpusError, match="more than one"):
             evaluate_selection(records, [GoldQuery("q1", "", frozenset({"a"}))])
 
+    def test_repeated_gold_query_id_fails(self):
+        gold = [
+            GoldQuery("q1", "", frozenset({"a"})),
+            GoldQuery("q1", "", frozenset({"b"})),
+        ]
+        # keeping only the last annotation would score a correct record 0
+        with pytest.raises(CorpusError, match="more than one gold annotation"):
+            evaluate_selection([{"query_id": "q1", "final": ["a"]}], gold)
+
     def test_empty_gold_sets_are_skipped(self):
         records = [
             {"query_id": "q1", "final": ["a"]},

@@ -33,8 +33,8 @@ from tablescout.services import cosine
 from synth import MappedEmbedder
 
 
-def candidate_set(*ranked, query="q"):
-    return CandidateSet(query=query, query_vector=np.zeros(2), ranked=tuple(ranked))
+def candidate_set(*ranked):
+    return CandidateSet(ranked=tuple(ranked))
 
 
 def selection_json(groups, selected=0):
@@ -109,7 +109,7 @@ class TestRetrieveTopk:
 
 class TestBuildSelectionPrompt:
     def test_sections_rendered_exactly(self):
-        candidates = candidate_set(("B", 0.9), ("A", 0.8), query="list all rivers")
+        candidates = candidate_set(("B", 0.9), ("A", 0.8))
         texts = {"A": "Table name: A\nTable content: | x |", "B": "Table name: B\nTable content: | y |"}
         cache = edges_cache(JoinEdge(0.9, "A", "a_col", "B", "b_col"))
         request = build_selection_prompt("list all rivers", candidates, cache, texts)
@@ -181,10 +181,8 @@ class TestBuildSelectionPrompt:
 
     def test_max_tokens_override(self):
         candidates = candidate_set(("a", 0.9))
-        request = build_selection_prompt(
-            "q", candidates, edges_cache(), {"a": "A"}, max_tokens=128
-        )
-        assert request.max_tokens == 128
+        request = build_selection_prompt("q", candidates, edges_cache(), {"a": "A"})
+        assert request.max_tokens == SELECTION_MAX_TOKENS
 
 
 # ---------------------------------------------------------------------------
