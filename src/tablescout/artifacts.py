@@ -17,7 +17,7 @@ import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +50,32 @@ def _write(path: str | Path, text: str) -> None:
 def write_json(path: str | Path, payload: object) -> None:
     """Compact, key-sorted JSON: the layout of every JSON artifact."""
     _write(path, json.dumps(payload, sort_keys=True, ensure_ascii=False))
+
+
+def write_json_entries(
+    path: str | Path, header: dict, field: str, entries: Iterable[tuple[str, object]]
+) -> None:
+    """Write ``{**header, field: dict(entries)}`` exactly as :func:`write_json`
+    would, encoding one entry at a time so the whole text never sits in memory.
+
+    ``entries`` must come in ascending key order, the order ``sort_keys`` gives.
+    """
+
+    def dumps(value: object) -> str:
+        return json.dumps(value, sort_keys=True, ensure_ascii=False)
+
+    with replacing(path) as tmp, tmp.open("w", encoding="utf-8") as handle:
+        handle.write("{")
+        for i, key in enumerate(sorted({*header, field})):
+            handle.write((", " if i else "") + dumps(key) + ": ")
+            if key != field:
+                handle.write(dumps(header[key]))
+                continue
+            handle.write("{")
+            for j, (name, value) in enumerate(entries):
+                handle.write((", " if j else "") + dumps(name) + ": " + dumps(value))
+            handle.write("}")
+        handle.write("}")
 
 
 def write_report(path: str | Path, payload: object) -> None:
@@ -88,6 +114,15 @@ def check_header(data: object, path: str | Path, what: str, backend_id: str | No
             f"configured {backend_id!r}"
         )
     return data
+
+
+def require(record: object, field: str, path: str | Path, what: str) -> object:
+    """``record[field]`` of a parsed artifact; a missing field raises
+    :class:`CorpusError` naming the file and the field."""
+    try:
+        return record[field]  # type: ignore[index]
+    except (KeyError, TypeError) as exc:
+        raise CorpusError(f"malformed {what} {path}: missing field {field!r}") from exc
 
 
 def read_artifact(path: str | Path, what: str, backend_id: str | None = None) -> dict:

@@ -6,17 +6,27 @@ other's. Qualifying pairs are scored by value overlap (Jaccard) blended with
 header-name agreement (exact match plus embedding similarity); a table pair's
 compatibility is the best score over its column pairs. Scores are symmetric
 by construction: every pair is computed with the tables in sorted-id order.
+
+Each column is read once into a :class:`ColumnProfile` (distinct normalized
+values, key flag, name key, header vector), and the scorer reads only
+profiles. :func:`build_cache` scores a table pair only when an inverted index
+from value to columns can reach it: a contained side holds its own rarest
+value, so for each column it looks up that one value and marks the tables of
+the columns that hold it, have at least as many distinct values and make the
+pair have a key side. This is exact, unary inclusion-dependency blocking; the
+worst case, a value present in every column, marks and scores every pair.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, write_json
+from .artifacts import FORMAT_VERSION, read_artifact, require, write_json
 from .corpus import Column, Table, TableCorpus
 from .errors import CorpusError
 from .services import Embedder, cosine
@@ -25,52 +35,12 @@ JOINABILITY_THRESHOLD = 0.5
 
 
 # ---------------------------------------------------------------------------
-# Column-level signals
+# Column profiles and the column-pair score
 # ---------------------------------------------------------------------------
-
-
-def _column_uniqueness(column: Column) -> float:
-    """1.0 when the column's normalized non-NULL values are all distinct.
-
-    Columns with no non-NULL values score 0.0: an all-NULL column gives no
-    evidence of being a key.
-    """
-    values = column.non_null_values()
-    if not values:
-        return 0.0
-    return 1.0 if len(set(values)) == len(values) else 0.0
-
-
-def _subset_relation(a: Column, b: Column) -> float:
-    """1.0 when either distinct value set contains the other, else 0.0.
-
-    Empty sets never qualify; containment of nothing is not evidence of a
-    foreign-key relationship.
-    """
-    sa = a.distinct_values()
-    sb = b.distinct_values()
-    if not sa or not sb:
-        return 0.0
-    return 1.0 if sa <= sb or sb <= sa else 0.0
-
-
-def _jaccard(a: Column, b: Column) -> float:
-    """Jaccard overlap of the distinct value sets; 0.0 on an empty union."""
-    sa = a.distinct_values()
-    sb = b.distinct_values()
-    union = sa | sb
-    if not union:
-        return 0.0
-    return len(sa & sb) / len(union)
 
 
 def _name_key(name: str) -> str:
     return name.casefold().replace("-", "_").replace(" ", "_")
-
-
-def _exact_name_match(a: Column, b: Column) -> float:
-    """1.0 when the header names agree up to case and -/space vs underscore."""
-    return 1.0 if _name_key(a.name) == _name_key(b.name) else 0.0
 
 
 def header_text(column: Column) -> str:
@@ -78,33 +48,75 @@ def header_text(column: Column) -> str:
     return f"{column.table_name}.{column.name}"
 
 
-def column_pair_score(
-    a: Column,
-    b: Column,
-    embedder: Embedder,
-    vec_a: np.ndarray | None = None,
-    vec_b: np.ndarray | None = None,
-) -> float:
+@dataclass(frozen=True)
+class ColumnProfile:
+    """Everything the scorer reads of one column, computed once.
+
+    ``values`` is the set of distinct normalized non-NULL values. ``is_key``
+    holds when there is at least one non-NULL value and no two are equal
+    after normalization: an all-NULL column gives no evidence of being a key.
+    ``name_key`` is the header name up to case and -/space vs underscore, and
+    ``vector`` the embedding of :func:`header_text`.
+    """
+
+    values: frozenset[str]
+    is_key: bool
+    name_key: str
+    vector: np.ndarray
+
+    @classmethod
+    def of(cls, column: Column, embedder: Embedder) -> "ColumnProfile":
+        non_null = column.non_null_values()
+        values = frozenset(non_null)
+        return cls(
+            values=values,
+            is_key=bool(values) and len(values) == len(non_null),
+            name_key=_name_key(column.name),
+            vector=embedder.embed(header_text(column)),
+        )
+
+
+def _contained(sa: frozenset[str], sb: frozenset[str]) -> bool:
+    """Whether either distinct value set contains the other.
+
+    Empty sets never qualify; containment of nothing is not evidence of a
+    foreign-key relationship.
+    """
+    if not sa or not sb:
+        return False
+    return sa <= sb if len(sa) <= len(sb) else sb <= sa
+
+
+def _jaccard(sa: frozenset[str], sb: frozenset[str]) -> float:
+    """Jaccard overlap of two distinct value sets; 0.0 on an empty union.
+
+    For a contained pair this is ``len(smaller) / len(larger)``: the same
+    two integers, so the same float.
+    """
+    shared = len(sa & sb)
+    union = len(sa) + len(sb) - shared
+    return shared / union if union else 0.0
+
+
+def _profile_score(pa: ColumnProfile, pb: ColumnProfile) -> float:
+    """The one column-pair scorer; see :func:`column_pair_score`."""
+    if not (pa.is_key or pb.is_key) or not _contained(pa.values, pb.values):
+        return 0.0
+    sem = max(0.0, cosine(pa.vector, pb.vector))
+    name = 0.5 * sem + 0.5 * (1.0 if pa.name_key == pb.name_key else 0.0)
+    return 0.5 * _jaccard(pa.values, pb.values) + 0.5 * name
+
+
+def column_pair_score(a: Column, b: Column, embedder: Embedder) -> float:
     """Join score of one cross-table column pair, in [0, 1].
 
     The pair is valid only when one side's distinct values contain the
     other's and at least one side is unique; an invalid pair scores 0.0.
     A valid pair scores ``0.5*jac + 0.5*(0.5*sem + 0.5*ex)``: value-set
     Jaccard, header-embedding cosine clamped at zero, and exact header-name
-    agreement. ``vec_a``/``vec_b`` are the header embeddings when the caller
-    already has them; otherwise the headers are embedded here.
+    agreement.
     """
-    if _subset_relation(a, b) == 0.0:
-        return 0.0
-    if _column_uniqueness(a) == 0.0 and _column_uniqueness(b) == 0.0:
-        return 0.0
-    if vec_a is None:
-        vec_a = embedder.embed(header_text(a))
-    if vec_b is None:
-        vec_b = embedder.embed(header_text(b))
-    sem = max(0.0, cosine(vec_a, vec_b))
-    name = 0.5 * sem + 0.5 * _exact_name_match(a, b)
-    return 0.5 * _jaccard(a, b) + 0.5 * name
+    return _profile_score(ColumnProfile.of(a, embedder), ColumnProfile.of(b, embedder))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +148,7 @@ def table_compatibility(
     tj: Table,
     embedder: Embedder,
     *,
-    _vectors: Mapping[tuple[str, int], np.ndarray] | None = None,
+    _profiles: Mapping[str, Sequence[ColumnProfile]] | None = None,
 ) -> JoinEdge | None:
     """Best-scoring plausible join between two tables, or None.
 
@@ -147,16 +159,16 @@ def table_compatibility(
     if ti.id == tj.id:
         raise ValueError("table compatibility requires two distinct tables")
     a, b = (ti, tj) if ti.id < tj.id else (tj, ti)
+    if _profiles is None:
+        _profiles = {t.id: [ColumnProfile.of(c, embedder) for c in t.columns] for t in (a, b)}
     best: tuple[float, int, int] | None = None
-    for ca in a.columns:
-        for cb in b.columns:
-            va = _vectors.get((a.id, ca.position)) if _vectors is not None else None
-            vb = _vectors.get((b.id, cb.position)) if _vectors is not None else None
-            s = column_pair_score(ca, cb, embedder, va, vb)
+    for pos_a, pa in enumerate(_profiles[a.id]):
+        for pos_b, pb in enumerate(_profiles[b.id]):
+            s = _profile_score(pa, pb)
             if s <= 0.0:
                 continue
             if best is None or s > best[0]:
-                best = (s, ca.position, cb.position)
+                best = (s, pos_a, pos_b)
     if best is None:
         return None
     score, pos_a, pos_b = best
@@ -228,18 +240,18 @@ class CompatibilityCache:
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "CompatibilityCache":
         data = read_artifact(path, "compatibility cache", expected_backend_id)
         cache = cls(backend_id=data.get("backend_id", ""))
-        for key, record in data.get("pairs", {}).items():
+        for key, record in require(data, "pairs", path, "compatibility cache").items():
             left, sep, right = key.partition("|")
             if not sep:
                 raise CorpusError(f"malformed pair key {key!r} in {path}")
-            join = record.get("join", [])
-            if len(join) != 2:
+            join = require(record, "join", path, "compatibility cache")
+            if not isinstance(join, list) or len(join) != 2:
                 raise CorpusError(f"malformed join entry for {key!r} in {path}")
             left_col = _strip_table_prefix(join[0], left, path)
             right_col = _strip_table_prefix(join[1], right, path)
             cache.add(
                 JoinEdge(
-                    score=float(record["cs"]),
+                    score=float(require(record, "cs", path, "compatibility cache")),
                     left_table=left,
                     left_column=left_col,
                     right_table=right,
@@ -257,18 +269,37 @@ def _strip_table_prefix(qualified: str, table_id: str, path: str | Path) -> str:
 
 
 def build_cache(corpus: TableCorpus, embedder: Embedder) -> CompatibilityCache:
-    """Score every unordered table pair; embed each column header once."""
+    """Score every table pair that value blocking can reach.
+
+    Each column is profiled (and its header embedded) once. A valid column
+    pair has a non-empty side ``p`` whose values all occur in the other side
+    ``q``, with ``q`` holding at least as many distinct values; so ``q`` holds
+    ``p``'s rarest value. Only table pairs marked through that one value are
+    scored, by :func:`table_compatibility` over all their column pairs; every
+    other pair has no valid column pair and scores zero.
+    """
     tables = sorted(corpus, key=lambda t: t.id)
-    vectors: dict[tuple[str, int], np.ndarray] = {}
+    profiles = {t.id: [ColumnProfile.of(c, embedder) for c in t.columns] for t in tables}
+    postings: dict[str, list[tuple[str, ColumnProfile]]] = defaultdict(list)
     for table in tables:
-        for col in table.columns:
-            vectors[(table.id, col.position)] = embedder.embed(header_text(col))
+        for profile in profiles[table.id]:
+            for value in profile.values:
+                postings[value].append((table.id, profile))
+    candidates: set[tuple[str, str]] = set()
+    for table in tables:
+        for p in profiles[table.id]:
+            if not p.values:
+                continue
+            rarest = min(p.values, key=lambda v: (len(postings[v]), v))
+            for other_id, q in postings[rarest]:
+                if other_id != table.id and len(q.values) >= len(p.values) and (p.is_key or q.is_key):
+                    candidates.add((table.id, other_id) if table.id < other_id else (other_id, table.id))
+    by_id = {t.id: t for t in tables}
     cache = CompatibilityCache(backend_id=embedder.backend_id)
-    for i, ti in enumerate(tables):
-        for tj in tables[i + 1 :]:
-            edge = table_compatibility(ti, tj, embedder, _vectors=vectors)
-            if edge is not None:
-                cache.add(edge)
+    for left, right in sorted(candidates):
+        edge = table_compatibility(by_id[left], by_id[right], embedder, _profiles=profiles)
+        if edge is not None:
+            cache.add(edge)
     return cache
 
 

@@ -18,13 +18,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, read_json, write_json
+from .artifacts import FORMAT_VERSION, read_artifact, read_json, require, write_json
 from .errors import CorpusError
 
 #: Distinguished marker for missing cells; distinct from the empty string.
 NULL = None
 
-#: Bumped when value normalization semantics change; recorded in built caches.
+#: Bumped when value normalization semantics change. Not recorded in any
+#: artifact yet, so a built cache does not know the version it used.
 NORMALIZATION_VERSION = 1
 
 DEFAULT_SAMPLE_ROWS = 5
@@ -125,9 +126,10 @@ class TableCorpus:
     provenance: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ids = [t.id for t in self.tables]
-        if len(set(ids)) != len(ids):
+        by_id = {t.id: t for t in self.tables}
+        if len(by_id) != len(self.tables):
             raise CorpusError("table ids are not unique across the corpus")
+        object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -136,10 +138,7 @@ class TableCorpus:
         return iter(self.tables)
 
     def get(self, table_id: str) -> Table:
-        for t in self.tables:
-            if t.id == table_id:
-                return t
-        raise KeyError(table_id)
+        return self._by_id[table_id]
 
     def ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.tables)
@@ -404,17 +403,19 @@ def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> TableCorpus:
-    data = read_artifact(path, "corpus file")
+    what = "corpus file"
+    data = read_artifact(path, what)
     tables = []
     provenance = {}
-    for entry in data["tables"]:
+    for entry in require(data, "tables", path, what):
+        table_id = require(entry, "id", path, what)
         tables.append(
             Table.build(
-                table_id=entry["id"],
-                name=entry["name"],
-                column_names=entry["columns"],
-                rows=entry["rows"],
+                table_id=table_id,
+                name=require(entry, "name", path, what),
+                column_names=require(entry, "columns", path, what),
+                rows=require(entry, "rows", path, what),
             )
         )
-        provenance[entry["id"]] = entry.get("source", "")
+        provenance[table_id] = entry.get("source", "")
     return TableCorpus(tables=tuple(tables), provenance=provenance)

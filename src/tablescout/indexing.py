@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, read_npz, write_json, write_npz
+from .artifacts import FORMAT_VERSION, read_artifact, read_npz, require, write_json, write_npz
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
 from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine
 
@@ -82,12 +82,13 @@ class EnrichmentStore:
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, EnrichedTable] = {}
         if self._path is not None and self._path.exists():
-            data = read_artifact(self._path, "enrichment store")
-            for table_id, record in data.get("entries", {}).items():
+            what = "enrichment store"
+            data = read_artifact(self._path, what)
+            for table_id, record in require(data, "entries", self._path, what).items():
                 self._entries[table_id] = EnrichedTable(
                     table_id=table_id,
-                    purpose=record["purpose"],
-                    text=record["text"],
+                    purpose=require(record, "purpose", self._path, what),
+                    text=require(record, "text", self._path, what),
                 )
 
     def save(self) -> None:
@@ -218,5 +219,6 @@ class DenseIndex:
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "DenseIndex":
         meta, arrays = read_npz(path, "index", expected_backend_id)
-        ids = [str(i) for i in arrays["ids"]]
-        return cls(ids=ids, vectors=arrays["vectors"], backend_id=meta.get("backend_id", ""))
+        ids = [str(i) for i in require(arrays, "ids", path, "index")]
+        vectors = require(arrays, "vectors", path, "index")
+        return cls(ids=ids, vectors=vectors, backend_id=meta.get("backend_id", ""))

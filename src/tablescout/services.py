@@ -19,7 +19,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, write_json
+from .artifacts import FORMAT_VERSION, read_artifact, require, write_json_entries
 from .errors import BackendError
 
 logger = logging.getLogger(__name__)
@@ -113,10 +113,11 @@ class CachingEmbedder:
         self._lock = threading.Lock()
         self.backend_calls = 0
         if self._path is not None and self._path.exists():
-            data = read_artifact(self._path, "embedding cache", backend.backend_id)
+            what = "embedding cache"
+            data = read_artifact(self._path, what, backend.backend_id)
             self._entries = {
                 key: np.asarray(vec, dtype=np.float64)
-                for key, vec in data.get("entries", {}).items()
+                for key, vec in require(data, "entries", self._path, what).items()
             }
 
     @property
@@ -134,13 +135,13 @@ class CachingEmbedder:
     def save(self) -> None:
         if self._path is None:
             return
-        payload = {
+        header = {
             "version": FORMAT_VERSION,
             "backend_id": self._backend.backend_id,
             "dimension": self._backend.dimension,
-            "entries": {k: v.tolist() for k, v in self._entries.items()},
         }
-        write_json(self._path, payload)
+        entries = ((k, v.tolist()) for k, v in sorted(self._entries.items()))
+        write_json_entries(self._path, header, "entries", entries)
 
     def embed(self, text: str) -> np.ndarray:
         key = self._key(text)

@@ -8,8 +8,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tablescout.artifacts import replacing
+from tablescout.artifacts import replacing, write_json, write_json_entries
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
 from tablescout.compatibility import CompatibilityCache
 from tablescout.corpus import load_corpus, save_corpus
@@ -127,3 +129,62 @@ def test_failed_write_keeps_the_old_file(built, monkeypatch, name):
 
     resave(path)
     assert path.read_bytes() == before
+
+
+def drop_field(path, name):
+    """Remove one required field from a right-version artifact."""
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files if key != name}
+        np.savez(path, **arrays)
+        return
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if name in data:
+        del data[name]
+    else:
+        records = data["entries"] if "entries" in data else data["pairs"]
+        for record in records.values():
+            del record[name]
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("corpus.json", "tables"),
+        ("enriched.json", "entries"),
+        ("enriched.json", "purpose"),
+        ("enriched.json", "text"),
+        ("embedding_cache.json", "entries"),
+        ("index.npz", "vectors"),
+        ("compat_cache.json", "pairs"),
+        ("compat_cache.json", "cs"),
+    ],
+)
+def test_missing_field_is_an_input_error(built, capsys, name, field):
+    out, queries = built
+    path = out / name
+    drop_field(path, field)
+    assert next_command(name, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(field) in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(
+    header=st.dictionaries(st.text(), json_values, max_size=4),
+    field=st.text(),
+    entries=st.dictionaries(st.text(), json_values, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_streamed_entries_match_write_json(tmp_path_factory, header, field, entries):
+    out = tmp_path_factory.mktemp("entries")
+    write_json(out / "whole.json", {**header, field: entries})
+    write_json_entries(out / "streamed.json", header, field, sorted(entries.items()))
+    assert (out / "streamed.json").read_bytes() == (out / "whole.json").read_bytes()

@@ -20,17 +20,17 @@ from tablescout import (
 )
 from tablescout.compatibility import (
     JOINABILITY_THRESHOLD,
+    ColumnProfile,
     GoldJoin,
     JoinEdge,
-    _column_uniqueness,
-    _exact_name_match,
+    _contained,
     _jaccard,
-    _subset_relation,
     evaluate_cache,
     gold_joins_from_records,
     header_text,
     table_compatibility,
 )
+from tablescout import compatibility
 from tablescout.corpus import NULL, Column
 
 from synth import MappedEmbedder, oracle_pair_score, oracle_table_compatibility, random_corpus
@@ -42,6 +42,26 @@ def col(values, name="c", table="t", position=0):
 
 def make_table(table_id, column_names, rows):
     return Table.build(table_id, table_id, column_names, rows)
+
+
+def profile(column):
+    return ColumnProfile.of(column, HashingEmbedder(dimension=16))
+
+
+def is_key(column):
+    return profile(column).is_key
+
+
+def contained(a, b):
+    return _contained(profile(a).values, profile(b).values)
+
+
+def jaccard(a, b):
+    return _jaccard(profile(a).values, profile(b).values)
+
+
+def same_name(a, b):
+    return profile(a).name_key == profile(b).name_key
 
 
 class CountingEmbedder(HashingEmbedder):
@@ -61,67 +81,67 @@ class CountingEmbedder(HashingEmbedder):
 
 class TestColumnUniqueness:
     def test_all_distinct(self):
-        assert _column_uniqueness(col(["1", "2", "3"])) == 1.0
+        assert is_key(col(["1", "2", "3"]))
 
     def test_repeated_value(self):
-        assert _column_uniqueness(col(["1", "1", "2"])) == 0.0
+        assert not is_key(col(["1", "1", "2"]))
 
     def test_nulls_ignored(self):
-        assert _column_uniqueness(col(["1", NULL, "2", NULL])) == 1.0
+        assert is_key(col(["1", NULL, "2", NULL]))
 
     def test_all_null_is_not_a_key(self):
-        assert _column_uniqueness(col([NULL, NULL])) == 0.0
+        assert not is_key(col([NULL, NULL]))
 
     def test_empty_column(self):
-        assert _column_uniqueness(col([])) == 0.0
+        assert not is_key(col([]))
 
     def test_normalization_collapses_duplicates(self):
-        assert _column_uniqueness(col([" A ", "a"])) == 0.0
+        assert not is_key(col([" A ", "a"]))
 
 
 class TestSubsetRelation:
     def test_contained(self):
-        assert _subset_relation(col(["1", "2"]), col(["1", "2", "3"])) == 1.0
+        assert contained(col(["1", "2"]), col(["1", "2", "3"]))
 
     def test_contained_other_direction(self):
-        assert _subset_relation(col(["1", "2", "3"]), col(["1", "2"])) == 1.0
+        assert contained(col(["1", "2", "3"]), col(["1", "2"]))
 
     def test_partial_overlap_fails(self):
-        assert _subset_relation(col(["1", "4"]), col(["1", "2", "3"])) == 0.0
+        assert not contained(col(["1", "4"]), col(["1", "2", "3"]))
 
     def test_empty_side_fails(self):
-        assert _subset_relation(col([]), col(["1", "2"])) == 0.0
-        assert _subset_relation(col([NULL]), col(["1", "2"])) == 0.0
+        assert not contained(col([]), col(["1", "2"]))
+        assert not contained(col([NULL]), col(["1", "2"]))
 
     def test_duplicates_do_not_matter(self):
-        assert _subset_relation(col(["1", "1", "2"]), col(["2", "1"])) == 1.0
+        assert contained(col(["1", "1", "2"]), col(["2", "1"]))
 
 
 class TestJaccard:
     def test_half_overlap(self):
-        assert _jaccard(col(["1", "2", "3"]), col(["2", "3", "4"])) == 0.5
+        assert jaccard(col(["1", "2", "3"]), col(["2", "3", "4"])) == 0.5
 
     def test_identical_sets(self):
-        assert _jaccard(col(["1", "2"]), col(["2", "1", "1"])) == 1.0
+        assert jaccard(col(["1", "2"]), col(["2", "1", "1"])) == 1.0
 
     def test_disjoint_sets(self):
-        assert _jaccard(col(["1"]), col(["2"])) == 0.0
+        assert jaccard(col(["1"]), col(["2"])) == 0.0
 
     def test_empty_union(self):
-        assert _jaccard(col([NULL]), col([])) == 0.0
+        assert jaccard(col([NULL]), col([])) == 0.0
 
     def test_distinct_sets_not_multisets(self):
         # {1} vs {1}: overlap 1.0 regardless of repetition counts
-        assert _jaccard(col(["1", "1", "1"]), col(["1"])) == 1.0
+        assert jaccard(col(["1", "1", "1"]), col(["1"])) == 1.0
 
 
 class TestHeaderSignals:
     def test_exact_match_tolerates_case_and_separators(self):
-        assert _exact_name_match(col([], name="museum_id"), col([], name="Museum-ID")) == 1.0
-        assert _exact_name_match(col([], name="city name"), col([], name="CITY_NAME")) == 1.0
+        assert same_name(col([], name="museum_id"), col([], name="Museum-ID"))
+        assert same_name(col([], name="city name"), col([], name="CITY_NAME"))
 
     def test_exact_match_rejects_different_names(self):
-        assert _exact_name_match(col([], name="id"), col([], name="name")) == 0.0
+        assert not same_name(col([], name="id"), col([], name="name"))
 
     def test_header_text(self):
         assert header_text(col([], name="id", table="museums")) == "museums.id"
@@ -173,7 +193,7 @@ class TestColumnPairScore:
         )
         parent = col(["1", "2", "3", "4", "5"], name="museum_id", table="t1")
         child = col(["1", "2", "3", "4", "1"], name="museum_id", table="t2")
-        assert _jaccard(parent, child) == pytest.approx(0.8, abs=1e-12)
+        assert jaccard(parent, child) == pytest.approx(0.8, abs=1e-12)
         assert column_pair_score(parent, child, emb) == pytest.approx(0.875, abs=1e-12)
         assert column_pair_score(child, parent, emb) == pytest.approx(0.875, abs=1e-12)
 
@@ -181,7 +201,7 @@ class TestColumnPairScore:
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "1", "2"], name="x", table="t1")
         b = col(["1", "2", "2"], name="x", table="t2")
-        assert _jaccard(a, b) == 1.0  # full overlap, yet no key side
+        assert jaccard(a, b) == 1.0  # full overlap, yet no key side
         assert column_pair_score(a, b, emb) == 0.0
         # " A " and "a" normalize to one value, so neither side is a key
         a = col([" A ", "a"], name="x", table="t1")
@@ -213,7 +233,7 @@ class TestColumnPairScore:
         s = column_pair_score(a, b, emb)
         assert 0.0 <= s <= 1.0
         # valid exactly when positive: a valid pair shares at least one value
-        valid = _subset_relation(a, b) == 1.0 and 1.0 in (_column_uniqueness(a), _column_uniqueness(b))
+        valid = contained(a, b) and (is_key(a) or is_key(b))
         assert (s > 0.0) == valid
         assert s == pytest.approx(oracle_pair_score(a, b, emb), abs=1e-12)
 
@@ -439,6 +459,84 @@ class TestCompatibilityCache:
                     else:
                         assert cache.score(ti.id, tj.id) == pytest.approx(want[0], abs=1e-12)
                         assert cache.best_join(ti.id, tj.id) == want[1]
+
+
+# ---------------------------------------------------------------------------
+# Value blocking in build_cache
+# ---------------------------------------------------------------------------
+
+# " A ", "a" and "A" collapse to one value; "1" and "2" make keys and subsets
+BLOCKING_VALUES = ["1", "2", "3", " A ", "a", "A", "b", NULL]
+
+
+@st.composite
+def blocking_corpora(draw):
+    """Small corpora with all-NULL and empty columns, equal value sets on
+    both sides (a table may repeat an earlier one's rows reversed), values
+    that collapse under normalization, non-key columns and, optionally, one
+    value held by every column."""
+    shared = draw(st.booleans())
+    tables = []
+    for t in range(draw(st.integers(2, 5))):
+        names = draw(
+            st.lists(st.sampled_from(["id", "ID", "ref-id", "ref_id", "x"]), min_size=1, max_size=3, unique=True)
+        )
+        if tables and draw(st.booleans()):
+            earlier = draw(st.sampled_from(tables))
+            rows = [list(earlier.row(i))[: len(names)] for i in reversed(range(earlier.row_count))]
+            rows = [row + [NULL] * (len(names) - len(row)) for row in rows]
+        else:
+            n_rows = draw(st.integers(0, 6))
+            cells = st.lists(st.sampled_from(BLOCKING_VALUES), min_size=len(names), max_size=len(names))
+            rows = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        if shared and rows:
+            rows[0] = ["shared"] * len(names)
+        tables.append(make_table(f"t{t}", names, rows))
+    return TableCorpus(tables=tuple(tables), provenance={})
+
+
+@given(corpus=blocking_corpora())
+@settings(max_examples=300, deadline=None)
+def test_blocking_matches_brute_force(corpus):
+    emb = HashingEmbedder(dimension=32)
+    cache = build_cache(corpus, emb)
+    tables = sorted(corpus, key=lambda t: t.id)
+    want = {}
+    for i, ti in enumerate(tables):
+        for tj in tables[i + 1 :]:
+            oracle = oracle_table_compatibility(ti, tj, emb)
+            if oracle is not None:
+                want[(ti.id, tj.id)] = oracle
+    got = {(e.left_table, e.right_table): (e.score, (e.left_column, e.right_column)) for e in cache}
+    assert got == want
+
+
+def test_no_valid_pair_scores_no_table_pair(monkeypatch):
+    # values overlap, but equal sets have no key side and the key {1, 3} is
+    # contained nowhere, so no table pair is a candidate
+    corpus = TableCorpus(
+        tables=(
+            make_table("t1", ["a"], [["1"], ["1"], ["2"]]),
+            make_table("t2", ["b"], [["2"], ["1"], ["2"]]),
+            make_table("t3", ["c"], [["1"], ["3"]]),
+        ),
+        provenance={},
+    )
+    calls = []
+    scorer = compatibility.table_compatibility
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return scorer(*args, **kwargs)
+
+    monkeypatch.setattr(compatibility, "table_compatibility", counting)
+    assert len(build_cache(corpus, HashingEmbedder(dimension=16))) == 0
+    assert calls == []
+    # a contained key makes its table pair the one candidate
+    extra = make_table("t4", ["d"], [["3"], ["2"], ["1"]])
+    corpus = TableCorpus(tables=corpus.tables + (extra,), provenance={})
+    assert len(build_cache(corpus, HashingEmbedder(dimension=16))) > 0
+    assert sorted((a.id, b.id) for a, b in calls) == [("t1", "t4"), ("t2", "t4"), ("t3", "t4")]
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,15 @@ class TestValuesAndPersistence:
         with pytest.raises(CorpusError, match="not unique"):
             TableCorpus(tables=(t1, t2), provenance={})
 
+    def test_get_by_id(self):
+        t1 = make_table("t1", ["a"], [["1"]])
+        t2 = make_table("t2", ["a"], [["2"]])
+        corpus = TableCorpus(tables=(t1, t2), provenance={})
+        assert corpus.get("t2") is t2
+        assert corpus.get("t1") is t1
+        with pytest.raises(KeyError):
+            corpus.get("t3")
+
     def test_save_load_round_trip(self, tmp_path):
         a = make_table("x", ["a", "b"], [["1", NULL], ["2", "3"]])
         corpus = pool_corpora([("src", [a])])
