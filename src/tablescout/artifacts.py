@@ -3,11 +3,14 @@
 Writes go to ``<name>.tmp`` beside the target and are moved over it with
 ``os.replace``, so a killed process leaves the old file or the new one, never
 a torn one. No fsync: the fault covered is a killed process, not a lost
-machine, and enrichment saves once per table. Reads turn an unreadable or
-malformed file into :class:`CorpusError` naming it. Persisted artifacts carry
-one header, ``version`` plus ``backend_id`` where the content depends on the
-embedder, and :func:`check_header` is the one place that refuses a wrong
-version or a different backend.
+machine, and enrichment saves once per new or changed table. Records go to
+compact JSON (:func:`write_json`); vectors, the dense index and the embedding
+cache, go to one compressed ``.npz`` each (:func:`write_npz`), read back as
+one row per key (:func:`read_npz`). Reads turn an unreadable or malformed
+file, or a missing or wrong-typed field, into :class:`CorpusError` naming it.
+Persisted artifacts carry one header, ``version`` plus ``backend_id`` where
+the content depends on the embedder, and :func:`check_header` is the one
+place that refuses a wrong version or a different backend.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -50,32 +53,6 @@ def _write(path: str | Path, text: str) -> None:
 def write_json(path: str | Path, payload: object) -> None:
     """Compact, key-sorted JSON: the layout of every JSON artifact."""
     _write(path, json.dumps(payload, sort_keys=True, ensure_ascii=False))
-
-
-def write_json_entries(
-    path: str | Path, header: dict, field: str, entries: Iterable[tuple[str, object]]
-) -> None:
-    """Write ``{**header, field: dict(entries)}`` exactly as :func:`write_json`
-    would, encoding one entry at a time so the whole text never sits in memory.
-
-    ``entries`` must come in ascending key order, the order ``sort_keys`` gives.
-    """
-
-    def dumps(value: object) -> str:
-        return json.dumps(value, sort_keys=True, ensure_ascii=False)
-
-    with replacing(path) as tmp, tmp.open("w", encoding="utf-8") as handle:
-        handle.write("{")
-        for i, key in enumerate(sorted({*header, field})):
-            handle.write((", " if i else "") + dumps(key) + ": ")
-            if key != field:
-                handle.write(dumps(header[key]))
-                continue
-            handle.write("{")
-            for j, (name, value) in enumerate(entries):
-                handle.write((", " if j else "") + dumps(name) + ": " + dumps(value))
-            handle.write("}")
-        handle.write("}")
 
 
 def write_report(path: str | Path, payload: object) -> None:
@@ -116,13 +93,21 @@ def check_header(data: object, path: str | Path, what: str, backend_id: str | No
     return data
 
 
-def require(record: object, field: str, path: str | Path, what: str) -> object:
-    """``record[field]`` of a parsed artifact; a missing field raises
-    :class:`CorpusError` naming the file and the field."""
+def require(
+    record: object, field: str, path: str | Path, what: str, kind: type | tuple[type, ...] = object
+) -> object:
+    """``record[field]`` of a parsed artifact, an instance of ``kind``; a
+    missing or wrong-typed field raises :class:`CorpusError` naming the file
+    and the field."""
     try:
-        return record[field]  # type: ignore[index]
+        value = record[field]  # type: ignore[index]
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed {what} {path}: missing field {field!r}") from exc
+    if not isinstance(value, kind):
+        raise CorpusError(
+            f"malformed {what} {path}: field {field!r} holds {type(value).__name__}"
+        )
+    return value
 
 
 def read_artifact(path: str | Path, what: str, backend_id: str | None = None) -> dict:
@@ -131,17 +116,22 @@ def read_artifact(path: str | Path, what: str, backend_id: str | None = None) ->
 
 
 def write_npz(path: str | Path, meta: dict, **arrays: np.ndarray) -> None:
-    """Save ``arrays`` plus ``meta`` (stored as a JSON string) in one ``.npz``."""
+    """Save ``arrays`` plus ``meta`` (stored as a JSON string) in one
+    compressed ``.npz``, whatever the suffix of ``path``."""
     meta_array = np.asarray(json.dumps(meta, sort_keys=True))
-    # a file object, because np.savez appends ".npz" to a path lacking it
+    # a file object, because np.savez_compressed appends ".npz" to a path lacking it
     with replacing(path) as tmp, tmp.open("wb") as handle:
-        np.savez(handle, **arrays, meta=meta_array)
+        np.savez_compressed(handle, **arrays, meta=meta_array)
 
 
 def read_npz(
-    path: str | Path, what: str, backend_id: str | None = None
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """Load an ``.npz`` written by :func:`write_npz`: (checked meta, arrays)."""
+    path: str | Path, what: str, backend_id: str | None, keys_field: str
+) -> tuple[dict, list[str], np.ndarray]:
+    """(checked meta, keys, vectors) of an ``.npz`` written by :func:`write_npz`.
+
+    Anything but a 1-D ``keys_field`` array and a 2-D ``vectors`` array with
+    one row per key raises :class:`CorpusError` naming the file.
+    """
     try:
         # an open handle, because np.load leaks its own on a torn zip
         with Path(path).open("rb") as handle, np.load(handle, allow_pickle=False) as data:
@@ -151,7 +141,12 @@ def read_npz(
         raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise CorpusError(f"malformed {what} {path}: {exc}") from exc
-    return check_header(meta, path, what, backend_id), arrays
+    check_header(meta, path, what, backend_id)
+    keys = require(arrays, keys_field, path, what)
+    vectors = require(arrays, "vectors", path, what)
+    if keys.ndim != 1 or vectors.ndim != 2 or len(keys) != len(vectors):
+        raise CorpusError(f"malformed {what} {path}: {keys_field} {keys.shape} for vectors {vectors.shape}")
+    return meta, [str(key) for key in keys], vectors
 
 
 def read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:

@@ -2,7 +2,7 @@
 
 Commands: ingest, enrich, cache, retrieve, eval, e2e. Each reads and writes
 artifacts in an output directory (corpus.json, enriched.json, index.npz,
-embedding_cache.json, compat_cache.json, results.jsonl, report files) so runs
+embedding_cache.npz, compat_cache.json, results.jsonl, report files) so runs
 are resumable and byte-reproducible with the offline stub backends.
 
 Exit codes: 0 success, 2 configuration problem, 3 input problem, 4 backend
@@ -79,25 +79,36 @@ EXIT_BACKEND = 4
 # Configuration and backend specs
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "k": DEFAULT_TOP_K,
-    "tau": DEFAULT_RESTORE_THRESHOLD,
-    "seed": DEFAULT_SEED,
-    "sample_rows": DEFAULT_SAMPLE_ROWS,
-    "joinability_threshold": JOINABILITY_THRESHOLD,
-    "input_rate": INPUT_RATE_PER_MILLION,
-    "output_rate": OUTPUT_RATE_PER_MILLION,
-    "embedder": "stub",
-    "generator": None,
+#: Every setting some command reads: its type and built-in default. A flag
+#: of the same name (dashes for underscores) overrides the config file.
+_SETTINGS: dict[str, tuple[type, object]] = {
+    "k": (int, DEFAULT_TOP_K),
+    "tau": (float, DEFAULT_RESTORE_THRESHOLD),
+    "seed": (int, DEFAULT_SEED),
+    "sample_rows": (int, DEFAULT_SAMPLE_ROWS),
+    "joinability_threshold": (float, JOINABILITY_THRESHOLD),
+    "input_rate": (float, INPUT_RATE_PER_MILLION),
+    "output_rate": (float, OUTPUT_RATE_PER_MILLION),
+    "embedder": (str, "stub"),
+    "generator": (str, None),
 }
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The config file's settings; a key no command reads, or a value of the
+    wrong type, is a :class:`ConfigError` naming the key."""
     if path is None:
         return {}
     data = read_json(path, "config file", ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    for key, value in data.items():
+        if key not in _SETTINGS:
+            raise ConfigError(f"config file {path}: no command reads key {key!r}")
+        kind = _SETTINGS[key][0]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config file {path}: key {key!r} must be {kind.__name__}, not {value!r}")
     return data
 
 
@@ -108,7 +119,7 @@ def _setting(args: argparse.Namespace, config: dict, key: str):
         return value
     if key in config:
         return config[key]
-    return _DEFAULTS.get(key)
+    return _SETTINGS[key][1]
 
 
 def parse_embedder_spec(spec: str) -> Embedder:
@@ -159,7 +170,7 @@ def _require_artifact(path: Path, hint: str) -> Path:
 
 
 def _embedder_with_cache(spec: str, out: Path) -> CachingEmbedder:
-    return CachingEmbedder(parse_embedder_spec(spec), out / "embedding_cache.json")
+    return CachingEmbedder(parse_embedder_spec(spec), out / "embedding_cache.npz")
 
 
 def _load_queries(path: str | Path) -> list[tuple[str, str]]:
@@ -433,22 +444,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="WARNING", help="stderr log level")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", required=True, help="artifact directory")
-    common.add_argument("--embedder", help="stub | stub:<dim> | http:<base_url>,<model>")
-    common.add_argument("--generator", help="scripted:<responses.json> | http:<base_url>,<model>")
-    common.add_argument("--seed", type=int, help="sampling seed (default 42)")
+    embedding = argparse.ArgumentParser(add_help=False, parents=[common])
+    embedding.add_argument("--embedder", help="stub | stub:<dim> | http:<base_url>,<model>")
+    generating = argparse.ArgumentParser(add_help=False, parents=[embedding])
+    generating.add_argument("--generator", help="scripted:<responses.json> | http:<base_url>,<model>")
 
     p = sub.add_parser("ingest", parents=[common], help="pool table sources into one corpus")
     p.add_argument("sources", nargs="+", help="source path or label=path")
     p.add_argument("--format", choices=["csv-dir", "sqlite-file"], help="force source format")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("enrich", parents=[common], help="generate purposes and build the dense index")
+    p = sub.add_parser("enrich", parents=[generating], help="generate purposes and build the dense index")
+    p.add_argument("--seed", type=int, help="sampling seed (default 42)")
     p.add_argument("--sample-rows", type=int, dest="sample_rows", help="rows per table sample (default 5)")
     p.set_defaults(func=cmd_enrich)
 
-    p = sub.add_parser("cache", parents=[common], help="build the pairwise compatibility cache")
+    p = sub.add_parser("cache", parents=[embedding], help="build the pairwise compatibility cache")
     p.set_defaults(func=cmd_cache)
 
     querying = argparse.ArgumentParser(add_help=False)
@@ -457,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     querying.add_argument("--fallback-only", action="store_true", help="skip selection; emit top-k sets")
     querying.add_argument("--strict-parse", action="store_true", help="require pure-JSON selection replies")
 
-    p = sub.add_parser("retrieve", parents=[common, querying], help="answer a batch of queries")
+    p = sub.add_parser("retrieve", parents=[generating, querying], help="answer a batch of queries")
     p.add_argument("--queries", required=True, help="JSON lines {query_id, question}")
     p.set_defaults(func=cmd_retrieve)
 
@@ -468,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joinability-threshold", type=float, dest="joinability_threshold")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("e2e", parents=[common, querying], help="retrieve, write SQL, and check execution")
+    p = sub.add_parser("e2e", parents=[generating, querying], help="retrieve, write SQL, and check execution")
     p.add_argument("--gold", required=True, help="gold JSON lines with gold_sql")
     p.add_argument("--db", required=True, help="SQLite database file")
     p.add_argument("--input-rate", type=float, dest="input_rate", help="$ per 1M input tokens")

@@ -240,18 +240,18 @@ class CompatibilityCache:
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "CompatibilityCache":
         data = read_artifact(path, "compatibility cache", expected_backend_id)
         cache = cls(backend_id=data.get("backend_id", ""))
-        for key, record in require(data, "pairs", path, "compatibility cache").items():
+        for key, record in require(data, "pairs", path, "compatibility cache", dict).items():
             left, sep, right = key.partition("|")
             if not sep:
                 raise CorpusError(f"malformed pair key {key!r} in {path}")
             join = require(record, "join", path, "compatibility cache")
-            if not isinstance(join, list) or len(join) != 2:
+            if not isinstance(join, list) or len(join) != 2 or not all(isinstance(c, str) for c in join):
                 raise CorpusError(f"malformed join entry for {key!r} in {path}")
             left_col = _strip_table_prefix(join[0], left, path)
             right_col = _strip_table_prefix(join[1], right, path)
             cache.add(
                 JoinEdge(
-                    score=float(require(record, "cs", path, "compatibility cache")),
+                    score=float(require(record, "cs", path, "compatibility cache", (int, float))),
                     left_table=left,
                     left_column=left_col,
                     right_table=right,

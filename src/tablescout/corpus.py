@@ -56,10 +56,6 @@ class Column:
         """Normalized non-NULL values, in row order."""
         return [normalize_value(v) for v in self.values if v is not None]
 
-    def distinct_values(self) -> frozenset[str]:
-        """Distinct normalized non-NULL values."""
-        return frozenset(self.non_null_values())
-
 
 @dataclass(frozen=True)
 class Table:
@@ -407,14 +403,14 @@ def load_corpus(path: str | Path) -> TableCorpus:
     data = read_artifact(path, what)
     tables = []
     provenance = {}
-    for entry in require(data, "tables", path, what):
-        table_id = require(entry, "id", path, what)
+    for entry in require(data, "tables", path, what, list):
+        table_id = require(entry, "id", path, what, str)
         tables.append(
             Table.build(
                 table_id=table_id,
-                name=require(entry, "name", path, what),
-                column_names=require(entry, "columns", path, what),
-                rows=require(entry, "rows", path, what),
+                name=require(entry, "name", path, what, str),
+                column_names=require(entry, "columns", path, what, list),
+                rows=require(entry, "rows", path, what, list),
             )
         )
         provenance[table_id] = entry.get("source", "")

@@ -84,11 +84,11 @@ class EnrichmentStore:
         if self._path is not None and self._path.exists():
             what = "enrichment store"
             data = read_artifact(self._path, what)
-            for table_id, record in require(data, "entries", self._path, what).items():
+            for table_id, record in require(data, "entries", self._path, what, dict).items():
                 self._entries[table_id] = EnrichedTable(
                     table_id=table_id,
-                    purpose=require(record, "purpose", self._path, what),
-                    text=require(record, "text", self._path, what),
+                    purpose=require(record, "purpose", self._path, what, str),
+                    text=require(record, "text", self._path, what, str),
                 )
 
     def save(self) -> None:
@@ -126,34 +126,29 @@ def enrich_tables(
     max_tokens: int = PURPOSE_MAX_TOKENS,
     ledger: TokenLedger | None = None,
 ) -> EnrichmentStore:
-    """Enrich every table not already present in the store.
+    """Give every table a purpose and an indexed text in the store.
 
-    Tables are processed in sorted-id order so generator call order (and any
+    Only ids new to the store cost a generator call. A stored id keeps its
+    purpose, but its text is composed again from the table holding the id
+    now. Tables go in sorted-id order so generator call order (and any
     scripted backend) is reproducible. Returns the store, saving it after
-    each new record when it is file-backed.
+    each new or changed record when it is file-backed.
     """
     if store is None:
         store = EnrichmentStore()
     for table in sorted(tables, key=lambda t: t.id):
-        if table.id in store:
-            continue
-        purpose = generate_purpose(
-            table,
-            generator,
-            seed=seed,
-            n_rows=n_rows,
-            max_tokens=max_tokens,
-            ledger=ledger,
-        )
-        sample = sample_rows(table, n=n_rows, seed=seed)
-        store.put(
-            EnrichedTable(
-                table_id=table.id,
-                purpose=purpose,
-                text=enriched_text(table, purpose, sample),
+        stored = store.get(table.id) if table.id in store else None
+        if stored is not None:
+            purpose = stored.purpose
+        else:
+            purpose = generate_purpose(
+                table, generator, seed=seed, n_rows=n_rows, max_tokens=max_tokens, ledger=ledger
             )
-        )
-        store.save()
+        sample = sample_rows(table, n=n_rows, seed=seed)
+        record = EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample))
+        if record != stored:
+            store.put(record)
+            store.save()
     return store
 
 
@@ -218,7 +213,5 @@ class DenseIndex:
 
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "DenseIndex":
-        meta, arrays = read_npz(path, "index", expected_backend_id)
-        ids = [str(i) for i in require(arrays, "ids", path, "index")]
-        vectors = require(arrays, "vectors", path, "index")
+        meta, ids, vectors = read_npz(path, "index", expected_backend_id, "ids")
         return cls(ids=ids, vectors=vectors, backend_id=meta.get("backend_id", ""))

@@ -19,15 +19,17 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, require, write_json_entries
+from .artifacts import FORMAT_VERSION, read_npz, write_npz
 from .errors import BackendError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_STUB_DIMENSION = 256
 _NGRAM = 3
-DEFAULT_RETRIES = 3
-DEFAULT_BACKOFF_SECONDS = 1.0
+_API_KEY_ENV = "TABLESCOUT_API_KEY"
+_TIMEOUT_SECONDS = 60.0
+_RETRIES = 3
+_BACKOFF_SECONDS = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +100,13 @@ class HashingEmbedder:
 # ---------------------------------------------------------------------------
 
 class CachingEmbedder:
-    """Wrap an embedder with an in-memory cache that can persist to JSON.
+    """Wrap an embedder with an in-memory cache that can persist to ``.npz``.
 
-    Cache entries are keyed by the hash of the input text and are only valid
-    for the backend that produced them; loading a cache written under a
-    different backend id is refused. ``backend_calls`` counts actual backend
-    invocations, which makes resumability measurable in tests.
+    Cache entries are keyed by the SHA-256 of the input text and are only
+    valid for the backend that produced them; loading a cache written under a
+    different backend id is refused. The file holds the sorted keys and one
+    float64 vector row per key, whatever its suffix. ``backend_calls`` counts
+    actual backend invocations, which makes resumability measurable in tests.
     """
 
     def __init__(self, backend: Embedder, path: str | Path | None = None):
@@ -113,12 +116,8 @@ class CachingEmbedder:
         self._lock = threading.Lock()
         self.backend_calls = 0
         if self._path is not None and self._path.exists():
-            what = "embedding cache"
-            data = read_artifact(self._path, what, backend.backend_id)
-            self._entries = {
-                key: np.asarray(vec, dtype=np.float64)
-                for key, vec in require(data, "entries", self._path, what).items()
-            }
+            _, keys, vectors = read_npz(self._path, "embedding cache", backend.backend_id, "keys")
+            self._entries = dict(zip(keys, vectors))
 
     @property
     def backend_id(self) -> str:
@@ -140,8 +139,11 @@ class CachingEmbedder:
             "backend_id": self._backend.backend_id,
             "dimension": self._backend.dimension,
         }
-        entries = ((k, v.tolist()) for k, v in sorted(self._entries.items()))
-        write_json_entries(self._path, header, "entries", entries)
+        keys = sorted(self._entries)
+        vectors = np.asarray([self._entries[k] for k in keys], dtype=np.float64)
+        # the reshape gives an empty cache its (0, dimension) shape
+        vectors = vectors.reshape(len(keys), self._backend.dimension)
+        write_npz(self._path, header, keys=np.asarray(keys, dtype=str), vectors=vectors)
 
     def embed(self, text: str) -> np.ndarray:
         key = self._key(text)
@@ -290,19 +292,11 @@ class _HttpClient:
         base_url: str,
         model: str,
         *,
-        api_key_env: str = "TABLESCOUT_API_KEY",
-        timeout: float = 60.0,
-        retries: int = DEFAULT_RETRIES,
-        backoff: float = DEFAULT_BACKOFF_SECONDS,
         sleep: Callable[[float], None] = time.sleep,
         transport: Transport | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self._api_key_env = api_key_env
-        self._timeout = timeout
-        self._retries = max(1, retries)
-        self._backoff = backoff
         self._sleep = sleep
         self._transport = transport or _requests_transport
 
@@ -310,7 +304,7 @@ class _HttpClient:
         import os
 
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self._api_key_env)
+        key = os.environ.get(_API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         return headers
@@ -323,11 +317,11 @@ class _HttpClient:
         ).hexdigest()[:12]
         logger.debug("POST %s payload-hash=%s", url, prompt_hash)
         last_error: str = "no attempts made"
-        for attempt in range(self._retries):
+        for attempt in range(_RETRIES):
             if attempt > 0:
-                self._sleep(self._backoff * (2 ** (attempt - 1)))
+                self._sleep(_BACKOFF_SECONDS * (2 ** (attempt - 1)))
             try:
-                status, body = self._transport(url, payload, self._headers(), self._timeout)
+                status, body = self._transport(url, payload, self._headers(), _TIMEOUT_SECONDS)
             except (ConnectionError, TimeoutError) as exc:
                 last_error = f"transport failure: {exc}"
                 continue
@@ -338,20 +332,20 @@ class _HttpClient:
                 last_error = f"server status {status}"
                 continue
             raise BackendError(f"{url} returned status {status}")
-        raise BackendError(f"{url} failed after {self._retries} attempts: {last_error}")
+        raise BackendError(f"{url} failed after {_RETRIES} attempts: {last_error}")
 
 
 class HttpEmbeddingClient(_HttpClient):
     """Text-embedding service client.
 
     POSTs ``{"model", "input"}`` to ``{base_url}/v1/embeddings`` and expects
-    ``{"embedding": [...]}``. The first reply fixes the dimension unless one
-    was configured; later mismatches raise :class:`BackendError`.
+    ``{"embedding": [...]}``. The first reply fixes the dimension; later
+    mismatches raise :class:`BackendError`.
     """
 
-    def __init__(self, base_url: str, model: str, dimension: int | None = None, **kwargs):
+    def __init__(self, base_url: str, model: str, **kwargs):
         super().__init__(base_url, model, **kwargs)
-        self._dimension = dimension
+        self._dimension: int | None = None
         self.backend_id = f"http:{model}"
 
     @property
@@ -374,7 +368,7 @@ class HttpEmbeddingClient(_HttpClient):
             self._dimension = len(vec)
         elif len(vec) != self._dimension:
             raise BackendError(
-                f"embedding dimension {len(vec)} does not match configured {self._dimension}"
+                f"embedding dimension {len(vec)} does not match earlier {self._dimension}"
             )
         return vec
 
@@ -384,7 +378,7 @@ class HttpGenerationClient(_HttpClient):
 
     POSTs ``{"model", "prompt", "max_tokens", "temperature"}`` to
     ``{base_url}/v1/generate`` and expects ``{"text", "input_tokens",
-    "output_tokens"}``. Failures after the configured retries surface as
+    "output_tokens"}``. Failures after the retries surface as
     :class:`BackendError`, never as silently empty text.
     """
 

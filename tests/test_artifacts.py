@@ -3,23 +3,24 @@ with a clean exit naming the file, and a failed write leaves the old file."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tablescout.artifacts import replacing, write_json, write_json_entries
+from tablescout.artifacts import read_npz, replacing
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
 from tablescout.compatibility import CompatibilityCache
 from tablescout.corpus import load_corpus, save_corpus
 from tablescout.indexing import DenseIndex, EnrichmentStore
 from tablescout.services import CachingEmbedder, HashingEmbedder
 
-ARTIFACTS = ["corpus.json", "enriched.json", "embedding_cache.json", "index.npz", "compat_cache.json"]
-WITH_BACKEND = ["embedding_cache.json", "index.npz", "compat_cache.json"]
+ARTIFACTS = ["corpus.json", "enriched.json", "embedding_cache.npz", "index.npz", "compat_cache.json"]
+WITH_BACKEND = ["embedding_cache.npz", "index.npz", "compat_cache.json"]
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ def resave(path):
         save_corpus(load_corpus(path), path)
     elif path.name == "enriched.json":
         EnrichmentStore(path).save()
-    elif path.name == "embedding_cache.json":
+    elif path.name == "embedding_cache.npz":
         CachingEmbedder(HashingEmbedder(), path).save()
     elif path.name == "index.npz":
         DenseIndex.load(path).save(path)
@@ -155,7 +156,7 @@ def drop_field(path, name):
         ("enriched.json", "entries"),
         ("enriched.json", "purpose"),
         ("enriched.json", "text"),
-        ("embedding_cache.json", "entries"),
+        ("embedding_cache.npz", "vectors"),
         ("index.npz", "vectors"),
         ("compat_cache.json", "pairs"),
         ("compat_cache.json", "cs"),
@@ -170,21 +171,69 @@ def test_missing_field_is_an_input_error(built, capsys, name, field):
     assert str(path) in err and repr(field) in err
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=8,
-)
+def shorten(path, name):
+    """Drop the last element of array ``name`` in an ``.npz`` artifact."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays[name] = arrays[name][:-1]
+    np.savez(path, **arrays)
 
 
-@given(
-    header=st.dictionaries(st.text(), json_values, max_size=4),
-    field=st.text(),
-    entries=st.dictionaries(st.text(), json_values, max_size=6),
+WRONG_TYPED = {"tables": 5, "entries": ["x"], "pairs": []}
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("corpus.json", "tables"),
+        ("enriched.json", "entries"),
+        ("compat_cache.json", "pairs"),
+        ("index.npz", "ids"),
+        ("embedding_cache.npz", "keys"),
+    ],
 )
-@settings(max_examples=200, deadline=None)
-def test_streamed_entries_match_write_json(tmp_path_factory, header, field, entries):
-    out = tmp_path_factory.mktemp("entries")
-    write_json(out / "whole.json", {**header, field: entries})
-    write_json_entries(out / "streamed.json", header, field, sorted(entries.items()))
-    assert (out / "streamed.json").read_bytes() == (out / "whole.json").read_bytes()
+def test_wrong_typed_or_shaped_field_is_an_input_error(built, capsys, name, field):
+    out, queries = built
+    path = out / name
+    if path.suffix == ".npz":
+        shorten(path, field)  # one key fewer than vector rows
+    else:
+        edit_header(path, **{field: WRONG_TYPED[field]})
+    assert next_command(name, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+
+
+class Fixed:
+    """A backend returning given vectors."""
+
+    backend_id = "fixed-d3"
+    dimension = 3
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, text):
+        return self.vectors[text]
+
+
+vectors = st.lists(st.floats(width=64), min_size=3, max_size=3).map(np.array)
+
+
+@given(entries=st.dictionaries(st.text(min_size=1), vectors, max_size=6))
+@example(entries={})
+@settings(max_examples=100, deadline=None)
+def test_embedding_cache_round_trips(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("cache") / "embedding_cache.npz"
+    cache = CachingEmbedder(Fixed(entries), path)
+    for text in entries:
+        cache.embed(text)
+    cache.save()
+
+    _, keys, vectors = read_npz(path, "embedding cache", Fixed.backend_id, "keys")
+    assert keys == sorted(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in entries)
+    assert vectors.shape == (len(entries), 3)
+    reloaded = CachingEmbedder(Fixed({}), path)
+    for text, vector in entries.items():
+        assert reloaded.embed(text).tobytes() == vector.tobytes()  # bit-identical, NaNs too
+    assert reloaded.backend_calls == 0

@@ -180,7 +180,7 @@ class TestEnrich:
         a, b = sources
         assert ingest(out_dir, a, b) == EXIT_OK
         assert enrich(out_dir, tmp_path) == EXIT_OK
-        for name in ("enriched.json", "index.npz", "embedding_cache.json"):
+        for name in ("enriched.json", "index.npz", "embedding_cache.npz"):
             assert (out_dir / name).exists()
         index = DenseIndex.load(out_dir / "index.npz")
         assert len(index) == 4
@@ -606,3 +606,36 @@ class TestConfigPrecedence:
             ]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [({"k": "ten"}, "k"), ({"tau": True}, "tau"), ({"generator": 3}, "generator"), ({"top_k": 3}, "top_k")],
+    )
+    def test_unread_or_wrong_typed_key_is_config_error(self, built, tmp_path, capsys, settings, key):
+        out_dir, queries = built
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(["--config", str(config), *argv]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("ingest", ["--embedder", "bogus"]),
+        ("ingest", ["--generator", "bogus"]),
+        ("ingest", ["--seed", "7"]),
+        ("cache", ["--generator", "scripted:nonexistent.json"]),
+        ("cache", ["--seed", "7"]),
+        ("eval", ["--embedder", "stub"]),
+    ],
+)
+def test_flag_the_command_does_not_read_is_refused(out_dir, sources, capsys, command, flags):
+    positional = [str(sources[0])] if command == "ingest" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out-dir", str(out_dir), *flags, *positional])
+    assert exc.value.code == EXIT_CONFIG
+    # ingest takes a flag's value as one more source
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    assert not out_dir.exists()

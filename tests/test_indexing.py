@@ -21,6 +21,7 @@ from tablescout import (
 from tablescout.indexing import (
     PURPOSE_MAX_TOKENS,
     PURPOSE_PROMPT,
+    EnrichedTable,
     EnrichmentStore,
     generate_purpose,
 )
@@ -165,6 +166,20 @@ class TestEnrichment:
         enrich_tables(self.tables(), no_calls, store=EnrichmentStore(path))
         assert no_calls.calls == []
         assert path.read_bytes() == before
+
+    def test_table_replaced_under_its_id_keeps_purpose_and_shows_new_grid(self, tmp_path):
+        path = tmp_path / "enriched.json"
+        gen = ScriptedGenerator(responses=["pa", "pb", "pc"])
+        enrich_tables(self.tables(), gen, store=EnrichmentStore(path))
+
+        a, _, c = self.tables()
+        replaced = make_table("b", ["w"], [["9"]])
+        no_calls = ScriptedGenerator(responses=[])
+        enrich_tables([a, replaced, c], no_calls, store=EnrichmentStore(path))
+        assert no_calls.calls == []
+        text = enriched_text(replaced, "pb", sample_rows(replaced))
+        assert EnrichmentStore(path).get("b") == EnrichedTable("b", "pb", text)
+        assert "| w |" in text
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 import threading
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from tablescout import (
     BackendError,
     BackendMismatchError,
+    CorpusError,
     HashingEmbedder,
     ScriptedGenerator,
     TokenLedger,
@@ -302,6 +305,15 @@ class TestCachingEmbedder:
         cached.save()
         with pytest.raises(BackendMismatchError):
             CachingEmbedder(HashingEmbedder(dimension=32), path)
+
+    def test_json_cache_of_earlier_releases_refused(self, tmp_path):
+        path = tmp_path / "embedding_cache.json"
+        backend = HashingEmbedder(dimension=16)
+        old = {"version": 1, "backend_id": backend.backend_id, "dimension": 16,
+               "entries": {"ab" * 32: [0.25] * 16}}
+        path.write_text(json.dumps(old), encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(str(path))):
+            CachingEmbedder(backend, path)
 
     def test_passthrough_properties(self):
         backend = HashingEmbedder(dimension=16)
