@@ -129,8 +129,9 @@ def read_npz(
 ) -> tuple[dict, list[str], np.ndarray]:
     """(checked meta, keys, vectors) of an ``.npz`` written by :func:`write_npz`.
 
-    Anything but a 1-D ``keys_field`` array and a 2-D ``vectors`` array with
-    one row per key raises :class:`CorpusError` naming the file.
+    Anything but a 1-D ``keys_field`` array of distinct keys and a 2-D
+    ``vectors`` array of finite numbers with one row per key raises
+    :class:`CorpusError` naming the file.
     """
     try:
         # an open handle, because np.load leaks its own on a torn zip
@@ -146,7 +147,12 @@ def read_npz(
     vectors = require(arrays, "vectors", path, what)
     if keys.ndim != 1 or vectors.ndim != 2 or len(keys) != len(vectors):
         raise CorpusError(f"malformed {what} {path}: {keys_field} {keys.shape} for vectors {vectors.shape}")
-    return meta, [str(key) for key in keys], vectors
+    if vectors.dtype.kind not in "fiu" or not np.isfinite(vectors).all():
+        raise CorpusError(f"malformed {what} {path}: vectors hold NaN, infinity or non-numbers")
+    keys = [str(key) for key in keys]
+    if len(set(keys)) != len(keys):
+        raise CorpusError(f"malformed {what} {path}: repeated {keys_field}")
+    return meta, keys, vectors
 
 
 def read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:

@@ -405,12 +405,20 @@ def load_corpus(path: str | Path) -> TableCorpus:
     provenance = {}
     for entry in require(data, "tables", path, what, list):
         table_id = require(entry, "id", path, what, str)
+        columns = require(entry, "columns", path, what, list)
+        rows = require(entry, "rows", path, what, list)
+        for number, row in enumerate(rows, start=1):
+            if not isinstance(row, list) or len(row) != len(columns):
+                raise CorpusError(
+                    f"malformed {what} {path}: table {table_id!r} row {number} "
+                    f"is not a list of {len(columns)} cells, one per column"
+                )
         tables.append(
             Table.build(
                 table_id=table_id,
                 name=require(entry, "name", path, what, str),
-                column_names=require(entry, "columns", path, what, list),
-                rows=require(entry, "rows", path, what, list),
+                column_names=columns,
+                rows=rows,
             )
         )
         provenance[table_id] = entry.get("source", "")

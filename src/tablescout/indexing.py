@@ -3,8 +3,11 @@
 Enrichment asks the generation backend for a one-paragraph purpose per table,
 then composes the text that gets embedded: table name, purpose (omitted when
 the generator declined), and a Markdown sample of the contents. The dense
-index is an exact cosine scan over those embeddings, persisted to ``.npz``
-together with the backend id so a stale index cannot be queried silently.
+index ranks those embeddings by cosine exactly: one matrix-vector product
+scores every row, and the rows near the k-th score are scored again with the
+scalar ``cosine``, so ranks and scores equal a row-by-row scan. It is
+persisted to ``.npz`` together with the backend id so a stale index cannot be
+queried silently.
 """
 
 from __future__ import annotations
@@ -26,6 +29,28 @@ PURPOSE_PROMPT = (
 )
 PURPOSE_MAX_TOKENS = 256
 PURPOSE_STAGE = "purpose"
+
+# Width of the band around the k-th matrix-product score whose rows
+# DenseIndex.search scores again with the scalar ``cosine``. With unit
+# roundoff u = 2**-53, a d-term dot product summed in any order is off by at
+# most gamma_d * sum|x_i y_i| <= d*u * |x||y| to first order (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 2nd ed., §3.1, with
+# Cauchy-Schwarz); each norm, the square root of such a sum, is off by at
+# most (d/2 + 1)*u relative, and the product of the norms and the quotient
+# round twice more. A cosine, at most 1 in size, is thus within (2d + 5)*u of
+# the exact value however it is summed, so the product score and the scalar
+# ``cosine`` of a row differ by at most D = (4d + 10)*u. The k-th product
+# score is then at most D above the k-th scalar score, and every row the
+# scalar scan ranks in the top k has a product score at most D below that, so
+# within 2D = (8d + 20)*u of the k-th product score: below EPS for every
+# dimension d up to 10**6.
+EPS = 1e-9
+# The bound leaves out underflow and overflow. When both norms lie in this
+# range, no sum of squares or products overflows, and products that underflow
+# move a cosine by less than d * 1e-123. So rows outside it (zero rows among
+# them) are always scored again, and a query outside it has every row scored
+# again.
+SAFE_NORMS = (1e-100, 1e100)
 
 
 def generate_purpose(
@@ -155,9 +180,11 @@ def enrich_tables(
 class DenseIndex:
     """Exact cosine-similarity index over per-table embedding vectors.
 
-    Rows are stored in sorted table-id order. Queries return the top ``k``
-    pairs ordered by descending score with ties broken by ascending id, so
-    results are stable across runs and across save/load round trips.
+    Rows are stored in sorted table-id order, with one float64 norm per row
+    kept beside them. Queries return the top ``k`` pairs ordered by
+    descending score with ties broken by ascending id; ranks and scores are
+    those of the scalar ``cosine`` applied row by row, so results are stable
+    across runs and across save/load round trips.
     """
 
     def __init__(self, ids: list[str], vectors: np.ndarray, backend_id: str):
@@ -169,6 +196,8 @@ class DenseIndex:
         self.ids: tuple[str, ...] = tuple(str(ids[i]) for i in order)
         self.vectors: np.ndarray = np.asarray(vectors, dtype=np.float64)[order]
         self.backend_id = backend_id
+        self._norms = np.linalg.norm(self.vectors, axis=1)
+        self._safe = (self._norms >= SAFE_NORMS[0]) & (self._norms <= SAFE_NORMS[1])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -189,10 +218,12 @@ class DenseIndex:
     def search(self, query_vector: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Top-k (table_id, cosine) pairs; k is clipped to the index size.
 
-        The scan scores each row with the scalar ``cosine`` helper rather
-        than one matrix product: accumulation order then matches any
-        row-by-row reimplementation bit for bit, so rankings are exactly
-        reproducible. Ties break by ascending table id.
+        One matrix-vector product scores every row. The rows within
+        ``EPS`` of the k-th of those scores, and any row the product
+        cannot bound, are scored again with the scalar ``cosine`` and ranked
+        by that score, ties by ascending table id. The band covers the
+        rounding difference between the two, so the result equals a scalar
+        ``cosine`` scan over every row bit for bit.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -203,9 +234,18 @@ class DenseIndex:
             raise ValueError(
                 f"query vector has shape {q.shape}, index dimension is {self.dimension}"
             )
-        scores = [cosine(row, q) for row in self.vectors]
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], self.ids[i]))
-        return [(self.ids[i], scores[i]) for i in order[:k]]
+        n, k = len(self.ids), min(k, len(self.ids))
+        q_norm = float(np.linalg.norm(q))
+        safe = self._safe & (SAFE_NORMS[0] <= q_norm <= SAFE_NORMS[1])
+        # rows the product cannot bound score -inf here and join the band below
+        scores = np.divide(
+            self.vectors @ q, self._norms * q_norm, out=np.full(n, -np.inf), where=safe
+        )
+        kth = np.partition(scores, n - k)[n - k]
+        band = np.flatnonzero((scores >= kth - EPS) | ~safe)
+        rescored = [(cosine(self.vectors[i], q), int(i)) for i in band]
+        rescored.sort(key=lambda pair: (-pair[0], pair[1]))  # row order is id order
+        return [(self.ids[i], score) for score, i in rescored[:k]]
 
     def save(self, path: str | Path) -> None:
         meta = {"version": FORMAT_VERSION, "backend_id": self.backend_id, "dimension": self.dimension}

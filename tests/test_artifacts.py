@@ -171,11 +171,11 @@ def test_missing_field_is_an_input_error(built, capsys, name, field):
     assert str(path) in err and repr(field) in err
 
 
-def shorten(path, name):
-    """Drop the last element of array ``name`` in an ``.npz`` artifact."""
+def edit_array(path, name, change):
+    """Replace array ``name`` of an ``.npz`` artifact with ``change(array)``."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files}
-    arrays[name] = arrays[name][:-1]
+    arrays[name] = change(arrays[name])
     np.savez(path, **arrays)
 
 
@@ -196,12 +196,64 @@ def test_wrong_typed_or_shaped_field_is_an_input_error(built, capsys, name, fiel
     out, queries = built
     path = out / name
     if path.suffix == ".npz":
-        shorten(path, field)  # one key fewer than vector rows
+        edit_array(path, field, lambda keys: keys[:-1])  # one key fewer than vector rows
     else:
         edit_header(path, **{field: WRONG_TYPED[field]})
     assert next_command(name, out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
     assert str(path) in err and field in err
+
+
+def with_value(value):
+    def change(vectors):
+        vectors = vectors.copy()
+        vectors[-1, 0] = value
+        return vectors
+
+    return change
+
+
+def repeat_first(keys):
+    keys = keys.copy()
+    keys[-1] = keys[0]
+    return keys
+
+
+@pytest.mark.parametrize("name, keys_field", [("index.npz", "ids"), ("embedding_cache.npz", "keys")])
+@pytest.mark.parametrize(
+    "field, change, complaint",
+    [
+        ("vectors", with_value(np.nan), "NaN"),
+        ("vectors", with_value(np.inf), "infinity"),
+        ("vectors", with_value(-np.inf), "infinity"),
+        ("keys", repeat_first, "repeated"),
+    ],
+    ids=["nan", "inf", "-inf", "repeated-key"],
+)
+def test_nonfinite_vector_or_repeated_key_is_an_input_error(built, capsys, name, keys_field, field, change, complaint):
+    out, queries = built
+    path = out / name
+    edit_array(path, keys_field if field == "keys" else field, change)
+    assert next_command(name, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and complaint in err
+
+
+def test_corpus_row_of_the_wrong_width_is_an_input_error(built, capsys):
+    out, queries = built
+    path = out / "corpus.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    table = data["tables"][-1]
+    table["rows"][1] = table["rows"][1][:-1]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert next_command("corpus.json", out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(table["id"]) in err and "row 2" in err
+
+    table["rows"][1] += ["extra", "cells"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert next_command("corpus.json", out, queries) == EXIT_INPUT
+    assert "row 2" in capsys.readouterr().err
 
 
 class Fixed:
@@ -217,7 +269,8 @@ class Fixed:
         return self.vectors[text]
 
 
-vectors = st.lists(st.floats(width=64), min_size=3, max_size=3).map(np.array)
+finite = st.floats(width=64, allow_nan=False, allow_infinity=False)
+vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)
 
 
 @given(entries=st.dictionaries(st.text(min_size=1), vectors, max_size=6))
@@ -235,5 +288,5 @@ def test_embedding_cache_round_trips(tmp_path_factory, entries):
     assert vectors.shape == (len(entries), 3)
     reloaded = CachingEmbedder(Fixed({}), path)
     for text, vector in entries.items():
-        assert reloaded.embed(text).tobytes() == vector.tobytes()  # bit-identical, NaNs too
+        assert reloaded.embed(text).tobytes() == vector.tobytes()  # bit-identical, -0.0 too
     assert reloaded.backend_calls == 0

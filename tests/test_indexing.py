@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tablescout import (
     BackendError,
@@ -25,7 +27,7 @@ from tablescout.indexing import (
     EnrichmentStore,
     generate_purpose,
 )
-from tablescout.services import GenerationResponse
+from tablescout.services import GenerationResponse, cosine
 
 
 class RecordingGenerator:
@@ -227,10 +229,7 @@ class TestDenseIndex:
         index = DenseIndex.build(texts, e)
         for qi in range(10):
             query = f"topic {qi}"
-            got = index.search(e.embed(query), k=10)
-            want = brute_force_topk(texts, e, query, 10)
-            assert [t for t, _ in got] == [t for t, _ in want]
-            assert [s for _, s in got] == pytest.approx([s for _, s in want])
+            assert index.search(e.embed(query), k=10) == brute_force_topk(texts, e, query, 10)
 
     def test_persist_reload_identical_results(self, tmp_path):
         e = HashingEmbedder(64)
@@ -272,3 +271,51 @@ class TestDenseIndex:
         index = DenseIndex.build(self.texts(2), HashingEmbedder(16))
         with pytest.raises(ValueError):
             index.search(np.ones(16), k=0)
+
+
+def scalar_scan(ids, vectors, query, k):
+    """The reference ranking: the scalar ``cosine`` of every row, ties by id."""
+    scored = sorted((-cosine(v, query), tid) for tid, v in zip(ids, vectors))
+    return [(tid, -neg) for neg, tid in scored[:k]]
+
+
+cells = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 1 / 3]), st.floats(-10, 10))
+
+
+@st.composite
+def near_ties(draw):
+    """Rows with duplicates, one-ulp neighbours, zero rows and rows scaled
+    where squares underflow or norms leave the bounded range; a query that is
+    zero, random or one of the rows; and k up to beyond the row count."""
+    d = draw(st.integers(1, 6))
+    vector = st.lists(cells, min_size=d, max_size=d).map(np.array)
+    rows = []
+    for row in draw(st.lists(vector, min_size=1, max_size=8)):
+        rows.append(row)
+        kind = draw(st.sampled_from(["alone", "duplicate", "one ulp", "zero", "scaled"]))
+        if kind == "duplicate":
+            rows.append(row.copy())
+        elif kind == "one ulp":
+            neighbour = row.copy()
+            j = draw(st.integers(0, d - 1))
+            neighbour[j] = np.nextafter(neighbour[j], draw(st.sampled_from([-np.inf, np.inf])))
+            rows.append(neighbour)
+        elif kind == "zero":
+            rows.append(np.zeros(d))
+        elif kind == "scaled":
+            rows.append(row * draw(st.sampled_from([1e-160, 1e120])))
+    query = draw(st.one_of(st.just(np.zeros(d)), vector, st.sampled_from(rows)))
+    order = draw(st.permutations(range(len(rows))))
+    ids = [f"t{i:02d}" for i in order]
+    k = draw(st.integers(1, len(rows) + 2))
+    return ids, np.array(rows), query, k
+
+
+@given(case=near_ties())
+@example(case=(["a", "b"], np.array([[1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)]]), np.array([1.0, 2.0]), 1))
+@example(case=(["a", "b", "c"], np.ones((3, 2)), np.zeros(2), 5))
+@settings(max_examples=300, deadline=None)
+def test_search_equals_scalar_cosine_scan_on_near_ties(case):
+    ids, vectors, query, k = case
+    index = DenseIndex(ids, vectors, backend_id="fixed")
+    assert index.search(query, k) == scalar_scan(ids, vectors, query, k)
