@@ -16,17 +16,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .artifacts import FORMAT_VERSION, read_json, read_jsonl, write_lines, write_report
+from .artifacts import FORMAT_VERSION, read_json, read_jsonl, require, write_lines, write_report
 from .compatibility import (
-    JOINABILITY_THRESHOLD,
     CompatibilityCache,
     build_cache,
     evaluate_cache,
     gold_joins_from_records,
 )
 from .corpus import (
-    DEFAULT_SAMPLE_ROWS,
-    DEFAULT_SEED,
     load_corpus,
     load_tables,
     pool_corpora,
@@ -48,7 +45,7 @@ from .evaluation import (
     render_metrics_table,
     stratified_execution_summary,
 )
-from .indexing import PURPOSE_MAX_TOKENS, DenseIndex, EnrichmentStore, enrich_tables
+from .indexing import DenseIndex, EnrichmentStore, enrich_tables
 from .pipeline import (
     DEFAULT_RESTORE_THRESHOLD,
     DEFAULT_TOP_K,
@@ -84,9 +81,6 @@ EXIT_BACKEND = 4
 _SETTINGS: dict[str, tuple[type, object]] = {
     "k": (int, DEFAULT_TOP_K),
     "tau": (float, DEFAULT_RESTORE_THRESHOLD),
-    "seed": (int, DEFAULT_SEED),
-    "sample_rows": (int, DEFAULT_SAMPLE_ROWS),
-    "joinability_threshold": (float, JOINABILITY_THRESHOLD),
     "input_rate": (float, INPUT_RATE_PER_MILLION),
     "output_rate": (float, OUTPUT_RATE_PER_MILLION),
     "embedder": (str, "stub"),
@@ -173,16 +167,27 @@ def _embedder_with_cache(spec: str, out: Path) -> CachingEmbedder:
     return CachingEmbedder(parse_embedder_spec(spec), out / "embedding_cache.npz")
 
 
-def _load_queries(path: str | Path) -> list[tuple[str, str]]:
-    """JSON lines {query_id, question} -> [(query_id, question)]."""
+def _load_queries(path: str | Path, what: str = "queries file") -> list[tuple[str, str]]:
+    """JSON lines {query_id, question} -> [(query_id, question)].
+
+    Each line needs a string query_id no earlier line holds and a question
+    that is not blank; a bad line raises :class:`CorpusError` naming
+    ``path:lineno``.
+    """
     pairs = []
-    for lineno, record in read_jsonl(path, "queries file"):
-        try:
-            pairs.append((str(record["query_id"]), str(record["question"])))
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: bad query record: missing field {exc}") from exc
+    seen: set[str] = set()
+    for lineno, record in read_jsonl(path, what):
+        where = f"{path}:{lineno}"
+        query_id = require(record, "query_id", where, what, str)
+        question = require(record, "question", where, what, str)
+        if not question.strip():
+            raise CorpusError(f"malformed {what} {where}: blank question")
+        if query_id in seen:
+            raise CorpusError(f"malformed {what} {where}: repeated query_id {query_id!r}")
+        seen.add(query_id)
+        pairs.append((query_id, question))
     if not pairs:
-        raise CorpusError(f"queries file {path} holds no queries")
+        raise CorpusError(f"{what} {path} holds no queries")
     return pairs
 
 
@@ -203,13 +208,7 @@ def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
             raise ConfigError(f"duplicate source label {label!r}")
         seen_labels.add(label)
         source = Path(path)
-        if args.format:
-            fmt = args.format
-        elif source.is_dir():
-            fmt = "csv-dir"
-        else:
-            fmt = "sqlite-file"
-        sources.append((label, load_tables(source, fmt)))
+        sources.append((label, load_tables(source, "csv-dir" if source.is_dir() else "sqlite-file")))
     corpus = pool_corpora(sources)
     save_corpus(corpus, out / "corpus.json")
     manifest = {
@@ -243,15 +242,7 @@ def cmd_enrich(args: argparse.Namespace, config: dict) -> int:
     ledger = TokenLedger()
     store = EnrichmentStore(out / "enriched.json")
     already = len(store)
-    enrich_tables(
-        corpus,
-        generator,
-        store=store,
-        seed=int(_setting(args, config, "seed")),
-        n_rows=int(_setting(args, config, "sample_rows")),
-        max_tokens=PURPOSE_MAX_TOKENS,
-        ledger=ledger,
-    )
+    enrich_tables(corpus, generator, store=store, ledger=ledger)
     index = DenseIndex.build(store.texts(), embedder)
     index.save(out / "index.npz")
     embedder.save()
@@ -308,7 +299,6 @@ def _build_pipeline(args: argparse.Namespace, config: dict, out: Path) -> tuple[
         k=k,
         tau=tau,
         ledger=ledger,
-        strict_parse=args.strict_parse,
         fallback_only=fallback_only,
     )
     return pipeline, store, ledger
@@ -361,12 +351,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         corpus = None
         if (out / "corpus.json").exists():
             corpus = load_corpus(out / "corpus.json")
-        metrics = evaluate_cache(
-            cache,
-            gold_joins_from_records(raw),
-            corpus=corpus,
-            threshold=float(_setting(args, config, "joinability_threshold")),
-        )
+        metrics = evaluate_cache(cache, gold_joins_from_records(raw), corpus=corpus)
         write_report(out / "compat_report.json", metrics)
         print(
             f"joinability_accuracy: {100 * metrics['joinability_accuracy']:.1f}\n"
@@ -382,6 +367,8 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
 def cmd_e2e(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args)
     pipeline, store, ledger = _build_pipeline(args, config, out)
+    # e2e runs every gold query, so each gold line must be a valid query too
+    _load_queries(args.gold, "gold file")
     gold = load_gold_queries(args.gold)
     sql_generator = pipeline.generator
     if sql_generator is None:
@@ -454,12 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common], help="pool table sources into one corpus")
     p.add_argument("sources", nargs="+", help="source path or label=path")
-    p.add_argument("--format", choices=["csv-dir", "sqlite-file"], help="force source format")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("enrich", parents=[generating], help="generate purposes and build the dense index")
-    p.add_argument("--seed", type=int, help="sampling seed (default 42)")
-    p.add_argument("--sample-rows", type=int, dest="sample_rows", help="rows per table sample (default 5)")
     p.set_defaults(func=cmd_enrich)
 
     p = sub.add_parser("cache", parents=[embedding], help="build the pairwise compatibility cache")
@@ -469,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     querying.add_argument("--k", type=int, help="candidates per query (default 10)")
     querying.add_argument("--tau", type=float, help="restoration threshold (default 0.3)")
     querying.add_argument("--fallback-only", action="store_true", help="skip selection; emit top-k sets")
-    querying.add_argument("--strict-parse", action="store_true", help="require pure-JSON selection replies")
 
     p = sub.add_parser("retrieve", parents=[generating, querying], help="answer a batch of queries")
     p.add_argument("--queries", required=True, help="JSON lines {query_id, question}")
@@ -479,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", help="results file (default <out-dir>/results.jsonl)")
     p.add_argument("--gold", help="gold JSON lines {query_id, question, gold_tables, gold_sql?}")
     p.add_argument("--gold-joins", dest="gold_joins", help="gold join annotations (JSON list)")
-    p.add_argument("--joinability-threshold", type=float, dest="joinability_threshold")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("e2e", parents=[generating, querying], help="retrieve, write SQL, and check execution")

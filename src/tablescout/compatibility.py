@@ -344,11 +344,11 @@ def evaluate_cache(
     cache: CompatibilityCache,
     gold: Sequence[GoldJoin],
     corpus: TableCorpus | None = None,
-    threshold: float = JOINABILITY_THRESHOLD,
 ) -> dict[str, float]:
     """Compare cached scores against gold pair annotations.
 
-    Joinability accuracy treats score > threshold as the joinable prediction.
+    Joinability accuracy treats score > ``JOINABILITY_THRESHOLD`` as the
+    joinable prediction.
     Column accuracy, over gold-joinable pairs with annotated columns, checks
     that the cached best join names the same column pair (side order
     ignored). The score error averages |score - label| with the label 1 or 0,
@@ -373,7 +373,7 @@ def evaluate_cache(
     err_total = 0.0
     for g in gold:
         cs = cache.score(g.table_a, g.table_b)
-        if (cs > threshold) == g.joinable:
+        if (cs > JOINABILITY_THRESHOLD) == g.joinable:
             join_hits += 1
         if g.joinable and g.gold_columns is not None:
             col_total += 1

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, read_json, require, write_json
+from .artifacts import FORMAT_VERSION, read_artifact, require, write_json
 from .errors import CorpusError
 
 #: Distinguished marker for missing cells; distinct from the empty string.
@@ -30,8 +30,6 @@ NORMALIZATION_VERSION = 1
 
 DEFAULT_SAMPLE_ROWS = 5
 DEFAULT_SEED = 42
-
-_MANIFEST_NAME = "manifest.json"
 
 
 def normalize_value(value: str) -> str:
@@ -145,13 +143,10 @@ class TableCorpus:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_cell(raw: str | None, *, empty_is_null: bool) -> str | None:
-    if raw is None:
-        return NULL
-    text = str(raw).strip()
-    if empty_is_null and text == "":
-        return NULL
-    return text
+def _normalize_cell(raw: str) -> str | None:
+    """A CSV cell trimmed; an empty one is NULL."""
+    text = raw.strip()
+    return text if text else NULL
 
 
 def _safe_table_name(name: str) -> str:
@@ -159,21 +154,7 @@ def _safe_table_name(name: str) -> str:
     return name.strip().replace("|", "¦")
 
 
-def _read_source_manifest(directory: Path) -> list[dict[str, str]] | None:
-    """Read the optional per-directory manifest listing file/table/source triples."""
-    path = directory / _MANIFEST_NAME
-    if not path.exists():
-        return None
-    entries = read_json(path, "manifest")
-    if not isinstance(entries, list):
-        raise CorpusError(f"manifest {path} must be a JSON list")
-    for entry in entries:
-        if "file" not in entry or "table_name" not in entry:
-            raise CorpusError(f"manifest {path}: entries need 'file' and 'table_name'")
-    return entries
-
-
-def _load_csv_table(path: Path, table_name: str) -> Table:
+def _load_csv_table(path: Path) -> Table:
     try:
         # utf-8-sig drops a byte-order mark, which would otherwise stick to
         # the first header name
@@ -191,23 +172,11 @@ def _load_csv_table(path: Path, table_name: str) -> Table:
                         f"{path}:{line_no}: row has {len(raw)} cells, "
                         f"header has {len(header)}"
                     )
-                rows.append([_normalize_cell(c, empty_is_null=True) for c in raw])
+                rows.append([_normalize_cell(c) for c in raw])
     except OSError as exc:
         raise CorpusError(f"unreadable file {path}: {exc}") from exc
-    name = _safe_table_name(table_name)
+    name = _safe_table_name(path.stem)
     return Table.build(table_id=name, name=name, column_names=header, rows=rows)
-
-
-def _load_csv_dir(directory: Path) -> list[Table]:
-    manifest = _read_source_manifest(directory)
-    tables: list[Table] = []
-    if manifest is not None:
-        for entry in manifest:
-            tables.append(_load_csv_table(directory / entry["file"], entry["table_name"]))
-    else:
-        for path in sorted(directory.glob("*.csv")):
-            tables.append(_load_csv_table(path, path.stem))
-    return tables
 
 
 def _sqlite_cell(value: object) -> str | None:
@@ -254,9 +223,9 @@ def load_tables(source_path: str | Path, format: str = "csv-dir") -> list[Table]
     """Load all tables from one source.
 
     ``format`` is ``"csv-dir"`` (a directory of CSV files with header rows,
-    optionally described by a manifest.json) or ``"sqlite-file"`` (a single
-    SQLite database file). Cell values are trimmed; empty CSV cells become the
-    NULL marker.
+    each named after its file's stem) or ``"sqlite-file"`` (a single SQLite
+    database file). Cell values are trimmed; empty CSV cells become the NULL
+    marker.
     """
     path = Path(source_path)
     if not path.exists():
@@ -264,7 +233,7 @@ def load_tables(source_path: str | Path, format: str = "csv-dir") -> list[Table]
     if format == "csv-dir":
         if not path.is_dir():
             raise CorpusError(f"csv-dir source is not a directory: {path}")
-        return _load_csv_dir(path)
+        return [_load_csv_table(csv_path) for csv_path in sorted(path.glob("*.csv"))]
     if format == "sqlite-file":
         if not path.is_file():
             raise CorpusError(f"sqlite-file source is not a file: {path}")

@@ -8,7 +8,7 @@ class TablescoutError(Exception):
 
 
 class CorpusError(TablescoutError):
-    """Malformed or unreadable corpus input (files, manifests, gold annotations)."""
+    """Malformed or unreadable corpus input (files, queries, gold annotations)."""
 
 
 class ConfigError(TablescoutError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .artifacts import read_jsonl
+from .artifacts import read_jsonl, require
 from .errors import CorpusError
 from .services import GenerationRequest, Generator, TokenLedger
 
@@ -112,30 +112,48 @@ class GoldQuery:
     gold_sql: str | None = None
 
 
+def _table_ids(record: dict, field: str, where: str, what: str) -> list[str]:
+    """``record[field]``, which must be a list of table-id strings."""
+    values = require(record, field, where, what, list)
+    if not all(isinstance(value, str) for value in values):
+        raise CorpusError(f"malformed {what} {where}: field {field!r} must list table-id strings")
+    return values
+
+
 def load_gold_queries(path: str | Path) -> list[GoldQuery]:
-    """Read gold annotations from JSON lines: {query_id, question, gold_tables, gold_sql?}."""
+    """Read gold annotations from JSON lines: {query_id, question, gold_tables, gold_sql?}.
+
+    A line whose query_id is not a string, whose gold_tables is not a list of
+    strings or whose gold_sql is present but neither a string nor null raises
+    :class:`CorpusError` naming ``path:lineno``.
+    """
+    what = "gold file"
     gold = []
-    for lineno, record in read_jsonl(path, "gold file"):
-        try:
-            gold.append(
-                GoldQuery(
-                    query_id=str(record["query_id"]),
-                    question=str(record.get("question", "")),
-                    gold_tables=frozenset(str(t) for t in record["gold_tables"]),
-                    gold_sql=record.get("gold_sql"),
-                )
+    for lineno, record in read_jsonl(path, what):
+        where = f"{path}:{lineno}"
+        gold_sql = record.get("gold_sql")
+        if gold_sql is not None:
+            require(record, "gold_sql", where, what, str)
+        gold.append(
+            GoldQuery(
+                query_id=require(record, "query_id", where, what, str),
+                question=str(record.get("question", "")),
+                gold_tables=frozenset(_table_ids(record, "gold_tables", where, what)),
+                gold_sql=gold_sql,
             )
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: missing field {exc}") from exc
+        )
     return gold
 
 
 def load_result_records(path: str | Path) -> list[dict]:
-    """Read per-query result records from JSON lines."""
+    """Read per-query result records from JSON lines; each needs a string
+    query_id and a ``final`` list of table-id strings."""
+    what = "results file"
     records = []
-    for lineno, record in read_jsonl(path, "results file"):
-        if "query_id" not in record or "final" not in record:
-            raise CorpusError(f"{path}:{lineno}: record needs query_id and final")
+    for lineno, record in read_jsonl(path, what):
+        where = f"{path}:{lineno}"
+        require(record, "query_id", where, what, str)
+        _table_ids(record, "final", where, what)
         records.append(record)
     return records
 

@@ -129,15 +129,7 @@ class ParsedSelection:
     selected_indices: tuple[int, ...]
 
 
-def _extract_json_object(text: str, strict: bool) -> dict:
-    if strict:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SelectionParseError(f"response is not a JSON document: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SelectionParseError("response JSON is not an object")
-        return obj
+def _extract_json_object(text: str) -> dict:
     decoder = json.JSONDecoder()
     pos = text.find("{")
     while pos != -1:
@@ -159,22 +151,16 @@ def _as_index(value: object, what: str, upper: int | None = None) -> int:
     return value
 
 
-def parse_selection(
-    response_text: str,
-    candidates: CandidateSet,
-    *,
-    strict: bool = False,
-) -> ParsedSelection:
+def parse_selection(response_text: str, candidates: CandidateSet) -> ParsedSelection:
     """Extract the chosen table indices from a selection response.
 
-    By default the first JSON object in the text is used, so code fences and
-    surrounding prose are tolerated; ``strict`` requires the response to be
-    exactly one JSON document. Any deviation from the expected shape raises
+    The first JSON object in the text is used, so code fences and surrounding
+    prose are tolerated. Any deviation from the expected shape raises
     :class:`SelectionParseError`; callers treat that as the fallback signal.
     A selected group with no tables is malformed too: it would answer the
     query from nothing. Rationale fields are ignored.
     """
-    obj = _extract_json_object(response_text, strict)
+    obj = _extract_json_object(response_text)
 
     formation = obj.get("group_formation", obj)
     groups_raw = formation.get("groups_formed") if isinstance(formation, dict) else None
@@ -277,7 +263,6 @@ class OnlinePipeline:
         k: int = DEFAULT_TOP_K,
         tau: float = DEFAULT_RESTORE_THRESHOLD,
         ledger: TokenLedger | None = None,
-        strict_parse: bool = False,
         fallback_only: bool = False,
     ):
         if k <= 0:
@@ -294,7 +279,6 @@ class OnlinePipeline:
         self.k = k
         self.tau = tau
         self.ledger = ledger
-        self.strict_parse = strict_parse
         self.fallback_only = fallback_only
 
     def run_query(self, query: str) -> SelectionResult:
@@ -320,7 +304,7 @@ class OnlinePipeline:
                 if self.ledger is not None:
                     self.ledger.record(SELECTION_STAGE, response.input_tokens, response.output_tokens)
                 try:
-                    parsed = parse_selection(response.text, candidates, strict=self.strict_parse)
+                    parsed = parse_selection(response.text, candidates)
                 except SelectionParseError:
                     pass
 

@@ -134,15 +134,18 @@ class CachingEmbedder:
     def save(self) -> None:
         if self._path is None:
             return
+        keys = sorted(self._entries)
+        # the width of the vectors held, not the backend's: an HTTP backend
+        # knows its dimension only after a call, and a fully cached rerun
+        # makes none. An empty cache is (0, 0), like an empty index.
+        width = len(self._entries[keys[0]]) if keys else 0
+        vectors = np.asarray([self._entries[k] for k in keys], dtype=np.float64)
+        vectors = vectors.reshape(len(keys), width)
         header = {
             "version": FORMAT_VERSION,
             "backend_id": self._backend.backend_id,
-            "dimension": self._backend.dimension,
+            "dimension": width,
         }
-        keys = sorted(self._entries)
-        vectors = np.asarray([self._entries[k] for k in keys], dtype=np.float64)
-        # the reshape gives an empty cache its (0, dimension) shape
-        vectors = vectors.reshape(len(keys), self._backend.dimension)
         write_npz(self._path, header, keys=np.asarray(keys, dtype=str), vectors=vectors)
 
     def embed(self, text: str) -> np.ndarray:

@@ -16,6 +16,7 @@ from tablescout.cli import (
     parse_generator_spec,
 )
 from tablescout.errors import ConfigError
+from tablescout.prompts import SELECTION_PROMPT_TEMPLATE
 from tablescout.services import HttpEmbeddingClient, ScriptedGenerator
 
 
@@ -209,6 +210,20 @@ class TestEnrich:
         assert ingest(out_dir, a, b) == EXIT_OK
         assert enrich(out_dir, tmp_path, purposes=("only one",)) == EXIT_BACKEND
 
+    def test_texts_hold_the_sample_size_the_selection_prompt_states(self, out_dir, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "long.csv").write_text("n\n" + "".join(f"{i}\n" for i in range(8)))
+        (src / "short.csv").write_text("n\n1\n2\n")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("p", "q")) == EXIT_OK
+        assert "(5 rows)" in SELECTION_PROMPT_TEMPLATE
+        entries = json.loads((out_dir / "enriched.json").read_text())["entries"]
+        for table_id, rows in (("long", 8), ("short", 2)):
+            text = entries[table_id]["text"]
+            data_rows = [line for line in text.splitlines() if line.startswith("| ")]
+            assert len(data_rows) == min(5, rows)
+
 
 class TestCache:
     def test_builds_and_rebuilds_identically(self, out_dir, sources):
@@ -334,6 +349,24 @@ class TestRetrieve:
         assert retrieve(out_dir, queries, tmp_path, [], "--tau", "1.5") == EXIT_CONFIG
         assert retrieve(out_dir, queries, tmp_path, [], "--k", "0") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"query_id": "q2", "question": ""},
+            {"query_id": "q2", "question": None},
+            {"query_id": "q1", "question": "museums again"},
+        ],
+        ids=["empty-question", "null-question", "repeated-query-id"],
+    )
+    def test_bad_query_line_is_input_error_naming_it(self, built, tmp_path, capsys, record):
+        out_dir, _ = built
+        queries = tmp_path / "bad_queries.jsonl"
+        write_jsonl(queries, [{"query_id": "q1", "question": "museums"}, record])
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_INPUT
+        assert f"{queries}:2" in capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -411,6 +444,33 @@ class TestEval:
             ["eval", "--out-dir", str(out_dir), "--gold", str(gold), "--results", str(moved)]
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "gold_tables, final",
+        [("cities", ["cities"]), (None, ["cities"]), (["cities"], "cities")],
+        ids=["gold-tables-string", "gold-tables-null", "final-string"],
+    )
+    def test_bad_gold_or_results_line_is_input_error_naming_it(
+        self, built, tmp_path, capsys, gold_tables, final
+    ):
+        out_dir, _ = built
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(
+            gold,
+            [
+                {"query_id": "q1", "gold_tables": ["cities"]},
+                {"query_id": "q2", "gold_tables": gold_tables},
+            ],
+        )
+        results = tmp_path / "results.jsonl"
+        write_jsonl(
+            results,
+            [{"query_id": "q1", "final": ["cities"]}, {"query_id": "q2", "final": final}],
+        )
+        argv = ["eval", "--out-dir", str(out_dir), "--gold", str(gold), "--results", str(results)]
+        assert main(argv) == EXIT_INPUT
+        bad = results if final == "cities" else gold
+        assert f"{bad}:2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +594,23 @@ class TestE2E:
         report = json.loads((out_dir / "e2e_report.json").read_text())
         assert report["cost"]["dollars"] == report["cost"]["input_tokens"]
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"query_id": "q1", "question": "how many museums", "gold_tables": ["museums"], "gold_sql": 5},
+            {"query_id": "q1", "gold_tables": ["museums"], "gold_sql": "SELECT 1"},
+        ],
+        ids=["gold-sql-number", "no-question"],
+    )
+    def test_bad_gold_line_is_input_error_naming_it(self, built, tmp_path, capsys, record):
+        out_dir, _ = built
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [record])
+        spec = f"scripted:{scripted_file(tmp_path, [selection_json([0]), 'SELECT 1'])}"
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
+        assert main([*argv, "--generator", spec]) == EXIT_INPUT
+        assert f"{gold}:1" in capsys.readouterr().err
+
     def test_needs_generator(self, built, tmp_path):
         out_dir, _ = built
         gold = tmp_path / "gold.jsonl"
@@ -609,7 +686,15 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize(
         "settings, key",
-        [({"k": "ten"}, "k"), ({"tau": True}, "tau"), ({"generator": 3}, "generator"), ({"top_k": 3}, "top_k")],
+        [
+            ({"k": "ten"}, "k"),
+            ({"tau": True}, "tau"),
+            ({"generator": 3}, "generator"),
+            ({"top_k": 3}, "top_k"),
+            ({"seed": 7}, "seed"),
+            ({"sample_rows": 5}, "sample_rows"),
+            ({"joinability_threshold": 0.5}, "joinability_threshold"),
+        ],
     )
     def test_unread_or_wrong_typed_key_is_config_error(self, built, tmp_path, capsys, settings, key):
         out_dir, queries = built
@@ -629,6 +714,11 @@ class TestConfigPrecedence:
         ("cache", ["--generator", "scripted:nonexistent.json"]),
         ("cache", ["--seed", "7"]),
         ("eval", ["--embedder", "stub"]),
+        ("enrich", ["--seed", "7"]),
+        ("enrich", ["--sample-rows", "3"]),
+        ("retrieve", ["--strict-parse", "--queries", "queries.jsonl"]),
+        ("ingest", ["--format", "csv-dir"]),
+        ("eval", ["--joinability-threshold", "0.25"]),
     ],
 )
 def test_flag_the_command_does_not_read_is_refused(out_dir, sources, capsys, command, flags):

@@ -580,8 +580,11 @@ class TestEvaluateCache:
         cache = CompatibilityCache(edges=[JoinEdge(0.3, "a", "k", "b", "fk")])
         report = evaluate_cache(cache, [GoldJoin("a", "b", True)])
         assert report["joinability_accuracy"] == 0.0
-        report = evaluate_cache(cache, [GoldJoin("a", "b", True)], threshold=0.25)
-        assert report["joinability_accuracy"] == 1.0
+        # joinable means strictly above the threshold
+        for score, accuracy in [(JOINABILITY_THRESHOLD, 0.0), (JOINABILITY_THRESHOLD + 0.01, 1.0)]:
+            cache = CompatibilityCache(edges=[JoinEdge(score, "a", "k", "b", "fk")])
+            report = evaluate_cache(cache, [GoldJoin("a", "b", True)])
+            assert report["joinability_accuracy"] == accuracy
 
     def test_column_match_ignores_side_order(self):
         gold = [GoldJoin("b", "a", True, ("fk", "k"))]

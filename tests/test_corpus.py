@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sqlite3
 
 import pytest
@@ -77,13 +76,6 @@ class TestLoadCsv:
         (tmp_path / "t.csv").write_text("id,name\n1,Ada\n", encoding="utf-8-sig")
         (t,) = load_tables(tmp_path, "csv-dir")
         assert t.column_names() == ("id", "name")
-
-    def test_manifest_controls_table_names(self, tmp_path):
-        (tmp_path / "f1.csv").write_text("a\n1\n", encoding="utf-8")
-        manifest = [{"file": "f1.csv", "table_name": "renamed", "source_label": "s"}]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        (t,) = load_tables(tmp_path, "csv-dir")
-        assert t.name == "renamed"
 
 
 class TestLoadSqlite:

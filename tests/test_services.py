@@ -315,6 +315,25 @@ class TestCachingEmbedder:
         with pytest.raises(CorpusError, match=re.escape(str(path))):
             CachingEmbedder(backend, path)
 
+    def test_http_backend_rerun_served_from_cache_saves(self, tmp_path):
+        path = tmp_path / "embedding_cache.npz"
+
+        def client(script):
+            transport, _ = make_transport(script)
+            return HttpEmbeddingClient("http://svc", "m", transport=transport, sleep=lambda s: None)
+
+        first = CachingEmbedder(client([(200, {"embedding": [0.6, 0.8]})]), path)
+        vec = first.embed("text")
+        first.save()
+        # an empty script fails any call, so the rerun is served from the file
+        rerun = CachingEmbedder(client([]), path)
+        assert np.array_equal(rerun.embed("text"), vec)
+        rerun.save()
+        assert np.array_equal(CachingEmbedder(client([]), path).embed("text"), vec)
+        empty_path = tmp_path / "empty.npz"
+        CachingEmbedder(client([]), empty_path).save()
+        assert CachingEmbedder(client([]), empty_path).backend_calls == 0
+
     def test_passthrough_properties(self):
         backend = HashingEmbedder(dimension=16)
         cached = CachingEmbedder(backend)
