@@ -3,14 +3,21 @@
 Writes go to ``<name>.tmp`` beside the target and are moved over it with
 ``os.replace``, so a killed process leaves the old file or the new one, never
 a torn one. No fsync: the fault covered is a killed process, not a lost
-machine, and enrichment saves once per new or changed table. Records go to
-compact JSON (:func:`write_json`); vectors, the dense index and the embedding
-cache, go to one compressed ``.npz`` each (:func:`write_npz`), read back as
-one row per key (:func:`read_npz`). Reads turn an unreadable or malformed
-file, or a missing or wrong-typed field, into :class:`CorpusError` naming it.
-Persisted artifacts carry one header, ``version`` plus ``backend_id`` where
-the content depends on the embedder, and :func:`check_header` is the one
-place that refuses a wrong version or a different backend.
+machine. Records go to compact JSON (:func:`write_json`); vectors, the dense
+index and the embedding cache, go to one compressed ``.npz`` each
+(:func:`write_npz`), read back as one row per key (:func:`read_npz`). Reads
+turn an unreadable or malformed file, or a missing or wrong-typed field, into
+:class:`CorpusError` naming it. Persisted artifacts carry one header,
+``version`` plus ``backend_id`` where the content depends on the embedder,
+and :func:`check_header` is the one place that refuses a wrong version or a
+different backend.
+
+The one file that is appended to instead is a journal, ``<name>.journal``
+beside the artifact it updates (:func:`journal_of`): a header line, then one
+JSON line per change (:func:`append_journal`). Only its last line can be torn
+by a killed process; :func:`read_journal` drops that line and
+:func:`append_journal` cuts it off before appending. The artifact's owner
+compacts the journal into the artifact once and then deletes it.
 """
 
 from __future__ import annotations
@@ -155,6 +162,18 @@ def read_npz(
     return meta, keys, vectors
 
 
+def _json_object(line: str | bytes, path: str | Path, lineno: int) -> dict:
+    """One line of a JSON-lines file parsed; anything but a JSON object raises
+    :class:`CorpusError` naming ``path:lineno``."""
+    try:
+        record = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+    return record
+
+
 def read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file.
 
@@ -168,15 +187,54 @@ def read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:
         raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusError(f"malformed {what} {path}: {exc}") from exc
-    records = []
-    for lineno, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-        records.append((lineno, record))
-    return records
+    return [
+        (lineno, _json_object(line, path, lineno))
+        for lineno, line in enumerate(raw_lines, start=1)
+        if line.strip()
+    ]
+
+
+def journal_of(path: str | Path) -> Path:
+    """The journal beside the artifact at ``path``: ``<name>.journal``."""
+    target = Path(path)
+    return target.with_name(target.name + ".journal")
+
+
+def append_journal(path: str | Path, record: dict) -> None:
+    """Append ``record`` to the journal at ``path`` as one compact JSON line.
+
+    A journal that is new, or holds no complete line, gets the
+    ``{"version": FORMAT_VERSION}`` header line first. A torn last line is
+    cut off before the append, so the line being written is the only one a
+    killed process can leave torn.
+    """
+    line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+    with Path(path).open("a+b") as handle:  # writes go to the end whatever the position
+        size = handle.seek(0, os.SEEK_END)
+        if size:
+            handle.seek(size - 1)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                size = handle.read().rfind(b"\n") + 1
+                handle.truncate(size)
+        if not size:
+            line = json.dumps({"version": FORMAT_VERSION}) + "\n" + line
+        handle.write(line.encode("utf-8"))
+
+
+def read_journal(path: str | Path, what: str) -> list[tuple[int, dict]]:
+    """(line number, object) for each record line of a journal.
+
+    The first line is the header, checked by :func:`check_header`. A last
+    line with no trailing newline was torn by a killed process and is
+    dropped. Any other line that is not a JSON object raises
+    :class:`CorpusError` naming ``path:lineno``.
+    """
+    try:
+        *lines, _torn = Path(path).read_bytes().split(b"\n")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+    if not lines:
+        return []
+    check_header(_json_object(lines[0], path, 1), path, what)
+    return [(lineno, _json_object(line, path, lineno)) for lineno, line in enumerate(lines[1:], start=2)]

@@ -351,7 +351,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         corpus = None
         if (out / "corpus.json").exists():
             corpus = load_corpus(out / "corpus.json")
-        metrics = evaluate_cache(cache, gold_joins_from_records(raw), corpus=corpus)
+        metrics = evaluate_cache(cache, gold_joins_from_records(raw, args.gold_joins), corpus=corpus)
         write_report(out / "compat_report.json", metrics)
         print(
             f"joinability_accuracy: {100 * metrics['joinability_accuracy']:.1f}\n"

@@ -318,25 +318,29 @@ class GoldJoin:
     gold_columns: tuple[str, str] | None = None  # (column of table_a, column of table_b)
 
 
-def gold_joins_from_records(records: Sequence[dict]) -> list[GoldJoin]:
-    """Parse gold annotations: {table_a, table_b, joinable, gold_columns?}."""
+def gold_joins_from_records(records: object, path: str | Path | None = None) -> list[GoldJoin]:
+    """Parse gold annotations: a list of {table_a, table_b, joinable, gold_columns?}.
+
+    ``table_a`` and ``table_b`` must be strings, ``joinable`` a bool and
+    ``gold_columns``, unless absent or null, a list of two strings. Anything
+    else raises :class:`CorpusError` naming ``path`` and the record's index.
+    """
+    what = "gold joins"
+    source = "" if path is None else f"{path} "
+    if not isinstance(records, list):
+        raise CorpusError(f"{what} {source}must be a list of records")
     gold = []
-    for record in records:
-        if not isinstance(record, dict) or "table_a" not in record or "table_b" not in record:
-            raise CorpusError(f"gold record needs table_a and table_b: {record!r}")
+    for index, record in enumerate(records):
+        where = f"{source}record {index}"
+        table_a = require(record, "table_a", where, what, str)
+        table_b = require(record, "table_b", where, what, str)
+        joinable = require(record, "joinable", where, what, bool)
         columns = record.get("gold_columns")
         if columns is not None:
-            if not isinstance(columns, (list, tuple)) or len(columns) != 2:
-                raise CorpusError(f"gold_columns must list two column names: {record!r}")
-            columns = (str(columns[0]), str(columns[1]))
-        gold.append(
-            GoldJoin(
-                table_a=str(record["table_a"]),
-                table_b=str(record["table_b"]),
-                joinable=bool(record.get("joinable")),
-                gold_columns=columns,
-            )
-        )
+            if not isinstance(columns, list) or len(columns) != 2 or not all(isinstance(c, str) for c in columns):
+                raise CorpusError(f"malformed {what} {where}: gold_columns must list two column names")
+            columns = (columns[0], columns[1])
+        gold.append(GoldJoin(table_a, table_b, joinable, columns))
     return gold
 
 

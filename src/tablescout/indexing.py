@@ -12,13 +12,23 @@ queried silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, read_npz, require, write_json, write_npz
+from .artifacts import (
+    FORMAT_VERSION,
+    append_journal,
+    journal_of,
+    read_artifact,
+    read_journal,
+    read_npz,
+    require,
+    write_json,
+    write_npz,
+)
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
 from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine
 
@@ -101,26 +111,50 @@ class EnrichedTable:
 
 
 class EnrichmentStore:
-    """Persisted table-id -> enriched-record map; makes enrichment resumable."""
+    """Persisted table-id -> enriched-record map; makes enrichment resumable.
+
+    A file-backed store reads its file, then replays the journal beside it
+    (``enriched.json.journal``), a record a line. :meth:`put` appends each
+    new or changed record to that journal, and :meth:`save` compacts it: it
+    writes the whole file, then deletes the journal. A killed enrichment
+    thus loses at most the record it was appending.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
+        self._journal = journal_of(self._path) if self._path is not None else None
         self._entries: dict[str, EnrichedTable] = {}
-        if self._path is not None and self._path.exists():
-            what = "enrichment store"
+        #: whether the journal holds records :meth:`save` has not compacted
+        self.pending = False
+        if self._path is None:
+            return
+        what = "enrichment store"
+        if self._path.exists():
             data = read_artifact(self._path, what)
             for table_id, record in require(data, "entries", self._path, what, dict).items():
-                self._entries[table_id] = EnrichedTable(
-                    table_id=table_id,
-                    purpose=require(record, "purpose", self._path, what, str),
-                    text=require(record, "text", self._path, what, str),
-                )
+                self._load(table_id, record, self._path, what)
+        if self._journal.exists():
+            self.pending = True
+            what = "enrichment journal"
+            for lineno, record in read_journal(self._journal, what):
+                where = f"{self._journal}:{lineno}"
+                self._load(require(record, "table_id", where, what, str), record, where, what)
+
+    def _load(self, table_id: str, record: object, where: str | Path, what: str) -> None:
+        self._entries[table_id] = EnrichedTable(
+            table_id=table_id,
+            purpose=require(record, "purpose", where, what, str),
+            text=require(record, "text", where, what, str),
+        )
 
     def save(self) -> None:
+        """Write the whole store file, then delete the journal it holds."""
         if self._path is None:
             return
         entries = {e.table_id: {"purpose": e.purpose, "text": e.text} for e in self._entries.values()}
         write_json(self._path, {"version": FORMAT_VERSION, "entries": entries})
+        self._journal.unlink(missing_ok=True)
+        self.pending = False
 
     def __contains__(self, table_id: str) -> bool:
         return table_id in self._entries
@@ -132,6 +166,12 @@ class EnrichmentStore:
         return self._entries[table_id]
 
     def put(self, record: EnrichedTable) -> None:
+        """Hold ``record``; a new or changed one is appended to the journal."""
+        if self._entries.get(record.table_id) == record:
+            return
+        if self._journal is not None:
+            append_journal(self._journal, asdict(record))
+            self.pending = True
         self._entries[record.table_id] = record
 
     def ids(self) -> list[str]:
@@ -156,24 +196,23 @@ def enrich_tables(
     Only ids new to the store cost a generator call. A stored id keeps its
     purpose, but its text is composed again from the table holding the id
     now. Tables go in sorted-id order so generator call order (and any
-    scripted backend) is reproducible. Returns the store, saving it after
-    each new or changed record when it is file-backed.
+    scripted backend) is reproducible. Each new or changed record goes to
+    the store's journal as it is made; the store is saved once, at the end,
+    when its journal holds anything. Returns the store.
     """
     if store is None:
         store = EnrichmentStore()
     for table in sorted(tables, key=lambda t: t.id):
-        stored = store.get(table.id) if table.id in store else None
-        if stored is not None:
-            purpose = stored.purpose
+        if table.id in store:
+            purpose = store.get(table.id).purpose
         else:
             purpose = generate_purpose(
                 table, generator, seed=seed, n_rows=n_rows, max_tokens=max_tokens, ledger=ledger
             )
         sample = sample_rows(table, n=n_rows, seed=seed)
-        record = EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample))
-        if record != stored:
-            store.put(record)
-            store.save()
+        store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample)))
+    if store.pending:
+        store.save()
     return store
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tablescout.artifacts import read_npz, replacing
+from tablescout.artifacts import FORMAT_VERSION, append_journal, read_journal, read_npz, replacing
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
 from tablescout.compatibility import CompatibilityCache
 from tablescout.corpus import load_corpus, save_corpus
@@ -291,3 +291,61 @@ def test_embedding_cache_round_trips(tmp_path_factory, entries):
     for text, vector in entries.items():
         assert reloaded.embed(text).tobytes() == vector.tobytes()  # bit-identical, -0.0 too
     assert reloaded.backend_calls == 0
+
+
+# ---------------------------------------------------------------------------
+# The enrichment journal
+# ---------------------------------------------------------------------------
+
+RECORD = {"purpose": "p", "table_id": "cities", "text": "Table name: cities"}
+
+
+def journal_bytes(*records, version=FORMAT_VERSION):
+    lines = [json.dumps({"version": version})] + [json.dumps(r, sort_keys=True) for r in records]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "torn",
+    [b"", b'{"purpose": "p", "tab', '{"text": "é'.encode("utf-8")[:-1]],
+    ids=["none", "mid-record", "mid-character"],
+)
+def test_torn_last_journal_line_is_dropped_and_cut_before_an_append(tmp_path, torn):
+    path = tmp_path / "enriched.json.journal"
+    path.write_bytes(journal_bytes(RECORD) + torn)
+    assert read_journal(path, "journal") == [(2, RECORD)]
+    other = {**RECORD, "table_id": "museums"}
+    append_journal(path, other)
+    assert path.read_bytes() == journal_bytes(RECORD, other)
+
+
+@pytest.mark.parametrize("content", [None, b"", b'{"vers'], ids=["missing", "empty", "torn-header"])
+def test_journal_without_a_complete_line_gets_its_header_first(tmp_path, content):
+    path = tmp_path / "enriched.json.journal"
+    if content is not None:
+        path.write_bytes(content)
+        assert read_journal(path, "journal") == []
+    append_journal(path, RECORD)
+    assert path.read_bytes() == journal_bytes(RECORD)
+
+
+@pytest.mark.parametrize(
+    "content, complaint",
+    [
+        (journal_bytes() + b'{"purpose": "p", "tab\n' + journal_bytes(RECORD)[15:], ":2: invalid JSON"),
+        (journal_bytes({**RECORD, "table_id": 5}, RECORD), ":2: field 'table_id' holds int"),
+        (journal_bytes(RECORD, {"table_id": "museums", "text": "t"}), ":3: missing field 'purpose'"),
+        (journal_bytes(RECORD) + b"[1]\n", ":3: expected a JSON object"),
+        (journal_bytes(RECORD, version=2), "version 2"),
+    ],
+    ids=["broken-line", "wrong-type", "missing-field", "last-line-complete-but-bad", "other-version"],
+)
+def test_bad_journal_line_is_an_input_error_naming_it(built, capsys, content, complaint):
+    out, queries = built
+    journal = out / "enriched.json.journal"
+    journal.write_bytes(content)
+    purposes = f"scripted:{out.parent / 'purposes.json'}"
+    assert main(["enrich", "--out-dir", str(out), "--generator", purposes]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(journal) in err and complaint in err
+    assert next_command("enriched.json", out, queries) == EXIT_INPUT

@@ -210,6 +210,45 @@ class TestEnrich:
         assert ingest(out_dir, a, b) == EXIT_OK
         assert enrich(out_dir, tmp_path, purposes=("only one",)) == EXIT_BACKEND
 
+    def test_interrupted_enrich_resumes_to_the_same_artifacts(self, out_dir, sources, tmp_path):
+        a, b = sources
+        whole = tmp_path / "whole"
+        assert ingest(whole, a, b) == EXIT_OK
+        assert enrich(whole, tmp_path) == EXIT_OK
+
+        assert ingest(out_dir, a, b) == EXIT_OK
+        # the script runs out on the third table, after two records reached the journal
+        assert enrich(out_dir, tmp_path, purposes=("city list", "museum list")) == EXIT_BACKEND
+        journal = out_dir / "enriched.json.journal"
+        lines = journal.read_bytes().split(b"\n")
+        assert not (out_dir / "enriched.json").exists() and len(lines) == 4  # header, 2 records, ""
+        # a kill mid-way through the second record: that table is asked for again
+        journal.write_bytes(b"\n".join(lines[:2]) + b"\n" + lines[2][:20])
+        # exactly the three remaining purposes; a fourth call would exit 4
+        assert enrich(out_dir, tmp_path, purposes=("museum list", "pairs", "more pairs")) == EXIT_OK
+        for name in ("enriched.json", "index.npz"):
+            assert (out_dir / name).read_bytes() == (whole / name).read_bytes()
+        assert list(out_dir.glob("*.journal")) == []
+
+    @pytest.mark.parametrize("store_kept", [False, True], ids=["before-compaction", "before-delete"])
+    def test_leftover_journal_is_compacted_without_calls(self, out_dir, sources, tmp_path, store_kept):
+        a, b = sources
+        assert ingest(out_dir, a, b) == EXIT_OK
+        assert enrich(out_dir, tmp_path) == EXIT_OK
+        store = out_dir / "enriched.json"
+        before = store.read_bytes()
+        # a kill after every record reached the journal
+        lines = [json.dumps({"version": 1})] + [
+            json.dumps({"table_id": table_id, **entry})
+            for table_id, entry in json.loads(before)["entries"].items()
+        ]
+        (out_dir / "enriched.json.journal").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if not store_kept:
+            store.unlink()
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        assert store.read_bytes() == before
+        assert list(out_dir.glob("*.journal")) == []
+
     def test_texts_hold_the_sample_size_the_selection_prompt_states(self, out_dir, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -416,6 +455,25 @@ class TestEval:
         report = json.loads((out_dir / "compat_report.json").read_text())
         assert report["column_accuracy"] == 1.0
         assert report["pairs"] == 2.0
+
+    @pytest.mark.parametrize(
+        "record, complaint",
+        [
+            ({"joinable": "false"}, "record 1: field 'joinable' holds str"),
+            ({"joinable": None}, "record 1: field 'joinable' holds NoneType"),
+            ({"table_b": 5}, "record 1: field 'table_b' holds int"),
+            ({"gold_columns": ["city_id", 1]}, "record 1: gold_columns must list two column names"),
+        ],
+        ids=["joinable-string", "joinable-null", "numeric-table", "numeric-column"],
+    )
+    def test_bad_gold_join_record_is_input_error_naming_it(self, built, tmp_path, capsys, record, complaint):
+        out_dir, _ = built
+        gold_joins = tmp_path / "gold_joins.json"
+        good = {"table_a": "cities", "table_b": "museums", "joinable": True}
+        gold_joins.write_text(json.dumps([good, {**good, **record}]))
+        code = main(["eval", "--out-dir", str(out_dir), "--gold-joins", str(gold_joins)])
+        assert code == EXIT_INPUT
+        assert f"{gold_joins} {complaint}" in capsys.readouterr().err
 
     def test_needs_a_gold_flag(self, built):
         out_dir, _ = built

@@ -644,5 +644,32 @@ class TestEvaluateCache:
                 [{"table_a": "a", "table_b": "b", "joinable": True, "gold_columns": ["k"]}]
             )
 
+    @pytest.mark.parametrize(
+        "change, complaint",
+        [
+            ({"joinable": "false"}, "field 'joinable' holds str"),
+            ({"joinable": 1}, "field 'joinable' holds int"),
+            ({"joinable": None}, "field 'joinable' holds NoneType"),
+            ({"table_a": 5}, "field 'table_a' holds int"),
+            ({"table_b": None}, "field 'table_b' holds NoneType"),
+            ({"gold_columns": ["k", 2]}, "gold_columns must list two column names"),
+            ({"gold_columns": "k,fk"}, "gold_columns must list two column names"),
+        ],
+        ids=["joinable-string", "joinable-int", "joinable-null", "numeric-table",
+             "null-table", "numeric-column", "columns-string"],
+    )
+    def test_gold_join_fields_must_have_their_types(self, change, complaint):
+        good = {"table_a": "a", "table_b": "b", "joinable": True}
+        with pytest.raises(CorpusError, match=f"gold.json record 1: {complaint}"):
+            gold_joins_from_records([good, {**good, **change}], "gold.json")
+
+    def test_gold_join_without_joinable_is_refused(self):
+        with pytest.raises(CorpusError, match="record 0: missing field 'joinable'"):
+            gold_joins_from_records([{"table_a": "a", "table_b": "b"}])
+
+    def test_gold_joins_must_be_a_list(self):
+        with pytest.raises(CorpusError, match="gold joins gold.json must be a list of records"):
+            gold_joins_from_records({"table_a": "a", "table_b": "b", "joinable": True}, "gold.json")
+
     def test_default_threshold_constant(self):
         assert JOINABILITY_THRESHOLD == 0.5

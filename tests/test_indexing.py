@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from tablescout import (
     sample_rows,
     serialize_markdown,
 )
+from tablescout.artifacts import journal_of
 from tablescout.indexing import (
     PURPOSE_MAX_TOKENS,
     PURPOSE_PROMPT,
@@ -182,6 +185,41 @@ class TestEnrichment:
         text = enriched_text(replaced, "pb", sample_rows(replaced))
         assert EnrichmentStore(path).get("b") == EnrichedTable("b", "pb", text)
         assert "| w |" in text
+
+    def test_file_backed_enrichment_replaces_the_store_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "enriched.json"
+        replaced = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        tables = [make_table(f"t{i}", ["x"], [[str(i)]]) for i in range(6)]
+        enrich_tables(tables, ScriptedGenerator(reply=lambda prompt: "p"), store=EnrichmentStore(path))
+        assert replaced == [path]
+        assert not journal_of(path).exists()
+
+    def test_failed_generation_leaves_the_journal_to_resume_from(self, tmp_path):
+        path = tmp_path / "enriched.json"
+        failing = ScriptedGenerator(responses=["pa", ScriptedGenerator.FAIL])
+        with pytest.raises(BackendError):
+            enrich_tables(self.tables(), failing, store=EnrichmentStore(path))
+        assert not path.exists()
+        assert EnrichmentStore(path).ids() == ["a"]
+
+        resumed = ScriptedGenerator(responses=["pb", "pc"])
+        store = enrich_tables(self.tables(), resumed, store=EnrichmentStore(path))
+        assert len(resumed.calls) == 2
+        assert [store.get(i).purpose for i in store.ids()] == ["pa", "pb", "pc"]
+        assert not journal_of(path).exists()
+
+    def test_memory_store_keeps_no_journal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = enrich_tables(self.tables(), ScriptedGenerator(responses=["pa", "pb", "pc"]))
+        assert len(store) == 3 and not store.pending
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
