@@ -73,47 +73,8 @@ EXIT_BACKEND = 4
 
 
 # ---------------------------------------------------------------------------
-# Configuration and backend specs
+# Backend specs
 # ---------------------------------------------------------------------------
-
-#: Every setting some command reads: its type and built-in default. A flag
-#: of the same name (dashes for underscores) overrides the config file.
-_SETTINGS: dict[str, tuple[type, object]] = {
-    "k": (int, DEFAULT_TOP_K),
-    "tau": (float, DEFAULT_RESTORE_THRESHOLD),
-    "input_rate": (float, INPUT_RATE_PER_MILLION),
-    "output_rate": (float, OUTPUT_RATE_PER_MILLION),
-    "embedder": (str, "stub"),
-    "generator": (str, None),
-}
-
-
-def _load_config_file(path: str | None) -> dict:
-    """The config file's settings; a key no command reads, or a value of the
-    wrong type, is a :class:`ConfigError` naming the key."""
-    if path is None:
-        return {}
-    data = read_json(path, "config file", ConfigError)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    for key, value in data.items():
-        if key not in _SETTINGS:
-            raise ConfigError(f"config file {path}: no command reads key {key!r}")
-        kind = _SETTINGS[key][0]
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigError(f"config file {path}: key {key!r} must be {kind.__name__}, not {value!r}")
-    return data
-
-
-def _setting(args: argparse.Namespace, config: dict, key: str):
-    """Flag value if given, else config file value, else built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return _SETTINGS[key][1]
 
 
 def parse_embedder_spec(spec: str) -> Embedder:
@@ -167,6 +128,13 @@ def _embedder_with_cache(spec: str, out: Path) -> CachingEmbedder:
     return CachingEmbedder(parse_embedder_spec(spec), out / "embedding_cache.npz")
 
 
+def _generator(args: argparse.Namespace, missing: str) -> Generator:
+    """The ``--generator`` backend; a :class:`ConfigError` saying ``missing`` without one."""
+    if args.generator is None:
+        raise ConfigError(missing)
+    return parse_generator_spec(args.generator)
+
+
 def _load_queries(path: str | Path, what: str = "queries file") -> list[tuple[str, str]]:
     """JSON lines {query_id, question} -> [(query_id, question)].
 
@@ -196,7 +164,7 @@ def _load_queries(path: str | Path, what: str = "queries file") -> list[tuple[st
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
+def cmd_ingest(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     sources = []
     seen_labels = set()
@@ -231,19 +199,18 @@ def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_enrich(args: argparse.Namespace, config: dict) -> int:
+def cmd_enrich(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     corpus = load_corpus(_require_artifact(out / "corpus.json", "ingest"))
-    embedder = _embedder_with_cache(_setting(args, config, "embedder"), out)
-    generator_spec = _setting(args, config, "generator")
-    if generator_spec is None:
-        raise ConfigError("enrich needs --generator (purpose generation)")
-    generator = parse_generator_spec(generator_spec)
+    embedder = _embedder_with_cache(args.embedder, out)
+    generator = _generator(args, "enrich needs --generator (purpose generation)")
     ledger = TokenLedger()
     store = EnrichmentStore(out / "enriched.json")
     already = len(store)
     enrich_tables(corpus, generator, store=store, ledger=ledger)
-    index = DenseIndex.build(store.texts(), embedder)
+    # the store keeps tables dropped from the corpus, so a table added back
+    # costs no call; the index holds only the corpus's tables
+    index = DenseIndex.build({t.id: store.get(t.id).text for t in corpus}, embedder)
     index.save(out / "index.npz")
     embedder.save()
     tokens = ledger.stage_totals().get("purpose", (0, 0))
@@ -255,10 +222,10 @@ def cmd_enrich(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_cache(args: argparse.Namespace, config: dict) -> int:
+def cmd_cache(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     corpus = load_corpus(_require_artifact(out / "corpus.json", "ingest"))
-    embedder = _embedder_with_cache(_setting(args, config, "embedder"), out)
+    embedder = _embedder_with_cache(args.embedder, out)
     cache = build_cache(corpus, embedder)
     cache.save(out / "compat_cache.json")
     embedder.save()
@@ -267,8 +234,13 @@ def cmd_cache(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def _build_pipeline(args: argparse.Namespace, config: dict, out: Path) -> tuple[OnlinePipeline, EnrichmentStore, TokenLedger]:
-    embedder = _embedder_with_cache(_setting(args, config, "embedder"), out)
+def _build_pipeline(
+    args: argparse.Namespace, out: Path, generator: Generator | None
+) -> tuple[OnlinePipeline, EnrichmentStore, TokenLedger]:
+    """The pipeline over the built artifacts; it gets no generator, and so
+    answers with the dense top-k, under ``--fallback-only``."""
+    # only the query is embedded, so the embedding cache is neither read nor written
+    embedder = parse_embedder_spec(args.embedder)
     index = DenseIndex.load(
         _require_artifact(out / "index.npz", "enrich"), embedder.backend_id
     )
@@ -276,37 +248,30 @@ def _build_pipeline(args: argparse.Namespace, config: dict, out: Path) -> tuple[
         _require_artifact(out / "compat_cache.json", "cache"), embedder.backend_id
     )
     store = EnrichmentStore(_require_artifact(out / "enriched.json", "enrich"))
-    fallback_only = args.fallback_only
-    generator = None
-    if not fallback_only:
-        generator_spec = _setting(args, config, "generator")
-        if generator_spec is None:
-            raise ConfigError("a generator is required unless --fallback-only is set")
-        generator = parse_generator_spec(generator_spec)
-    k = int(_setting(args, config, "k"))
-    tau = float(_setting(args, config, "tau"))
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
+    if args.k < 1:
+        raise ConfigError(f"k must be at least 1, got {args.k}")
+    if not 0.0 <= args.tau <= 1.0:
+        raise ConfigError(f"tau must lie in [0, 1], got {args.tau}")
     ledger = TokenLedger()
     pipeline = OnlinePipeline(
         index,
         cache,
         embedder,
-        generator,
+        None if args.fallback_only else generator,
         store.texts(),
-        k=k,
-        tau=tau,
+        k=args.k,
+        tau=args.tau,
         ledger=ledger,
-        fallback_only=fallback_only,
     )
     return pipeline, store, ledger
 
 
-def cmd_retrieve(args: argparse.Namespace, config: dict) -> int:
+def cmd_retrieve(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    pipeline, _, ledger = _build_pipeline(args, config, out)
+    generator = None
+    if not args.fallback_only:
+        generator = _generator(args, "a generator is required unless --fallback-only is set")
+    pipeline, _, ledger = _build_pipeline(args, out, generator)
     queries = _load_queries(args.queries)
     lines = []
     for query_id, question in queries:
@@ -321,7 +286,7 @@ def cmd_retrieve(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace, config: dict) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     did_something = False
     if args.gold is not None:
@@ -364,23 +329,22 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_e2e(args: argparse.Namespace, config: dict) -> int:
+def cmd_e2e(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    pipeline, store, ledger = _build_pipeline(args, config, out)
+    sql_generator = _generator(args, "e2e needs a generator (it writes SQL)")
+    pipeline, store, ledger = _build_pipeline(args, out, sql_generator)
     # e2e runs every gold query, so each gold line must be a valid query too
     _load_queries(args.gold, "gold file")
     gold = load_gold_queries(args.gold)
-    sql_generator = pipeline.generator
-    if sql_generator is None:
-        raise ConfigError("e2e needs a generator (it writes SQL)")
     lines = []
     eval_pairs = []
     em_results = []
     for g in gold:
         result = pipeline.run_query(g.question)
-        lines.append(record_line(result_record(g.query_id, result)))
+        record = result_record(g.query_id, result)
+        lines.append(record_line(record))
         if g.gold_tables:
-            eval_pairs.append((result_record(g.query_id, result), g))
+            eval_pairs.append((record, g))
         if g.gold_sql:
             tables = [(tid, store.get(tid).text) for tid in result.final if tid in store]
             try:
@@ -403,8 +367,8 @@ def cmd_e2e(args: argparse.Namespace, config: dict) -> int:
         print(render_execution_table(em_summary))
     cost = CostLedger.from_token_ledger(
         ledger,
-        input_rate_per_million=float(_setting(args, config, "input_rate")),
-        output_rate_per_million=float(_setting(args, config, "output_rate")),
+        input_rate_per_million=args.input_rate,
+        output_rate_per_million=args.output_rate,
     )
     report["cost"] = {
         "input_tokens": cost.input_tokens,
@@ -427,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tablescout",
         description="Join-aware multi-table retrieval over a pooled corpus.",
     )
-    parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--log-level", default="WARNING", help="stderr log level")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -435,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", required=True, help="artifact directory")
     embedding = argparse.ArgumentParser(add_help=False, parents=[common])
-    embedding.add_argument("--embedder", help="stub | stub:<dim> | http:<base_url>,<model>")
+    embedding.add_argument("--embedder", default="stub", help="stub | stub:<dim> | http:<base_url>,<model> (default %(default)s)")
     generating = argparse.ArgumentParser(add_help=False, parents=[embedding])
     generating.add_argument("--generator", help="scripted:<responses.json> | http:<base_url>,<model>")
 
@@ -450,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cache)
 
     querying = argparse.ArgumentParser(add_help=False)
-    querying.add_argument("--k", type=int, help="candidates per query (default 10)")
-    querying.add_argument("--tau", type=float, help="restoration threshold (default 0.3)")
-    querying.add_argument("--fallback-only", action="store_true", help="skip selection; emit top-k sets")
+    querying.add_argument("--k", type=int, default=DEFAULT_TOP_K, help="candidates per query (default %(default)s)")
+    querying.add_argument("--tau", type=float, default=DEFAULT_RESTORE_THRESHOLD, help="restoration threshold (default %(default)s)")
+    querying.add_argument("--fallback-only", action="store_true", help="skip selection; answer with the dense top-k")
 
     p = sub.add_parser("retrieve", parents=[generating, querying], help="answer a batch of queries")
     p.add_argument("--queries", required=True, help="JSON lines {query_id, question}")
@@ -467,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("e2e", parents=[generating, querying], help="retrieve, write SQL, and check execution")
     p.add_argument("--gold", required=True, help="gold JSON lines with gold_sql")
     p.add_argument("--db", required=True, help="SQLite database file")
-    p.add_argument("--input-rate", type=float, dest="input_rate", help="$ per 1M input tokens")
-    p.add_argument("--output-rate", type=float, dest="output_rate", help="$ per 1M output tokens")
+    p.add_argument("--input-rate", type=float, default=INPUT_RATE_PER_MILLION, help="$ per 1M input tokens (default %(default)s)")
+    p.add_argument("--output-rate", type=float, default=OUTPUT_RATE_PER_MILLION, help="$ per 1M output tokens (default %(default)s)")
     p.set_defaults(func=cmd_e2e)
     return parser
 
@@ -481,8 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _load_config_file(args.config)
-        return args.func(args, config)
+        return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -247,9 +247,11 @@ def adjust(
 class OnlinePipeline:
     """Immutable index/cache plus backends; safe for concurrent queries.
 
+    With no generator the pipeline is the dense-retrieval baseline: each
+    query answers with its dense top-k, flagged as a fallback. With one,
     ``texts`` maps table id to the enriched text shown in selection prompts
-    and must cover every table in the index unless ``fallback_only`` is set.
-    The ledger, when given, accumulates selection-stage token usage.
+    and must cover every table in the index. The ledger, when given,
+    accumulates selection-stage token usage.
     """
 
     def __init__(
@@ -263,14 +265,11 @@ class OnlinePipeline:
         k: int = DEFAULT_TOP_K,
         tau: float = DEFAULT_RESTORE_THRESHOLD,
         ledger: TokenLedger | None = None,
-        fallback_only: bool = False,
     ):
         if k <= 0:
             raise ValueError("k must be positive")
-        if not fallback_only and generator is None:
-            raise ValueError("a generator is required unless fallback_only is set")
-        if not fallback_only and texts is None:
-            raise ValueError("enriched texts are required unless fallback_only is set")
+        if generator is not None and texts is None:
+            raise ValueError("enriched texts are required with a generator")
         self.index = index
         self.cache = cache
         self.embedder = embedder
@@ -279,7 +278,6 @@ class OnlinePipeline:
         self.k = k
         self.tau = tau
         self.ledger = ledger
-        self.fallback_only = fallback_only
 
     def run_query(self, query: str) -> SelectionResult:
         """Run all stages for one query.
@@ -294,7 +292,7 @@ class OnlinePipeline:
         else:
             candidates = retrieve_topk(query, self.index, self.embedder, self.k)
         response = parsed = None
-        if len(candidates) and not self.fallback_only:
+        if len(candidates) and self.generator is not None:
             request = build_selection_prompt(query, candidates, self.cache, self.texts)
             try:
                 response = self.generator.generate(request)

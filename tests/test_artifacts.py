@@ -43,7 +43,7 @@ def built(tmp_path):
 
 def next_command(name, out, queries):
     """Exit code of the next CLI command that reads ``name``."""
-    if name == "corpus.json":
+    if name in ("corpus.json", "embedding_cache.npz"):
         return main(["cache", "--out-dir", str(out)])
     return main(["retrieve", "--out-dir", str(out), "--queries", str(queries), "--fallback-only"])
 

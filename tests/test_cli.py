@@ -16,6 +16,8 @@ from tablescout.cli import (
     parse_generator_spec,
 )
 from tablescout.errors import ConfigError
+from tablescout.evaluation import INPUT_RATE_PER_MILLION, OUTPUT_RATE_PER_MILLION
+from tablescout.pipeline import DEFAULT_RESTORE_THRESHOLD, DEFAULT_TOP_K
 from tablescout.prompts import SELECTION_PROMPT_TEMPLATE
 from tablescout.services import HttpEmbeddingClient, ScriptedGenerator
 
@@ -249,6 +251,33 @@ class TestEnrich:
         assert store.read_bytes() == before
         assert list(out_dir.glob("*.journal")) == []
 
+    def test_table_dropped_from_the_corpus_leaves_the_index(self, out_dir, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("n\n1\n2\n")
+        b_rows = "city\nBern\nOslo\n"
+        (src / "b.csv").write_text(b_rows)
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("numbers", "city names")) == EXIT_OK
+        both = (out_dir / "index.npz").read_bytes()
+
+        (src / "b.csv").unlink()
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        assert DenseIndex.load(out_dir / "index.npz").ids == ("a",)
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        queries = tmp_path / "queries.jsonl"
+        write_jsonl(queries, [{"query_id": "q", "question": "city names Bern Oslo"}])
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_OK
+        assert read_results(out_dir)[0]["topk"] == ["a"]
+
+        # the store kept b's purpose, so adding b back costs no call
+        (src / "b.csv").write_text(b_rows)
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        assert (out_dir / "index.npz").read_bytes() == both
+
     def test_texts_hold_the_sample_size_the_selection_prompt_states(self, out_dir, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -355,6 +384,14 @@ class TestRetrieve:
             assert r["fallback_used"] is True
             assert r["final"] == r["topk"]
             assert r["selected"] == []
+
+    def test_does_not_read_the_embedding_cache(self, built):
+        out_dir, queries = built
+        cache = out_dir / "embedding_cache.npz"
+        cache.write_bytes(b"torn")
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_OK
+        assert cache.read_bytes() == b"torn"
 
     def test_k_limits_candidates(self, built, tmp_path):
         out_dir, queries = built
@@ -669,98 +706,65 @@ class TestE2E:
         assert main([*argv, "--generator", spec]) == EXIT_INPUT
         assert f"{gold}:1" in capsys.readouterr().err
 
+    def test_fallback_only_runs_the_dense_baseline(self, built, tmp_path):
+        out_dir, _ = built
+        gold = tmp_path / "gold.jsonl"
+        gold_sql = "SELECT count(*) FROM museums"
+        write_jsonl(
+            gold,
+            [
+                {"query_id": q, "question": "how many museums", "gold_tables": ["museums"],
+                 "gold_sql": gold_sql}
+                for q in ("q1", "q2")
+            ],
+        )
+        # SQL replies only: the baseline makes no selection call
+        spec = f"scripted:{scripted_file(tmp_path, [gold_sql, gold_sql])}"
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
+        assert main([*argv, "--generator", spec, "--fallback-only"]) == EXIT_OK
+        records = read_results(out_dir)
+        assert [r["query_id"] for r in records] == ["q1", "q2"]
+        for r in records:
+            assert r["final"] == r["topk"]
+            assert r["fallback_used"] is True
+        report = json.loads((out_dir / "e2e_report.json").read_text())
+        assert set(report["cost"]["stages"]) == {"sql"}
+        assert report["execution"]["em_all"] == 100.0
+
+    def test_fallback_only_answers_like_retrieve(self, built, tmp_path):
+        out_dir, queries = built
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_OK
+        retrieved = (out_dir / "results.jsonl").read_bytes()
+        gold = tmp_path / "gold.jsonl"
+        lines = queries.read_text().splitlines()
+        write_jsonl(gold, [{**json.loads(line), "gold_tables": []} for line in lines])
+        spec = f"scripted:{scripted_file(tmp_path, [])}"
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
+        assert main([*argv, "--generator", spec, "--fallback-only"]) == EXIT_OK
+        assert (out_dir / "results.jsonl").read_bytes() == retrieved
+
+    def test_default_rates_price_the_tokens(self, built, tmp_path):
+        out_dir, _ = built
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"query_id": "q1", "question": "x", "gold_tables": ["museums"]}])
+        spec = f"scripted:{scripted_file(tmp_path, [selection_json([0])])}"
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
+        assert main([*argv, "--generator", spec]) == EXIT_OK
+        cost = json.loads((out_dir / "e2e_report.json").read_text())["cost"]
+        expected = (cost["input_tokens"] * INPUT_RATE_PER_MILLION + cost["output_tokens"] * OUTPUT_RATE_PER_MILLION) / 1e6
+        assert cost["dollars"] == pytest.approx(expected)
+
     def test_needs_generator(self, built, tmp_path):
         out_dir, _ = built
         gold = tmp_path / "gold.jsonl"
         write_jsonl(gold, [{"query_id": "q", "question": "x", "gold_tables": ["museums"]}])
         db = tmp_path / "d.sqlite"
         sqlite3.connect(db).close()
-        code = main(["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(db)])
-        assert code == EXIT_CONFIG
-
-
-# ---------------------------------------------------------------------------
-# configuration precedence
-# ---------------------------------------------------------------------------
-
-
-class TestConfigPrecedence:
-    def test_config_file_supplies_defaults_and_flags_win(self, built, tmp_path):
-        out_dir, queries = built
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"k": 2}))
-        spec = f"scripted:{scripted_file(tmp_path, [selection_json([0]), selection_json([0])])}"
-        code = main(
-            [
-                "--config",
-                str(config),
-                "retrieve",
-                "--out-dir",
-                str(out_dir),
-                "--queries",
-                str(queries),
-                "--generator",
-                spec,
-            ]
-        )
-        assert code == EXIT_OK
-        assert all(len(r["topk"]) == 2 for r in read_results(out_dir))
-        spec2 = f"scripted:{scripted_file(tmp_path, [selection_json([0]), selection_json([0])], 'r2.json')}"
-        code = main(
-            [
-                "--config",
-                str(config),
-                "retrieve",
-                "--out-dir",
-                str(out_dir),
-                "--queries",
-                str(queries),
-                "--generator",
-                spec2,
-                "--k",
-                "1",
-            ]
-        )
-        assert code == EXIT_OK
-        assert all(len(r["topk"]) == 1 for r in read_results(out_dir))
-
-    def test_bad_config_file(self, built, tmp_path):
-        out_dir, queries = built
-        config = tmp_path / "config.json"
-        config.write_text("{broken")
-        code = main(
-            [
-                "--config",
-                str(config),
-                "retrieve",
-                "--out-dir",
-                str(out_dir),
-                "--queries",
-                str(queries),
-                "--fallback-only",
-            ]
-        )
-        assert code == EXIT_CONFIG
-
-    @pytest.mark.parametrize(
-        "settings, key",
-        [
-            ({"k": "ten"}, "k"),
-            ({"tau": True}, "tau"),
-            ({"generator": 3}, "generator"),
-            ({"top_k": 3}, "top_k"),
-            ({"seed": 7}, "seed"),
-            ({"sample_rows": 5}, "sample_rows"),
-            ({"joinability_threshold": 0.5}, "joinability_threshold"),
-        ],
-    )
-    def test_unread_or_wrong_typed_key_is_config_error(self, built, tmp_path, capsys, settings, key):
-        out_dir, queries = built
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(settings))
-        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
-        assert main(["--config", str(config), *argv]) == EXIT_CONFIG
-        assert repr(key) in capsys.readouterr().err
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(db)]
+        assert main(argv) == EXIT_CONFIG
+        # the dense baseline still needs one to write SQL
+        assert main([*argv, "--fallback-only"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize(
@@ -777,6 +781,7 @@ class TestConfigPrecedence:
         ("retrieve", ["--strict-parse", "--queries", "queries.jsonl"]),
         ("ingest", ["--format", "csv-dir"]),
         ("eval", ["--joinability-threshold", "0.25"]),
+        ("retrieve", ["--config", "c.json", "--queries", "queries.jsonl"]),
     ],
 )
 def test_flag_the_command_does_not_read_is_refused(out_dir, sources, capsys, command, flags):
@@ -787,3 +792,25 @@ def test_flag_the_command_does_not_read_is_refused(out_dir, sources, capsys, com
     # ingest takes a flag's value as one more source
     assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_config_file_flag_is_refused(built, tmp_path, capsys):
+    out_dir, queries = built
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"k": 2}))
+    argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), *argv])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (out_dir / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["retrieve", "e2e"])
+def test_help_shows_the_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("stub", DEFAULT_TOP_K, DEFAULT_RESTORE_THRESHOLD):
+        assert f"(default {default})" in text

@@ -491,7 +491,7 @@ class TestOnlinePipeline:
         assert generator.calls == []
 
     def test_fallback_only_mode_skips_generation(self):
-        pipeline, _ = pipeline_fixture(None, fallback_only=True, k=3)
+        pipeline, _ = pipeline_fixture(None, k=3)
         result = pipeline.run_query("the alpha question")
         assert result.fallback_used
         assert result.final == ("t0", "t1", "t2")
@@ -527,8 +527,6 @@ class TestOnlinePipeline:
         generator = ScriptedGenerator(responses=[])
         with pytest.raises(ValueError):
             OnlinePipeline(index, edges_cache(), emb, generator, texts={"a": "x"}, k=0)
-        with pytest.raises(ValueError):
-            OnlinePipeline(index, edges_cache(), emb, None, texts={"a": "x"})
         with pytest.raises(ValueError):
             OnlinePipeline(index, edges_cache(), emb, generator, texts=None)
 
