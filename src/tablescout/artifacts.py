@@ -35,6 +35,8 @@ from .errors import BackendMismatchError, CorpusError
 
 #: Format version written into, and required of, every persisted artifact.
 FORMAT_VERSION = 1
+# bytes of one array that write_npz copies at a time
+_NPZ_CHUNK_BYTES = 1 << 18
 
 
 @contextmanager
@@ -124,11 +126,22 @@ def read_artifact(path: str | Path, what: str, backend_id: str | None = None) ->
 
 def write_npz(path: str | Path, meta: dict, **arrays: np.ndarray) -> None:
     """Save ``arrays`` plus ``meta`` (stored as a JSON string) in one
-    compressed ``.npz``, whatever the suffix of ``path``."""
-    meta_array = np.asarray(json.dumps(meta, sort_keys=True))
-    # a file object, because np.savez_compressed appends ".npz" to a path lacking it
-    with replacing(path) as tmp, tmp.open("wb") as handle:
-        np.savez_compressed(handle, **arrays, meta=meta_array)
+    compressed ``.npz``, whatever the suffix of ``path``.
+
+    The bytes are those ``np.savez_compressed`` writes for C-ordered arrays,
+    but each array goes out in chunks of ``_NPZ_CHUNK_BYTES``, where numpy
+    first copies it whole: saving the embedding cache is the peak of a
+    build's memory.
+    """
+    arrays = {**arrays, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
+    with replacing(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as npz:
+        for name, array in arrays.items():
+            array = np.asarray(array, order="C")
+            flat, step = array.reshape(-1), max(1, _NPZ_CHUNK_BYTES // max(1, array.itemsize))
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
+                for start in range(0, flat.size, step):
+                    member.write(flat[start : start + step].tobytes())
 
 
 def read_npz(

@@ -2,17 +2,23 @@
 
 Selection quality is scored per query with set precision/recall/F1 plus a
 perfect-recall indicator, then macro-averaged. The execution harness runs
-predicted and gold SQL against a read-only SQLite file under a wall-clock
-timeout and compares result multisets. Costs are linear in token counts at
-per-million-token rates.
+predicted and gold SQL against a SQLite file under a wall-clock timeout and
+compares result multisets. Each thread holds one read-only connection, kept
+while its database file stays the same, so SQLite parses the schema once
+rather than once per query. An authorizer on that connection refuses every
+statement that is not a read (writes, temp DDL, ``ATTACH``, ``PRAGMA`` and
+table-valued functions such as ``pragma_table_info``, ``BEGIN`` and
+``SAVEPOINT``), so no statement can leave state behind for the next. Costs
+are linear in token counts at per-million-token rates.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import threading
 import time
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -24,6 +30,12 @@ from .services import GenerationRequest, Generator, TokenLedger
 EXECUTION_TIMEOUT_SECONDS = 60.0
 # SQLite virtual-machine steps between two deadline checks
 _PROGRESS_STEPS = 1000
+# page cache of the held connection; SQLite reads a negative size as KiB
+_CACHE_SIZE_KIB = -128
+# the only authorizer actions a scored statement may take
+_READ_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
+)
 INPUT_RATE_PER_MILLION = 0.15
 OUTPUT_RATE_PER_MILLION = 0.60
 SQL_STAGE = "sql"
@@ -210,6 +222,49 @@ def _canonical_cell(value: object) -> str:
     return str(value)
 
 
+def _authorize(action: int, *_: object) -> int:
+    return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
+
+
+class _Held(threading.local):
+    """This thread's connection and the file key it was opened for; a
+    ``sqlite3`` connection serves only the thread that opened it."""
+
+    key: tuple | None = None
+    conn: sqlite3.Connection | None = None
+
+
+_held = _Held()
+
+
+def _release() -> None:
+    if _held.conn is not None:
+        _held.conn.close()
+    _held.key = _held.conn = None
+
+
+def _connection(db_path: str | Path) -> sqlite3.Connection:
+    """The held read-only connection to ``db_path``, opened again when the
+    path or the file's device, inode, mtime or size changed.
+
+    Raises ``OSError`` or ``sqlite3.Error`` when the file cannot be opened;
+    the caller then calls :func:`_release`.
+    """
+    path = Path(db_path).as_posix()
+    st = os.stat(path)
+    key = (path, st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+    if key == _held.key:
+        return _held.conn
+    _release()
+    # held before it is set up, so a failed set-up is closed by _release;
+    # autocommit, so the module itself never sends the refused BEGIN
+    _held.conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, isolation_level=None)
+    _held.conn.execute(f"PRAGMA cache_size = {_CACHE_SIZE_KIB}")
+    _held.conn.set_authorizer(_authorize)
+    _held.key = key
+    return _held.conn
+
+
 def _execute_sql(
     conn: sqlite3.Connection,
     sql: str,
@@ -250,18 +305,23 @@ def execution_match(
     canonical string rendering (floats via %.12g). A prediction that errors
     or exceeds the timeout is incorrect; a failing gold statement is a
     dataset problem reported as gold_error so callers can exclude it. Both
-    run on one read-only connection, the gold statement first.
+    run, the gold statement first, on this thread's held read-only
+    connection to ``db_path``; it is opened again when the file is replaced
+    or changed, and an unreadable file is a gold_error. That connection's
+    authorizer allows only reads: a write, temp DDL, ``ATTACH``, ``PRAGMA``
+    (``pragma_*`` and other table-valued functions too), ``BEGIN`` or
+    ``SAVEPOINT`` is refused, as an error for a prediction and a gold_error
+    for gold.
     """
-    uri = f"file:{Path(db_path).as_posix()}?mode=ro"
     try:
-        conn = sqlite3.connect(uri, uri=True)
-    except sqlite3.Error as exc:
+        conn = _connection(db_path)
+    except (OSError, sqlite3.Error) as exc:
+        _release()
         return ExecutionOutcome("gold_error", f"cannot open database: {exc}")
-    with closing(conn):
-        gold_status, gold_rows, gold_detail = _execute_sql(conn, gold_sql, timeout)
-        if gold_status != "ok":
-            return ExecutionOutcome("gold_error", gold_detail)
-        pred_status, pred_rows, pred_detail = _execute_sql(conn, pred_sql, timeout)
+    gold_status, gold_rows, gold_detail = _execute_sql(conn, gold_sql, timeout)
+    if gold_status != "ok":
+        return ExecutionOutcome("gold_error", gold_detail)
+    pred_status, pred_rows, pred_detail = _execute_sql(conn, pred_sql, timeout)
     if pred_status != "ok":
         return ExecutionOutcome(pred_status, pred_detail)
     if pred_rows == gold_rows:

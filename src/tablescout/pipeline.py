@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .compatibility import CompatibilityCache
-from .errors import BackendError, SelectionParseError
+from .errors import BackendError, BackendMismatchError, SelectionParseError
 from .indexing import DenseIndex
 from .prompts import SELECTION_PROMPT_TEMPLATE
 from .services import Embedder, GenerationRequest, Generator, TokenLedger
@@ -70,8 +70,17 @@ def retrieve_topk(
     embedder: Embedder,
     k: int = DEFAULT_TOP_K,
 ) -> CandidateSet:
-    """Embed the query and rank the k nearest tables (clamped to the index)."""
+    """Embed the query and rank the k nearest tables (clamped to the index).
+
+    A query vector whose width differs from the index's raises
+    :class:`BackendMismatchError`: the index was built with another embedder.
+    """
     vector = np.asarray(embedder.embed(query), dtype=np.float64)
+    if len(index) and vector.shape != (index.dimension,):
+        raise BackendMismatchError(
+            f"the embedder returned a query vector of width {vector.size}, "
+            f"but the index holds vectors of width {index.dimension}"
+        )
     return CandidateSet(ranked=tuple(index.search(vector, k)))
 
 

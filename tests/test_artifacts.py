@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tablescout.artifacts import FORMAT_VERSION, append_journal, read_journal, read_npz, replacing
+from tablescout.artifacts import (
+    FORMAT_VERSION,
+    append_journal,
+    read_journal,
+    read_npz,
+    replacing,
+    write_npz,
+)
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
 from tablescout.compatibility import CompatibilityCache
 from tablescout.corpus import load_corpus, save_corpus
@@ -291,6 +298,21 @@ def test_embedding_cache_round_trips(tmp_path_factory, entries):
     for text, vector in entries.items():
         assert reloaded.embed(text).tobytes() == vector.tobytes()  # bit-identical, -0.0 too
     assert reloaded.backend_calls == 0
+
+
+@pytest.mark.parametrize("rows, width", [(0, 0), (1, 3), (3000, 64)])
+def test_npz_bytes_are_those_numpy_writes(tmp_path, rows, width):
+    # 3000 rows span several chunks of both arrays
+    rng = np.random.default_rng(rows)
+    arrays = {
+        "keys": np.asarray([f"key{i}" * 9 for i in range(rows)], dtype=str),
+        "vectors": rng.standard_normal((rows, width)),
+    }
+    meta = {"version": FORMAT_VERSION, "backend_id": "stub"}
+    write_npz(tmp_path / "chunked.npz", meta, **arrays)
+    reference = tmp_path / "reference.npz"
+    np.savez_compressed(reference, **arrays, meta=np.asarray(json.dumps(meta, sort_keys=True)))
+    assert (tmp_path / "chunked.npz").read_bytes() == reference.read_bytes()
 
 
 # ---------------------------------------------------------------------------

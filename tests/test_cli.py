@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import functools
 import json
 import sqlite3
 
 import pytest
 
-from tablescout import DenseIndex, HashingEmbedder
+from tablescout import DenseIndex, HashingEmbedder, cli
 from tablescout.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -407,6 +408,35 @@ class TestRetrieve:
             out_dir, queries, tmp_path, [selection_json([0])], "--embedder", "stub:64"
         )
         assert code == EXIT_BACKEND
+
+    def test_http_embedder_of_another_width_is_backend_error(
+        self, out_dir, sources, tmp_path, monkeypatch, capsys
+    ):
+        width = 4
+
+        def transport(url, payload, headers, timeout):
+            vector = [float(len(payload["input"]) % 7 + i) for i in range(width)]
+            return 200, {"embedding": vector}
+
+        monkeypatch.setattr(
+            cli, "HttpEmbeddingClient", functools.partial(HttpEmbeddingClient, transport=transport)
+        )
+        spec = ["--embedder", "http:http://svc,m"]
+        a, b = sources
+        assert ingest(out_dir, a, b) == EXIT_OK
+        purposes = scripted_file(tmp_path, ["p1", "p2", "p3", "p4"], "purposes.json")
+        enrich_args = ["enrich", "--out-dir", str(out_dir), "--generator", f"scripted:{purposes}"]
+        assert main(enrich_args + spec) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out_dir)] + spec) == EXIT_OK
+        assert DenseIndex.load(out_dir / "index.npz", "http:m").dimension == 4
+        width = 3  # the transport reads it at each call
+        queries = tmp_path / "queries.jsonl"
+        write_jsonl(queries, [{"query_id": "q", "question": "museums"}])
+        capsys.readouterr()
+        retrieve_args = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries)]
+        assert main(retrieve_args + ["--fallback-only"] + spec) == EXIT_BACKEND
+        err = capsys.readouterr().err
+        assert "width 3" in err and "width 4" in err
 
     def test_requires_index(self, out_dir, sources, tmp_path):
         a, b = sources

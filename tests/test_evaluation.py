@@ -1,7 +1,9 @@
 """Tests for selection metrics, execution match, and cost accounting."""
 
 import json
+import os
 import sqlite3
+import threading
 
 import pytest
 
@@ -276,6 +278,16 @@ def db_path(tmp_path):
     return path
 
 
+def heads_db(path, rows):
+    """A database whose one table, ``heads``, holds ``rows`` rows."""
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE heads (id INTEGER)")
+    conn.executemany("INSERT INTO heads VALUES (?)", [(i,) for i in range(rows)])
+    conn.commit()
+    conn.close()
+    return path
+
+
 class TestExecutionMatch:
     def test_identical_statements_match(self, db_path):
         out = execution_match(db_path, "SELECT name FROM heads", "SELECT name FROM heads")
@@ -360,6 +372,71 @@ class TestExecutionMatch:
     def test_missing_database(self, tmp_path):
         out = execution_match(tmp_path / "no.sqlite", "SELECT 1", "SELECT 1")
         assert out.status == "gold_error"
+
+    def test_file_that_is_no_database(self, db_path, tmp_path):
+        junk = tmp_path / "junk.sqlite"
+        junk.write_bytes(b"not a database " * 100)
+        out = execution_match(junk, "SELECT 1", "SELECT 1")
+        assert out.status == "gold_error"
+        assert out.detail.startswith("cannot open database:")
+        assert execution_match(db_path, "SELECT 1", "SELECT 1").status == "match"
+
+    @pytest.mark.parametrize(
+        "pred",
+        [
+            'CREATE TEMP TABLE "heads"(x)',
+            "ATTACH ':memory:' AS x",
+            "PRAGMA table_info(heads)",
+            "SELECT * FROM pragma_table_info('heads')",
+            "BEGIN",
+        ],
+    )
+    def test_non_read_prediction_is_refused_and_leaves_no_state(self, db_path, pred):
+        count = "SELECT count(*) FROM heads"
+        out = execution_match(db_path, pred, count)
+        assert out.status == "error"
+        assert "not authorized" in out.detail
+        assert execution_match(db_path, count, count).status == "match"
+        assert execution_match(db_path, "SELECT 3", count).status == "match"
+
+    @pytest.mark.parametrize("gold", ["PRAGMA table_info(heads)", "BEGIN"])
+    def test_non_read_gold_is_gold_error(self, db_path, gold):
+        out = execution_match(db_path, "SELECT 1", gold)
+        assert out.status == "gold_error"
+        assert "not authorized" in out.detail
+
+    def test_replaced_database_is_read_afresh(self, db_path, tmp_path):
+        count = "SELECT count(*) FROM heads"
+        assert execution_match(db_path, "SELECT 3", count).status == "match"
+        os.replace(heads_db(tmp_path / "other.sqlite", 5), db_path)
+        assert execution_match(db_path, "SELECT 5", count).status == "match"
+
+    def test_deleted_database_is_gold_error(self, db_path):
+        assert execution_match(db_path, "SELECT 1", "SELECT 1").status == "match"
+        db_path.unlink()
+        out = execution_match(db_path, "SELECT 1", "SELECT 1")
+        assert out.status == "gold_error"
+        assert out.detail.startswith("cannot open database:")
+
+    def test_call_from_another_thread(self, db_path):
+        count = "SELECT count(*) FROM heads"
+        assert execution_match(db_path, count, count).status == "match"
+        outcomes = []
+        worker = threading.Thread(
+            target=lambda: outcomes.append(execution_match(db_path, "SELECT 3", count))
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert [o.status for o in outcomes] == ["match"]
+        assert execution_match(db_path, "SELECT 3", count).status == "match"
+
+    def test_alternating_databases(self, db_path, tmp_path):
+        other = heads_db(tmp_path / "other.sqlite", 1)
+        count = "SELECT count(*) FROM heads"
+        for _ in range(2):
+            assert execution_match(db_path, "SELECT 3", count).status == "match"
+            assert execution_match(other, "SELECT 1", count).status == "match"
 
     def test_default_timeout_constant(self):
         assert EXECUTION_TIMEOUT_SECONDS == 60.0
