@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,18 +66,16 @@ SAFE_NORMS = (1e-100, 1e100)
 def generate_purpose(
     table: Table,
     generator: Generator,
+    sample: Sequence[int],
     *,
-    seed: int = DEFAULT_SEED,
-    n_rows: int = DEFAULT_SAMPLE_ROWS,
     max_tokens: int = PURPOSE_MAX_TOKENS,
     ledger: TokenLedger | None = None,
 ) -> str:
     """Ask the generator for the table's purpose; '' when it answers None.
 
-    The prompt embeds the Markdown serialization of a deterministic row
-    sample, so repeated calls for the same table send identical bytes.
+    The prompt embeds the Markdown serialization of the rows ``sample``
+    indexes; given the same sample, repeated calls send identical bytes.
     """
-    sample = sample_rows(table, n=n_rows, seed=seed)
     rendered = serialize_markdown(table, sample)
     prompt = PURPOSE_PROMPT.replace("{table}", rendered)
     response = generator.generate(
@@ -203,13 +201,11 @@ def enrich_tables(
     if store is None:
         store = EnrichmentStore()
     for table in sorted(tables, key=lambda t: t.id):
+        sample = sample_rows(table, n=n_rows, seed=seed)
         if table.id in store:
             purpose = store.get(table.id).purpose
         else:
-            purpose = generate_purpose(
-                table, generator, seed=seed, n_rows=n_rows, max_tokens=max_tokens, ledger=ledger
-            )
-        sample = sample_rows(table, n=n_rows, seed=seed)
+            purpose = generate_purpose(table, generator, sample, max_tokens=max_tokens, ledger=ledger)
         store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample)))
     if store.pending:
         store.save()

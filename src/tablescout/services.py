@@ -2,8 +2,10 @@
 
 The HTTP clients speak a small JSON protocol (documented in the README) with
 bounded retries. The stubs are deterministic and network-free: the hashing
-embedder maps character n-grams to a fixed-dimension unit vector, and the
-scripted generator replays canned responses with exact token accounting.
+embedder maps character n-grams to a fixed-dimension unit vector (each
+instance hashes a distinct trigram once and keeps its bucket; the vectors
+do not depend on what it embedded before), and the scripted generator
+replays canned responses with exact token accounting.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ class HashingEmbedder:
 
     Texts sharing n-grams land in shared hash buckets, so lexically similar
     strings score higher cosine than disjoint ones. Pure function of the
-    input; safe for concurrent use.
+    input; safe for concurrent use. Each instance memoizes the ``(bucket,
+    sign)`` of every distinct trigram it has hashed, so a trigram costs one
+    blake2b per instance; the vectors are those of hashing every occurrence.
+    Threads racing on a new trigram store the same entry.
     """
 
     def __init__(self, dimension: int = DEFAULT_STUB_DIMENSION):
@@ -75,19 +80,26 @@ class HashingEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.backend_id = f"stub-ngram{_NGRAM}-d{dimension}"
+        self._buckets: dict[str, tuple[int, float]] = {}
 
     def embed(self, text: str) -> np.ndarray:
         if text == "":
             raise ValueError("cannot embed an empty string")
         padded = f" {text.casefold()} "
-        vec = np.zeros(self.dimension, dtype=np.float64)
         n = _NGRAM
-        grams = [padded[i : i + n] for i in range(max(1, len(padded) - n + 1))]
-        for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            h = int.from_bytes(digest, "big")
-            sign = 1.0 if h & 1 else -1.0
-            vec[(h >> 1) % self.dimension] += sign
+        buckets = self._buckets
+        # every sum is of +-1.0, so it is exact in any order: the same floats
+        # as adding into the array one occurrence at a time
+        sums = [0.0] * self.dimension
+        for i in range(max(1, len(padded) - n + 1)):
+            gram = padded[i : i + n]
+            found = buckets.get(gram)
+            if found is None:
+                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+                h = int.from_bytes(digest, "big")
+                found = buckets[gram] = ((h >> 1) % self.dimension, 1.0 if h & 1 else -1.0)
+            sums[found[0]] += found[1]
+        vec = np.array(sums, dtype=np.float64)
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             vec[0] = 1.0

@@ -60,41 +60,50 @@ SIMPLE = make_table("songs", ["id", "title"], [["1", "Blue"], ["2", "Gold"]])
 class TestGeneratePurpose:
     def test_prompt_embeds_instruction_and_serialized_table(self):
         gen = RecordingGenerator()
-        generate_purpose(SIMPLE, gen)
+        generate_purpose(SIMPLE, gen, sample_rows(SIMPLE))
         prompt = gen.requests[0].prompt
         rendered = serialize_markdown(SIMPLE, sample_rows(SIMPLE))
         assert prompt == PURPOSE_PROMPT.replace("{table}", rendered)
         assert prompt.startswith("Given the following table, describe the purpose")
         assert "output None." in prompt
 
+    def test_enrich_prompts_and_composes_from_one_sample(self):
+        table = make_table("runs", ["id", "km"], [[str(i), str(i * 3)] for i in range(12)])
+        gen = RecordingGenerator()
+        store = enrich_tables([table], gen)
+        sample = sample_rows(table)
+        assert len(sample) < table.row_count
+        assert gen.requests[0].prompt == PURPOSE_PROMPT.replace("{table}", serialize_markdown(table, sample))
+        assert store.get("runs").text == enriched_text(table, gen.text, sample)
+
     def test_request_uses_temperature_zero_and_token_cap(self):
         gen = RecordingGenerator()
-        generate_purpose(SIMPLE, gen)
+        generate_purpose(SIMPLE, gen, sample_rows(SIMPLE))
         request = gen.requests[0]
         assert request.temperature == 0.0
         assert request.max_tokens == PURPOSE_MAX_TOKENS == 256
 
     def test_none_sentinel_stored_as_empty(self):
         gen = ScriptedGenerator(responses=["None"])
-        assert generate_purpose(SIMPLE, gen) == ""
+        assert generate_purpose(SIMPLE, gen, sample_rows(SIMPLE)) == ""
 
     def test_none_with_whitespace_counts_as_sentinel(self):
         gen = ScriptedGenerator(responses=["  None\n"])
-        assert generate_purpose(SIMPLE, gen) == ""
+        assert generate_purpose(SIMPLE, gen, sample_rows(SIMPLE)) == ""
 
     def test_regular_purpose_returned_stripped(self):
         gen = ScriptedGenerator(responses=["  P. \n"])
-        assert generate_purpose(SIMPLE, gen) == "P."
+        assert generate_purpose(SIMPLE, gen, sample_rows(SIMPLE)) == "P."
 
     def test_tokens_recorded_to_ledger(self):
         ledger = TokenLedger()
-        generate_purpose(SIMPLE, RecordingGenerator(), ledger=ledger)
+        generate_purpose(SIMPLE, RecordingGenerator(), sample_rows(SIMPLE), ledger=ledger)
         assert ledger.stage_totals() == {"purpose": (11, 7)}
 
     def test_generation_failure_propagates(self):
         gen = ScriptedGenerator(responses=[ScriptedGenerator.FAIL])
         with pytest.raises(BackendError):
-            generate_purpose(SIMPLE, gen)
+            generate_purpose(SIMPLE, gen, sample_rows(SIMPLE))
 
 
 class TestEnrichedText:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
@@ -33,7 +34,62 @@ from tablescout.services import (
 # ---------------------------------------------------------------------------
 
 
+def reference_embed(text: str, dimension: int) -> np.ndarray:
+    """The stub embedding computed the plain way: blake2b per trigram occurrence."""
+    padded = f" {text.casefold()} "
+    vec = np.zeros(dimension, dtype=np.float64)
+    for gram in [padded[i : i + 3] for i in range(max(1, len(padded) - 2))]:
+        h = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+        vec[(h >> 1) % dimension] += 1.0 if h & 1 else -1.0
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
 class TestHashingEmbedder:
+    # the alphabet mixes in characters whose casefold is longer than they are
+    @given(
+        st.lists(
+            st.text(alphabet=st.characters(exclude_categories=("Cs",)) | st.sampled_from("ßİﬁŉΐ "), min_size=1),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([1, 2, 16, 256, 257]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_warm_and_fresh(self, texts, dimension):
+        warm = HashingEmbedder(dimension)
+        for text in texts:
+            expected = reference_embed(text, dimension).tobytes()
+            assert warm.embed(text).tobytes() == expected
+            assert HashingEmbedder(dimension).embed(text).tobytes() == expected
+
+    def test_zero_norm_falls_back_to_first_axis(self):
+        # at dimension 1 the trigrams of " ab " take opposite signs and cancel
+        assert reference_embed("ab", 1).tolist() == [1.0]
+        assert HashingEmbedder(dimension=1).embed("ab").tolist() == [1.0]
+
+    def test_vector_independent_of_earlier_texts(self):
+        warm = HashingEmbedder()
+        warm.embed("orders.customer_id")
+        text = "customers.id orders"
+        assert warm.embed(text).tobytes() == HashingEmbedder().embed(text).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ("Table name: orders", "9276cb3c729d0f78f620f92838b65f7e042d710166774fb4c711a3bbd0abebd6"),
+            ("orders.customer_id", "b767bc9cb68d3b5c3aea2ebb73326b5104acfb43462daa910630428c6355a052"),
+            ("ß İ ﬁ", "4e5c0b562a39230ef07419aa93c0998d733f0bd41c6791c8b1f0f8203561b219"),
+        ],
+    )
+    def test_golden_digest(self, text, digest):
+        # every index.npz, embedding cache and compat_cache.json is keyed to
+        # these vectors through backend_id; a drift must fail here, not re-key
+        assert hashlib.sha256(HashingEmbedder().embed(text).tobytes()).hexdigest() == digest
+
     def test_identical_input_identical_vector(self):
         e = HashingEmbedder()
         assert np.array_equal(e.embed("abc"), e.embed("abc"))
