@@ -5,6 +5,11 @@ into a single corpus with no source identifiers in any retrieval-facing text.
 Name conflicts are resolved deterministically with ``__k`` suffixes, and each
 table can be serialized to the 5-row Markdown snapshot used by the dense index
 and the selection prompt.
+
+Tables are held column-major, and ingest and persistence work a whole column
+at a time: rows are transposed with ``zip(*rows)`` and each column is
+converted with one ``map`` over its values. Only a SQLite column that is not
+all text or all integers is converted by a Python function per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import csv
 import hashlib
 import sqlite3
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +63,12 @@ class Column:
 
 @dataclass(frozen=True)
 class Table:
-    """An immutable relational table with ordered columns."""
+    """An immutable relational table with ordered columns.
+
+    The data is held column-major: each :class:`Column` has exactly
+    ``row_count`` values. :meth:`build` is the row-major constructor and
+    rejects a row whose width differs from the header's.
+    """
 
     id: str
     name: str
@@ -89,17 +100,31 @@ class Table:
         column_names: Sequence[str],
         rows: Sequence[Sequence[str | None]],
     ) -> Table:
-        """Construct a table from row-major data."""
-        columns = tuple(
-            Column(
-                table_name=name,
-                name=col_name,
-                position=pos,
-                values=tuple(row[pos] for row in rows),
+        """Construct a table from row-major data.
+
+        Every row must hold one cell per column name; a row of another width
+        raises :class:`CorpusError` naming the table and the row (from 1).
+        """
+        width = len(column_names)
+        if set(map(len, rows)) - {width}:
+            number, row = next((i, r) for i, r in enumerate(rows, start=1) if len(r) != width)
+            raise CorpusError(
+                f"table {name!r}: row {number} has {len(row)} cells, expected {width}"
             )
-            for pos, col_name in enumerate(column_names)
-        )
-        return cls(id=table_id, name=name, columns=columns, row_count=len(rows))
+        return cls._from_columns(table_id, name, column_names, _transpose(rows, width), len(rows))
+
+    @classmethod
+    def _from_columns(
+        cls,
+        table_id: str,
+        name: str,
+        column_names: Sequence[str],
+        columns: Iterable[tuple[str | None, ...]],
+        row_count: int,
+    ) -> Table:
+        """Construct a table from column-major data, one value tuple per name."""
+        built = tuple(map(Column, repeat(name), column_names, count(), columns))
+        return cls(id=table_id, name=name, columns=built, row_count=row_count)
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
@@ -143,10 +168,10 @@ class TableCorpus:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_cell(raw: str) -> str | None:
-    """A CSV cell trimmed; an empty one is NULL."""
-    text = raw.strip()
-    return text if text else NULL
+def _transpose(rows: Sequence[Sequence[object]], width: int) -> Iterable[tuple]:
+    """The ``width`` columns of equal-width ``rows``, each a tuple of values."""
+    # zip(*rows) of no rows yields no columns at all
+    return zip(*rows) if rows else [()] * width
 
 
 def _safe_table_name(name: str) -> str:
@@ -154,29 +179,47 @@ def _safe_table_name(name: str) -> str:
     return name.strip().replace("|", "¦")
 
 
-def _load_csv_table(path: Path) -> Table:
+#: Called as ``_EMPTY_TO_NULL(cell, cell)``: NULL for ``""``, else the cell.
+_EMPTY_TO_NULL = {"": NULL}.get
+
+
+def _csv_column(values: tuple[str, ...]) -> tuple[str | None, ...]:
+    """A CSV column's cells trimmed; an empty one is NULL."""
+    stripped = tuple(map(str.strip, values))
+    if "" not in stripped:
+        return stripped
+    return tuple(map(_EMPTY_TO_NULL, stripped, stripped))
+
+
+def _read_csv(path: Path) -> list[list[str]]:
     try:
         # utf-8-sig drops a byte-order mark, which would otherwise stick to
         # the first header name
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusError(f"{path}: missing header row") from None
-            header = [h.strip() for h in header]
-            rows: list[list[str | None]] = []
-            for line_no, raw in enumerate(reader, start=2):
-                if len(raw) != len(header):
-                    raise CorpusError(
-                        f"{path}:{line_no}: row has {len(raw)} cells, "
-                        f"header has {len(header)}"
-                    )
-                rows.append([_normalize_cell(c) for c in raw])
+                return list(reader)
+            except csv.Error as exc:
+                raise CorpusError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
         raise CorpusError(f"unreadable file {path}: {exc}") from exc
+
+
+def _load_csv_table(path: Path) -> Table:
+    records = _read_csv(path)
+    if not records:
+        raise CorpusError(f"{path}: missing header row")
+    width = len(records[0])
+    if len(set(map(len, records))) > 1:
+        line_no, raw = next((i, r) for i, r in enumerate(records, start=1) if len(r) != width)
+        raise CorpusError(f"{path}:{line_no}: row has {len(raw)} cells, header has {width}")
+    header = list(map(str.strip, records[0]))
+    body = records[1:]
+    columns = map(_csv_column, _transpose(body, width))
     name = _safe_table_name(path.stem)
-    return Table.build(table_id=name, name=name, column_names=header, rows=rows)
+    return Table._from_columns(name, name, header, columns, len(body))
 
 
 def _sqlite_cell(value: object) -> str | None:
@@ -187,6 +230,17 @@ def _sqlite_cell(value: object) -> str | None:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value).strip()
+
+
+def _sqlite_column(values: tuple[object, ...]) -> tuple[str | None, ...]:
+    """A fetched SQLite column as text; an all-text or all-integer column is
+    converted in one ``map``, any other cell by cell with :func:`_sqlite_cell`."""
+    types = set(map(type, values))
+    if types == {str}:
+        return tuple(map(str.strip, values))
+    if types == {int}:
+        return tuple(map(str, values))
+    return tuple(map(_sqlite_cell, values))
 
 
 def _load_sqlite_file(path: Path) -> list[Table]:
@@ -207,11 +261,10 @@ def _load_sqlite_file(path: Path) -> list[Table]:
             quoted = raw_name.replace('"', '""')
             cur = conn.execute(f'SELECT * FROM "{quoted}"')
             header = [d[0] for d in cur.description]
-            rows = [[_sqlite_cell(v) for v in row] for row in cur.fetchall()]
+            rows = cur.fetchall()
+            columns = map(_sqlite_column, _transpose(rows, len(header)))
             name = _safe_table_name(raw_name)
-            tables.append(
-                Table.build(table_id=name, name=name, column_names=header, rows=rows)
-            )
+            tables.append(Table._from_columns(name, name, header, columns, len(rows)))
         return tables
     except sqlite3.Error as exc:
         raise CorpusError(f"failed reading {path}: {exc}") from exc
@@ -224,8 +277,12 @@ def load_tables(source_path: str | Path, format: str = "csv-dir") -> list[Table]
 
     ``format`` is ``"csv-dir"`` (a directory of CSV files with header rows,
     each named after its file's stem) or ``"sqlite-file"`` (a single SQLite
-    database file). Cell values are trimmed; empty CSV cells become the NULL
-    marker.
+    database file). A CSV file must be UTF-8 (a byte-order mark is dropped)
+    with every record as wide as its header; otherwise :class:`CorpusError`
+    names the file, and ``path:line`` where the csv module reports one.
+    Cell values are trimmed; empty CSV cells become the NULL marker, while
+    empty SQLite text stays ``""``. SQLite reals keep 12 significant digits
+    and blobs become hex.
     """
     path = Path(source_path)
     if not path.exists():
@@ -350,6 +407,14 @@ def serialize_markdown(table: Table, sample: Sequence[int]) -> str:
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _rows(table: Table) -> list:
+    """The table's rows, each a tuple of cells (JSON writes it as a list)."""
+    if not table.columns:
+        # zip() of no columns would drop the rows of a zero-column table
+        return [()] * table.row_count
+    return list(zip(*(c.values for c in table.columns)))
+
+
 def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
     payload = {
         "version": FORMAT_VERSION,
@@ -358,7 +423,7 @@ def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
                 "id": t.id,
                 "name": t.name,
                 "columns": list(t.column_names()),
-                "rows": [list(t.row(i)) for i in range(t.row_count)],
+                "rows": _rows(t),
                 "source": corpus.provenance.get(t.id, ""),
             }
             for t in corpus.tables
@@ -376,19 +441,13 @@ def load_corpus(path: str | Path) -> TableCorpus:
         table_id = require(entry, "id", path, what, str)
         columns = require(entry, "columns", path, what, list)
         rows = require(entry, "rows", path, what, list)
-        for number, row in enumerate(rows, start=1):
-            if not isinstance(row, list) or len(row) != len(columns):
-                raise CorpusError(
-                    f"malformed {what} {path}: table {table_id!r} row {number} "
-                    f"is not a list of {len(columns)} cells, one per column"
-                )
-        tables.append(
-            Table.build(
-                table_id=table_id,
-                name=require(entry, "name", path, what, str),
-                column_names=columns,
-                rows=rows,
-            )
-        )
+        name = require(entry, "name", path, what, str)
+        if set(map(type, rows)) - {list}:
+            number = next(i for i, row in enumerate(rows, start=1) if type(row) is not list)
+            raise CorpusError(f"malformed {what} {path}: table {table_id!r} row {number} is not a list")
+        try:
+            tables.append(Table.build(table_id, name, columns, rows))
+        except CorpusError as exc:
+            raise CorpusError(f"malformed {what} {path}: {exc}") from None
         provenance[table_id] = entry.get("source", "")
     return TableCorpus(tables=tuple(tables), provenance=provenance)

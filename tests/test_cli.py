@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import functools
 import json
 import sqlite3
@@ -161,6 +162,22 @@ class TestIngest:
         a, b = sources
         code = main(["ingest", "--out-dir", str(out_dir), f"x={a}", f"x={b}"])
         assert code == EXIT_CONFIG
+
+    def test_csv_that_is_not_utf8_is_input_error(self, out_dir, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.csv").write_bytes(b"a,b\n1,caf\xe9\n")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{src / 't.csv'}: not UTF-8 text" in err and "Traceback" not in err
+
+    def test_csv_field_over_the_csv_limit_is_input_error(self, out_dir, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.csv").write_text("a,b\n1,2\n3," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{src / 't.csv'}:3: field larger than field limit" in err
 
     def test_sqlite_source(self, out_dir, tmp_path):
         db = tmp_path / "small.sqlite"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import json
 import sqlite3
 
 import pytest
@@ -17,7 +20,8 @@ from tablescout import (
     sample_rows,
     serialize_markdown,
 )
-from tablescout.corpus import NULL, load_corpus, load_tables, normalize_value, save_corpus
+from tablescout.artifacts import FORMAT_VERSION, write_json
+from tablescout.corpus import NULL, Column, load_corpus, load_tables, normalize_value, save_corpus
 
 
 def make_table(name: str, column_names, rows, table_id=None):
@@ -77,6 +81,12 @@ class TestLoadCsv:
         (t,) = load_tables(tmp_path, "csv-dir")
         assert t.column_names() == ("id", "name")
 
+    def test_blank_header_line_gives_a_zero_column_table(self, tmp_path):
+        (tmp_path / "t.csv").write_text("\n\n", encoding="utf-8")
+        (t,) = load_tables(tmp_path, "csv-dir")
+        assert t.columns == ()
+        assert t.row_count == 1
+
 
 class TestLoadSqlite:
     def test_reads_all_tables_sorted(self, tmp_path):
@@ -104,6 +114,33 @@ class TestLoadSqlite:
         (t,) = load_tables(db, "sqlite-file")
         assert t.name == 'we"ird'
         assert t.columns[0].values == ("x",)
+
+    def test_cells_render_as_pinned(self, tmp_path):
+        db = tmp_path / "d.sqlite"
+        conn = sqlite3.connect(db)
+        # no declared types, so each value keeps its own storage class
+        conn.execute("CREATE TABLE t (mixed, txt, num)")
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?, ?)",
+            [
+                (None, "a", 1),
+                (7, "", -2),
+                (0.1 + 0.2, "   ", 0),
+                (1e20, "  padded  ", 10**18),
+                (b"\x00\xff", "x", 3),
+                ("  padded  ", "y", 4),
+                ("", "z", 5),
+                ("   ", "w", 6),
+            ],
+        )
+        conn.commit()
+        conn.close()
+        (t,) = load_tables(db, "sqlite-file")
+        mixed, txt, num = (c.values for c in t.columns)
+        # empty and blank SQLite text stay "", unlike an empty CSV cell
+        assert mixed == (NULL, "7", "0.3", "1e+20", "00ff", "padded", "", "")
+        assert txt == ("a", "", "", "padded", "x", "y", "z", "w")
+        assert num == ("1", "-2", "0", "1000000000000000000", "3", "4", "5", "6")
 
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "x").write_text("", encoding="utf-8")
@@ -304,6 +341,11 @@ class TestValuesAndPersistence:
         with pytest.raises(CorpusError, match="duplicate column"):
             make_table("t", ["a", "a"], [["1", "2"]])
 
+    @pytest.mark.parametrize("row", [["1"], ["1", "2", "3"]], ids=["short", "long"])
+    def test_build_rejects_a_row_of_the_wrong_width(self, row):
+        with pytest.raises(CorpusError, match=r"table 't': row 2 has \d cells, expected 2"):
+            make_table("t", ["a", "b"], [["1", "2"], row])
+
     def test_corpus_rejects_duplicate_ids(self):
         t1 = make_table("t", ["a"], [])
         t2 = make_table("t", ["b"], [])
@@ -338,8 +380,233 @@ class TestValuesAndPersistence:
         save_corpus(corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_zero_column_table_keeps_its_rows(self, tmp_path):
+        t = make_table("t", [], [[], []])
+        path = tmp_path / "corpus.json"
+        save_corpus(TableCorpus(tables=(t,)), path)
+        assert load_corpus(path).get("t").row_count == 2
+
     def test_load_rejects_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(CorpusError, match="malformed"):
             load_corpus(path)
+
+
+# ---------------------------------------------------------------------------
+# Column-at-a-time ingest against a row-by-row reference
+# ---------------------------------------------------------------------------
+
+
+def reference_csv_table(path):
+    """Load one CSV file a row and a cell at a time."""
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        for line_no, raw in enumerate(reader, start=2):
+            if len(raw) != len(header):
+                raise CorpusError(f"{path}:{line_no}: row has {len(raw)} cells, header has {len(header)}")
+            rows.append([c.strip() or NULL for c in raw])
+    name = path.stem.strip().replace("|", "¦")
+    return reference_table(name, header, rows)
+
+
+def reference_sqlite_cell(value):
+    if value is None:
+        return NULL
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value).strip()
+
+
+def reference_sqlite_tables(path):
+    """Load every table of a SQLite file a row and a cell at a time."""
+    conn = sqlite3.connect(path)
+    try:
+        names = [
+            r[0]
+            for r in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table' AND name NOT LIKE 'sqlite_%' ORDER BY name"
+            )
+        ]
+        tables = []
+        for raw_name in names:
+            quoted = raw_name.replace('"', '""')
+            cur = conn.execute(f'SELECT * FROM "{quoted}"')
+            header = [d[0] for d in cur.description]
+            rows = [[reference_sqlite_cell(v) for v in row] for row in cur.fetchall()]
+            tables.append(reference_table(raw_name.strip().replace("|", "¦"), header, rows))
+        return tables
+    finally:
+        conn.close()
+
+
+def reference_table(name, header, rows):
+    """A table whose columns are gathered one cell at a time."""
+    columns = tuple(
+        Column(table_name=name, name=col, position=pos, values=tuple(row[pos] for row in rows))
+        for pos, col in enumerate(header)
+    )
+    return Table(id=name, name=name, columns=columns, row_count=len(rows))
+
+
+def reference_save(corpus, path):
+    """``save_corpus`` writing each row by indexing every column."""
+    write_json(
+        path,
+        {
+            "version": FORMAT_VERSION,
+            "tables": [
+                {
+                    "id": t.id,
+                    "name": t.name,
+                    "columns": list(t.column_names()),
+                    "rows": [[c.values[i] for c in t.columns] for i in range(t.row_count)],
+                    "source": corpus.provenance.get(t.id, ""),
+                }
+                for t in corpus.tables
+            ],
+        },
+    )
+
+
+def write_csv(path, header, rows):
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header, *rows])
+
+
+def write_sqlite(path, tables):
+    conn = sqlite3.connect(path)
+    for name, header, rows in tables:
+        quoted = name.replace('"', '""')
+        cols = ", ".join('"' + h.replace('"', '""') + '"' for h in header)
+        conn.execute(f'CREATE TABLE "{quoted}" ({cols})')
+        marks = ", ".join("?" * len(header))
+        conn.executemany(f'INSERT INTO "{quoted}" VALUES ({marks})', rows)
+    conn.commit()
+    conn.close()
+
+
+# cells ingest must carry through unchanged: blanks, pipes, quotes, line
+# breaks, commas and non-ASCII text (no surrogates or NULs, which neither
+# UTF-8 files nor every csv module version take)
+awkward_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(' \t\n\r|"\',;\\ßé漢  ﻿'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=8,
+)
+headers = st.lists(
+    st.text(alphabet="abcXYZ _|\"", min_size=1, max_size=5).filter(str.strip),
+    min_size=1,
+    max_size=4,
+    unique_by=str.strip,
+)
+
+
+@st.composite
+def csv_tables(draw):
+    header = draw(headers)
+    cell = st.one_of(st.just(""), awkward_text)
+    rows = draw(st.lists(st.lists(cell, min_size=len(header), max_size=len(header)), max_size=6))
+    return header, rows
+
+
+sqlite_values = st.one_of(
+    st.none(),
+    awkward_text,
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=False),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def sqlite_tables(draw):
+    header = draw(headers)
+    # some columns hold one type only, so the all-text and all-integer
+    # conversions are drawn as often as the mixed one
+    kinds = [draw(st.sampled_from([awkward_text, st.integers(-9, 10**12), sqlite_values])) for _ in header]
+    n = draw(st.integers(min_value=0, max_value=6))
+    rows = [[draw(kind) for kind in kinds] for _ in range(n)]
+    return header, rows
+
+
+class TestColumnarIngestMatchesReference:
+    @given(tables=st.lists(csv_tables(), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_dir(self, tmp_path_factory, tables):
+        base = tmp_path_factory.mktemp("csv")
+        for i, (header, rows) in enumerate(tables):
+            write_csv(base / f"t{i}.csv", header, rows)
+        expected = [reference_csv_table(base / f"t{i}.csv") for i in range(len(tables))]
+        loaded = load_tables(base, "csv-dir")
+        assert loaded == expected
+        self.check_round_trip(base, loaded)
+
+    @given(tables=st.lists(sqlite_tables(), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_sqlite_file(self, tmp_path_factory, tables):
+        base = tmp_path_factory.mktemp("db")
+        db = base / "d.sqlite"
+        write_sqlite(db, [(f"t{i}", header, rows) for i, (header, rows) in enumerate(tables)])
+        loaded = load_tables(db, "sqlite-file")
+        assert loaded == reference_sqlite_tables(db)
+        self.check_round_trip(base, loaded)
+
+    @staticmethod
+    def check_round_trip(base, tables):
+        pooled = pool_corpora([("src", tables)])
+        save_corpus(pooled, base / "corpus.json")
+        reference_save(pooled, base / "reference.json")
+        assert (base / "corpus.json").read_bytes() == (base / "reference.json").read_bytes()
+        assert load_corpus(base / "corpus.json").tables == pooled.tables
+
+    def test_ragged_csv_fails_as_the_reference_does(self, tmp_path):
+        (tmp_path / "t.csv").write_text("a,b\n1,2\n\n3,4,5\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as expected:
+            reference_csv_table(tmp_path / "t.csv")
+        with pytest.raises(CorpusError) as got:
+            load_tables(tmp_path, "csv-dir")
+        assert str(got.value) == str(expected.value)
+
+
+def write_awkward_pool(base):
+    """Two CSV sources and a SQLite file with colliding names and awkward cells."""
+    one, two = base / "one", base / "two"
+    one.mkdir()
+    two.mkdir()
+    (one / "people.csv").write_text(
+        'id,name , note\n1, Ada ,"likes | pipes"\n2,,"two\nlines"\n3,Zoë,"say ""hi"""\n',
+        encoding="utf-8-sig",
+    )
+    (one / "empty.csv").write_text("only,header\n", encoding="utf-8")
+    (one / "blank.csv").write_text("\n\n", encoding="utf-8")
+    (two / "people.csv").write_text("id,city\n1,Bern\n4,  \n", encoding="utf-8")
+    (two / "pipe|name.csv").write_text("x\n \n\t\n", encoding="utf-8")
+    write_sqlite(
+        base / "three.sqlite",
+        [
+            ("people", ["id", "score", "blob"], [(1, 0.1 + 0.2, b"\x01"), (5, 1e20, None), (6, -0.0, b"")]),
+            ("notes", ["text"], [("  padded  ",), ("",), ("漢字",)]),
+        ],
+    )
+    return [("one", one, "csv-dir"), ("two", two, "csv-dir"), ("three", base / "three.sqlite", "sqlite-file")]
+
+
+#: sha256 of the corpus.json the awkward pool ingests to, taken from the
+#: row-by-row ingest this module's reference loader reproduces
+AWKWARD_POOL_SHA256 = "defc1b7d9498fb4ef744f2c36b7535dad8d7a577f0542f6bdfb529563dcd1460"
+
+
+def test_awkward_pool_corpus_bytes_are_pinned(tmp_path):
+    sources = write_awkward_pool(tmp_path)
+    pooled = pool_corpora([(label, load_tables(path, kind)) for label, path, kind in sources])
+    save_corpus(pooled, tmp_path / "corpus.json")
+    digest = hashlib.sha256((tmp_path / "corpus.json").read_bytes()).hexdigest()
+    assert digest == AWKWARD_POOL_SHA256
+    assert json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))["version"] == FORMAT_VERSION
