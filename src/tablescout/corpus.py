@@ -9,7 +9,7 @@ and the selection prompt.
 Tables are held column-major, and ingest and persistence work a whole column
 at a time: rows are transposed with ``zip(*rows)`` and each column is
 converted with one ``map`` over its values. Only a SQLite column that is not
-all text or all integers is converted by a Python function per cell.
+all text is converted by a Python function per cell.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ class Table:
         raises :class:`CorpusError` naming the table and the row (from 1).
         """
         width = len(column_names)
-        if set(map(len, rows)) - {width}:
-            number, row = next((i, r) for i, r in enumerate(rows, start=1) if len(r) != width)
+        ragged = _first_ragged(rows, width)
+        if ragged:
+            number, row = ragged
             raise CorpusError(
                 f"table {name!r}: row {number} has {len(row)} cells, expected {width}"
             )
@@ -168,6 +169,15 @@ class TableCorpus:
 # ---------------------------------------------------------------------------
 
 
+def _first_ragged(
+    rows: Sequence[Sequence[object]], width: int
+) -> tuple[int, Sequence[object]] | None:
+    """The first row not ``width`` cells wide, with its number from 1, or None."""
+    if set(map(len, rows)) <= {width}:
+        return None
+    return next((i, r) for i, r in enumerate(rows, start=1) if len(r) != width)
+
+
 def _transpose(rows: Sequence[Sequence[object]], width: int) -> Iterable[tuple]:
     """The ``width`` columns of equal-width ``rows``, each a tuple of values."""
     # zip(*rows) of no rows yields no columns at all
@@ -186,6 +196,7 @@ _EMPTY_TO_NULL = {"": NULL}.get
 def _csv_column(values: tuple[str, ...]) -> tuple[str | None, ...]:
     """A CSV column's cells trimmed; an empty one is NULL."""
     stripped = tuple(map(str.strip, values))
+    # most columns hold no empty cell and need no second pass
     if "" not in stripped:
         return stripped
     return tuple(map(_EMPTY_TO_NULL, stripped, stripped))
@@ -212,8 +223,9 @@ def _load_csv_table(path: Path) -> Table:
     if not records:
         raise CorpusError(f"{path}: missing header row")
     width = len(records[0])
-    if len(set(map(len, records))) > 1:
-        line_no, raw = next((i, r) for i, r in enumerate(records, start=1) if len(r) != width)
+    ragged = _first_ragged(records, width)
+    if ragged:
+        line_no, raw = ragged
         raise CorpusError(f"{path}:{line_no}: row has {len(raw)} cells, header has {width}")
     header = list(map(str.strip, records[0]))
     body = records[1:]
@@ -233,13 +245,10 @@ def _sqlite_cell(value: object) -> str | None:
 
 
 def _sqlite_column(values: tuple[object, ...]) -> tuple[str | None, ...]:
-    """A fetched SQLite column as text; an all-text or all-integer column is
-    converted in one ``map``, any other cell by cell with :func:`_sqlite_cell`."""
-    types = set(map(type, values))
-    if types == {str}:
+    """A fetched SQLite column as text; an all-text column is trimmed in one
+    ``map``, any other converted cell by cell with :func:`_sqlite_cell`."""
+    if set(map(type, values)) == {str}:
         return tuple(map(str.strip, values))
-    if types == {int}:
-        return tuple(map(str, values))
     return tuple(map(_sqlite_cell, values))
 
 

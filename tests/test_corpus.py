@@ -528,8 +528,8 @@ sqlite_values = st.one_of(
 @st.composite
 def sqlite_tables(draw):
     header = draw(headers)
-    # some columns hold one type only, so the all-text and all-integer
-    # conversions are drawn as often as the mixed one
+    # some columns hold one type only, so the all-text conversion and
+    # all-integer columns are drawn as often as mixed ones
     kinds = [draw(st.sampled_from([awkward_text, st.integers(-9, 10**12), sqlite_values])) for _ in header]
     n = draw(st.integers(min_value=0, max_value=6))
     rows = [[draw(kind) for kind in kinds] for _ in range(n)]
