@@ -5,12 +5,14 @@ Writes go to ``<name>.tmp`` beside the target and are moved over it with
 a torn one. No fsync: the fault covered is a killed process, not a lost
 machine. Records go to compact JSON (:func:`write_json`); vectors, the dense
 index and the embedding cache, go to one compressed ``.npz`` each
-(:func:`write_npz`), read back as one row per key (:func:`read_npz`). Reads
-turn an unreadable or malformed file, or a missing or wrong-typed field, into
-:class:`CorpusError` naming it. Persisted artifacts carry one header,
-``version`` plus ``backend_id`` where the content depends on the embedder,
-and :func:`check_header` is the one place that refuses a wrong version or a
-different backend.
+(:func:`write_npz`), read back as one row per key (:func:`read_npz`). The
+index keeps its table ids as ``str``, since an id may be any unicode; the
+cache keeps its hex-digest keys as ASCII bytes, a quarter of the raw size of
+``str``. Reads turn an unreadable or malformed file, or a missing or
+wrong-typed field, into :class:`CorpusError` naming it. Persisted artifacts
+carry one header, ``version`` plus ``backend_id`` where the content depends
+on the embedder, and :func:`check_header` is the one place that refuses a
+wrong version or a different backend.
 
 The one file that is appended to instead is a journal, ``<name>.journal``
 beside the artifact it updates (:func:`journal_of`): a header line, then one
@@ -149,9 +151,11 @@ def read_npz(
 ) -> tuple[dict, list[str], np.ndarray]:
     """(checked meta, keys, vectors) of an ``.npz`` written by :func:`write_npz`.
 
-    Anything but a 1-D ``keys_field`` array of distinct keys and a 2-D
-    ``vectors`` array of finite numbers with one row per key raises
-    :class:`CorpusError` naming the file.
+    The keys may be stored as ``str`` or as ASCII bytes; either way they come
+    back as a list of ``str``. Anything but a 1-D ``keys_field`` array of
+    distinct keys and a 2-D ``vectors`` array of finite numbers with one row
+    per key raises :class:`CorpusError` naming the file, and so do bytes keys
+    that are not ASCII.
     """
     try:
         # an open handle, because np.load leaks its own on a torn zip
@@ -169,7 +173,13 @@ def read_npz(
         raise CorpusError(f"malformed {what} {path}: {keys_field} {keys.shape} for vectors {vectors.shape}")
     if vectors.dtype.kind not in "fiu" or not np.isfinite(vectors).all():
         raise CorpusError(f"malformed {what} {path}: vectors hold NaN, infinity or non-numbers")
-    keys = [str(key) for key in keys]
+    try:
+        # one decode for either layout: str (index ids) or ASCII bytes (cache keys)
+        keys = keys.astype(str).tolist()
+    except ValueError as exc:  # bytes that are not ASCII, or not text at all
+        raise CorpusError(
+            f"malformed {what} {path}: {keys_field} are not ASCII or unicode text: {exc}"
+        ) from exc
     if len(set(keys)) != len(keys):
         raise CorpusError(f"malformed {what} {path}: repeated {keys_field}")
     return meta, keys, vectors

@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -202,14 +203,18 @@ def _csv_column(values: tuple[str, ...]) -> tuple[str | None, ...]:
     return tuple(map(_EMPTY_TO_NULL, stripped, stripped))
 
 
-def _read_csv(path: Path) -> list[list[str]]:
+@contextmanager
+def _csv_reader(path: Path) -> Iterator:
+    """Yield a csv reader over ``path``. A read, decode or csv error in the
+    block raises :class:`CorpusError` naming the file, as ``path:line`` for
+    a csv error."""
     try:
         # utf-8-sig drops a byte-order mark, which would otherwise stick to
         # the first header name
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
-                return list(reader)
+                yield reader
             except csv.Error as exc:
                 raise CorpusError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -218,15 +223,29 @@ def _read_csv(path: Path) -> list[list[str]]:
         raise CorpusError(f"unreadable file {path}: {exc}") from exc
 
 
+def _record_line(path: Path, number: int) -> int:
+    """The file line on which record ``number`` (from 1) of a CSV file ends.
+
+    Records and lines part where a quoted cell spans lines, so this reads the
+    file again; only an error message needs it.
+    """
+    with _csv_reader(path) as reader:
+        for _ in islice(reader, number):
+            pass
+        return reader.line_num
+
+
 def _load_csv_table(path: Path) -> Table:
-    records = _read_csv(path)
+    with _csv_reader(path) as reader:
+        records = list(reader)
     if not records:
         raise CorpusError(f"{path}: missing header row")
     width = len(records[0])
     ragged = _first_ragged(records, width)
     if ragged:
-        line_no, raw = ragged
-        raise CorpusError(f"{path}:{line_no}: row has {len(raw)} cells, header has {width}")
+        number, raw = ragged
+        line = _record_line(path, number)
+        raise CorpusError(f"{path}:{line}: row has {len(raw)} cells, header has {width}")
     header = list(map(str.strip, records[0]))
     body = records[1:]
     columns = map(_csv_column, _transpose(body, width))
@@ -361,13 +380,17 @@ def sample_rows(table: Table, n: int = DEFAULT_SAMPLE_ROWS, seed: int = DEFAULT_
 
     The draw is uniform without replacement and a pure function of
     ``(table.id, seed, n)``: the generator is seeded from a stable hash of the
-    table id and the seed, independent of process state.
+    table id and the seed, independent of process state. A table of at most
+    ``n`` rows is sampled whole, as ``[0, 1, ..., row_count - 1]``, without
+    building a generator: the sorted draw of every row can be nothing else.
     """
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     count = min(n, table.row_count)
     if count == 0:
         return []
+    if count == table.row_count:
+        return list(range(count))
     digest = hashlib.blake2b(f"{seed}|{table.id}".encode("utf-8"), digest_size=16).digest()
     rng = np.random.default_rng(np.frombuffer(digest, dtype=np.uint64))
     picked = rng.choice(table.row_count, size=count, replace=False)
@@ -441,7 +464,17 @@ def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
     write_json(path, payload)
 
 
+#: The types a ``corpus.json`` cell may hold: text, or null for NULL.
+_CELL_TYPES = {str, type(NULL)}
+
+
 def load_corpus(path: str | Path) -> TableCorpus:
+    """The corpus saved at ``path`` by :func:`save_corpus`.
+
+    A row that is not a list as wide as its table's columns, a column name
+    that is not a string or a cell that is neither a string nor null raises
+    :class:`CorpusError` naming the file and the table.
+    """
     what = "corpus file"
     data = read_artifact(path, what)
     tables = []
@@ -451,12 +484,27 @@ def load_corpus(path: str | Path) -> TableCorpus:
         columns = require(entry, "columns", path, what, list)
         rows = require(entry, "rows", path, what, list)
         name = require(entry, "name", path, what, str)
+        if set(map(type, columns)) - {str}:
+            raise CorpusError(
+                f"malformed {what} {path}: table {table_id!r} has a column name that is not a string"
+            )
         if set(map(type, rows)) - {list}:
             number = next(i for i, row in enumerate(rows, start=1) if type(row) is not list)
             raise CorpusError(f"malformed {what} {path}: table {table_id!r} row {number} is not a list")
         try:
-            tables.append(Table.build(table_id, name, columns, rows))
+            table = Table.build(table_id, name, columns, rows)
         except CorpusError as exc:
             raise CorpusError(f"malformed {what} {path}: {exc}") from None
+        for column in table.columns:
+            # one type scan per column; the cell is looked for only to name it
+            if set(map(type, column.values)) - _CELL_TYPES:
+                number, cell = next(
+                    (i, v) for i, v in enumerate(column.values, start=1) if type(v) not in _CELL_TYPES
+                )
+                raise CorpusError(
+                    f"malformed {what} {path}: table {table_id!r} column {column.name!r} "
+                    f"row {number} holds {type(cell).__name__}, not a string or null"
+                )
+        tables.append(table)
         provenance[table_id] = entry.get("source", "")
     return TableCorpus(tables=tuple(tables), provenance=provenance)

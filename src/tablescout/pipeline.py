@@ -254,7 +254,7 @@ def adjust(
 
 
 class OnlinePipeline:
-    """Immutable index/cache plus backends; safe for concurrent queries.
+    """Immutable index/cache plus backends.
 
     With no generator the pipeline is the dense-retrieval baseline: each
     query answers with its dense top-k, flagged as a fallback. With one,

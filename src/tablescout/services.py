@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,10 +68,9 @@ class HashingEmbedder:
 
     Texts sharing n-grams land in shared hash buckets, so lexically similar
     strings score higher cosine than disjoint ones. Pure function of the
-    input; safe for concurrent use. Each instance memoizes the ``(bucket,
-    sign)`` of every distinct trigram it has hashed, so a trigram costs one
-    blake2b per instance; the vectors are those of hashing every occurrence.
-    Threads racing on a new trigram store the same entry.
+    input. Each instance memoizes the ``(bucket, sign)`` of every distinct
+    trigram it has hashed, so a trigram costs one blake2b per instance; the
+    vectors are those of hashing every occurrence.
     """
 
     def __init__(self, dimension: int = DEFAULT_STUB_DIMENSION):
@@ -116,16 +114,17 @@ class CachingEmbedder:
 
     Cache entries are keyed by the SHA-256 of the input text and are only
     valid for the backend that produced them; loading a cache written under a
-    different backend id is refused. The file holds the sorted keys and one
-    float64 vector row per key, whatever its suffix. ``backend_calls`` counts
-    actual backend invocations, which makes resumability measurable in tests.
+    different backend id is refused. The file holds the sorted keys, each a
+    64-character hex digest stored as ASCII bytes, and one float64 vector row
+    per key, whatever its suffix; a cache whose keys were stored as ``str``
+    loads the same. ``backend_calls`` counts actual backend invocations, which
+    makes resumability measurable in tests.
     """
 
     def __init__(self, backend: Embedder, path: str | Path | None = None):
         self._backend = backend
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
         self.backend_calls = 0
         if self._path is not None and self._path.exists():
             _, keys, vectors = read_npz(self._path, "embedding cache", backend.backend_id, "keys")
@@ -158,12 +157,11 @@ class CachingEmbedder:
             "backend_id": self._backend.backend_id,
             "dimension": width,
         }
-        write_npz(self._path, header, keys=np.asarray(keys, dtype=str), vectors=vectors)
+        write_npz(self._path, header, keys=np.asarray(keys, dtype="S"), vectors=vectors)
 
     def embed(self, text: str) -> np.ndarray:
         key = self._key(text)
-        with self._lock:
-            hit = self._entries.get(key)
+        hit = self._entries.get(key)
         if hit is not None:
             return hit
         vec = self._backend.embed(text)
@@ -171,9 +169,8 @@ class CachingEmbedder:
             raise BackendError(
                 f"backend returned dimension {len(vec)}, expected {self._backend.dimension}"
             )
-        with self._lock:
-            self._entries[key] = vec
-            self.backend_calls += 1
+        self._entries[key] = vec
+        self.backend_calls += 1
         return vec
 
 
@@ -250,33 +247,28 @@ class ScriptedGenerator:
 
 
 class TokenLedger:
-    """Thread-safe per-stage token accounting."""
+    """Per-stage token accounting."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._stages: dict[str, list[int]] = {}
 
     def record(self, stage: str, input_tokens: int, output_tokens: int) -> None:
         if input_tokens < 0 or output_tokens < 0:
             raise ValueError("token counts must be nonnegative")
-        with self._lock:
-            bucket = self._stages.setdefault(stage, [0, 0])
-            bucket[0] += input_tokens
-            bucket[1] += output_tokens
+        bucket = self._stages.setdefault(stage, [0, 0])
+        bucket[0] += input_tokens
+        bucket[1] += output_tokens
 
     @property
     def input_tokens(self) -> int:
-        with self._lock:
-            return sum(b[0] for b in self._stages.values())
+        return sum(b[0] for b in self._stages.values())
 
     @property
     def output_tokens(self) -> int:
-        with self._lock:
-            return sum(b[1] for b in self._stages.values())
+        return sum(b[1] for b in self._stages.values())
 
     def stage_totals(self) -> dict[str, tuple[int, int]]:
-        with self._lock:
-            return {stage: (b[0], b[1]) for stage, b in self._stages.items()}
+        return {stage: (b[0], b[1]) for stage, b in self._stages.items()}
 
 
 # ---------------------------------------------------------------------------

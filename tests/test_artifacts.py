@@ -292,12 +292,48 @@ def test_embedding_cache_round_trips(tmp_path_factory, entries):
 
     _, keys, vectors = read_npz(path, "embedding cache", Fixed.backend_id, "keys")
     assert keys == sorted(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in entries)
+    with np.load(path, allow_pickle=False) as data:
+        assert data["keys"].dtype.kind == "S"  # ASCII bytes, not 4-byte unicode
     # the width is that of the vectors held, so an empty cache is (0, 0)
     assert vectors.shape == (len(entries), 3 if entries else 0)
     reloaded = CachingEmbedder(Fixed({}), path)
     for text, vector in entries.items():
         assert reloaded.embed(text).tobytes() == vector.tobytes()  # bit-identical, -0.0 too
     assert reloaded.backend_calls == 0
+    saved = path.read_bytes()
+    reloaded.save()
+    assert path.read_bytes() == saved
+
+
+def test_cache_with_str_keys_loads_without_calls(tmp_path):
+    # caches written before the keys were ASCII bytes hold them as <U64
+    path = tmp_path / "embedding_cache.npz"
+    texts = ["Table name: cities", "museums per city", "漢字"]
+    cache = CachingEmbedder(HashingEmbedder(), path)
+    vectors = [cache.embed(text) for text in texts]
+    cache.save()
+    edit_array(path, "keys", lambda keys: keys.astype("<U64"))
+    with np.load(path, allow_pickle=False) as data:
+        assert data["keys"].dtype == np.dtype("<U64")
+    reloaded = CachingEmbedder(HashingEmbedder(), path)
+    for text, vector in zip(texts, vectors):
+        assert reloaded.embed(text).tobytes() == vector.tobytes()
+    assert reloaded.backend_calls == 0
+
+
+def test_cache_keys_that_are_not_ascii_are_an_input_error(built, capsys):
+    out, queries = built
+    path = out / "embedding_cache.npz"
+
+    def not_ascii(keys):
+        keys = keys.copy()
+        keys[0] = b"\xff" * 64
+        return keys
+
+    edit_array(path, "keys", not_ascii)
+    assert next_command("embedding_cache.npz", out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and "not ASCII" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("rows, width", [(0, 0), (1, 3), (3000, 64)])

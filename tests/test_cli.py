@@ -179,6 +179,14 @@ class TestIngest:
         err = capsys.readouterr().err
         assert f"{src / 't.csv'}:3: field larger than field limit" in err
 
+    def test_ragged_record_is_named_by_its_file_line(self, out_dir, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        # the quoted cell spans lines 2-3, so the third record is on line 4
+        (src / "t.csv").write_text('a,b\n"x\ny",2\n3,4,5\n', encoding="utf-8")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_INPUT
+        assert f"{src / 't.csv'}:4: row has 3 cells, header has 2" in capsys.readouterr().err
+
     def test_sqlite_source(self, out_dir, tmp_path):
         db = tmp_path / "small.sqlite"
         conn = sqlite3.connect(db)
@@ -326,6 +334,31 @@ class TestCache:
 
     def test_requires_corpus(self, out_dir):
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("cell", [5, 1.5, True, ["x"], {"x": 1}], ids=["int", "float", "bool", "list", "object"])
+    def test_cell_that_is_not_text_or_null_is_input_error(self, out_dir, sources, capsys, cell):
+        a, b = sources
+        assert ingest(out_dir, a, b) == EXIT_OK
+        path = out_dir / "corpus.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        table = data["tables"][0]
+        table["rows"][1][1] = cell
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(table["id"]) in err and repr(table["columns"][1]) in err
+        assert "row 2" in err and "Traceback" not in err
+
+    def test_column_name_that_is_not_text_is_input_error(self, out_dir, sources, capsys):
+        a, b = sources
+        assert ingest(out_dir, a, b) == EXIT_OK
+        path = out_dir / "corpus.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["tables"][0]["columns"][0] = 5
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(data["tables"][0]["id"]) in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import hashlib
 import json
 import sqlite3
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +213,17 @@ class TestPooling:
 # ---------------------------------------------------------------------------
 
 
+def reference_sample_rows(table, n, seed):
+    """The sample drawn from a seeded generator for every table, whole ones too."""
+    count = min(n, table.row_count)
+    if count == 0:
+        return []
+    digest = hashlib.blake2b(f"{seed}|{table.id}".encode("utf-8"), digest_size=16).digest()
+    rng = np.random.default_rng(np.frombuffer(digest, dtype=np.uint64))
+    picked = rng.choice(table.row_count, size=count, replace=False)
+    return sorted(int(i) for i in picked)
+
+
 class TestSampleRows:
     def test_small_table_returns_all_indices(self):
         t = make_table("t", ["a"], [["1"], ["2"], ["3"]])
@@ -245,6 +257,19 @@ class TestSampleRows:
         t = make_table("t", ["a"], [["1"]])
         with pytest.raises(ValueError):
             sample_rows(t, n=-1)
+
+    @given(
+        n=st.integers(min_value=0, max_value=12),
+        rows=st.integers(min_value=0, max_value=15),
+        seed=st.integers(min_value=0, max_value=2**32),
+        table_id=st.text(min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_seeded_draw(self, n, rows, seed, table_id):
+        # a table sampled whole skips the generator; the indices must be
+        # those the seeded draw gives
+        t = make_table("t", ["a"], [[str(i)] for i in range(rows)], table_id=table_id)
+        assert sample_rows(t, n=n, seed=seed) == reference_sample_rows(t, n, seed)
 
     @given(n=st.integers(min_value=0, max_value=12), rows=st.integers(min_value=0, max_value=30))
     @settings(max_examples=50, deadline=None)
@@ -404,9 +429,9 @@ def reference_csv_table(path):
         reader = csv.reader(handle)
         header = [h.strip() for h in next(reader)]
         rows = []
-        for line_no, raw in enumerate(reader, start=2):
+        for raw in reader:
             if len(raw) != len(header):
-                raise CorpusError(f"{path}:{line_no}: row has {len(raw)} cells, header has {len(header)}")
+                raise CorpusError(f"{path}:{reader.line_num}: row has {len(raw)} cells, header has {len(header)}")
             rows.append([c.strip() or NULL for c in raw])
     name = path.stem.strip().replace("|", "¦")
     return reference_table(name, header, rows)
