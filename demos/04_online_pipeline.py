@@ -52,7 +52,7 @@ generator = ScriptedGenerator(responses=[good_answer, "sorry, no JSON today"])
 pipeline = OnlinePipeline(index, cache, embedder, generator, texts=texts, k=4)
 
 result = pipeline.run_query("flights leaving from each airport")
-print("top-k:    ", result.candidates.ids())
+print("top-k:    ", result.topk)
 print("selected: ", result.selected)
 print("restored: ", result.restored)  # strong cached partners pulled back in
 print("final:    ", result.final)
@@ -62,7 +62,7 @@ print("fallback: ", result.fallback_used)
 # full dense top-k and flags the record.
 result2 = pipeline.run_query("crew schedules")
 print("\nfallback: ", result2.fallback_used)
-print("final == top-k:", result2.final == result2.candidates.ids())
+print("final == top-k:", result2.final == result2.topk)
 
 # One JSONL line per query is what the CLI writes to results.jsonl.
 print("\n" + record_line(result_record("q0", result)))

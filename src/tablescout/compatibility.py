@@ -19,6 +19,7 @@ worst case, a value present in every column, marks and scores every pair.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -242,16 +243,20 @@ class CompatibilityCache:
         cache = cls(backend_id=data.get("backend_id", ""))
         for key, record in require(data, "pairs", path, "compatibility cache", dict).items():
             left, sep, right = key.partition("|")
-            if not sep:
-                raise CorpusError(f"malformed pair key {key!r} in {path}")
+            if not sep or left >= right:
+                raise CorpusError(f"malformed pair key {key!r} in {path}: not two table ids in ascending order")
             join = require(record, "join", path, "compatibility cache")
             if not isinstance(join, list) or len(join) != 2 or not all(isinstance(c, str) for c in join):
                 raise CorpusError(f"malformed join entry for {key!r} in {path}")
             left_col = _strip_table_prefix(join[0], left, path)
             right_col = _strip_table_prefix(join[1], right, path)
+            cs = require(record, "cs", path, "compatibility cache", (int, float))
+            # finite and positive; a cosine can round above 1.0, so no cap at 1
+            if isinstance(cs, bool) or not 0 < cs <= sys.float_info.max:
+                raise CorpusError(f"malformed compatibility cache {path}: pair {key!r} has cs {cs!r}")
             cache.add(
                 JoinEdge(
-                    score=float(require(record, "cs", path, "compatibility cache", (int, float))),
+                    score=float(cs),
                     left_table=left,
                     left_column=left_col,
                     right_table=right,

@@ -275,11 +275,16 @@ def _execute_sql(
     # a true return from the handler makes SQLite abort the statement
     conn.set_progress_handler(lambda: time.monotonic() > deadline, _PROGRESS_STEPS)
     try:
-        rows = conn.execute(sql).fetchall()
+        cursor = conn.execute(sql)
+        rows = cursor.fetchall()
     except sqlite3.Error as exc:
         if time.monotonic() > deadline:
             return "timeout", None, f"exceeded {timeout:g}s"
         return "error", None, str(exc)
+    # a statement with no result columns, such as a comment or a bare ";",
+    # would otherwise read as an empty result
+    if cursor.description is None:
+        return "error", None, "not a query"
     return "ok", Counter(tuple(_canonical_cell(v) for v in row) for row in rows), ""
 
 
@@ -303,11 +308,13 @@ def execution_match(
 
     Row order is ignored, column order respected, cells compared after
     canonical string rendering (floats via %.12g). A prediction that errors
-    or exceeds the timeout is incorrect; a failing gold statement is a
-    dataset problem reported as gold_error so callers can exclude it. Both
-    run, the gold statement first, on this thread's held read-only
-    connection to ``db_path``; it is opened again when the file is replaced
-    or changed, and an unreadable file is a gold_error. That connection's
+    or exceeds the timeout is incorrect, and so is a blank one, which is not
+    run, and a statement with no result columns; a failing or column-less
+    gold statement is a dataset problem reported as gold_error so callers
+    can exclude it. Both run, the gold statement
+    first, on this thread's held read-only connection to ``db_path``; it is
+    opened again when the file is replaced or changed, and an unreadable
+    file is a gold_error. That connection's
     authorizer allows only reads: a write, temp DDL, ``ATTACH``, ``PRAGMA``
     (``pragma_*`` and other table-valued functions too), ``BEGIN`` or
     ``SAVEPOINT`` is refused, as an error for a prediction and a gold_error
@@ -321,6 +328,9 @@ def execution_match(
     gold_status, gold_rows, gold_detail = _execute_sql(conn, gold_sql, timeout)
     if gold_status != "ok":
         return ExecutionOutcome("gold_error", gold_detail)
+    # SQLite runs a blank statement as one returning no rows
+    if not pred_sql.strip():
+        return ExecutionOutcome("error", "empty prediction")
     pred_status, pred_rows, pred_detail = _execute_sql(conn, pred_sql, timeout)
     if pred_status != "ok":
         return ExecutionOutcome(pred_status, pred_detail)
@@ -382,7 +392,8 @@ def generate_sql(
     """One generation call turning the retrieved tables into a SQL string.
 
     ``tables`` pairs table ids with their serialized content. The reply is
-    stripped of a surrounding code fence if present.
+    stripped of a surrounding code fence if present, a one-line fence
+    included.
     """
     tables_content = "\n\n".join(text for _, text in tables)
     prompt = SQL_PROMPT_TEMPLATE.format(question=question, tables_content=tables_content)
@@ -393,7 +404,7 @@ def generate_sql(
         ledger.record(SQL_STAGE, response.input_tokens, response.output_tokens)
     text = response.text.strip()
     if text.startswith("```"):
-        text = text.split("\n", 1)[1] if "\n" in text else ""
+        text = text.split("\n", 1)[1] if "\n" in text else text[3:]
         if text.rstrip().endswith("```"):
             text = text.rstrip()[:-3]
     return text.strip()

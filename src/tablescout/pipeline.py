@@ -30,36 +30,20 @@ SELECTION_STAGE = "selection"
 
 
 @dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """Ranked dense-retrieval output: (table_id, cosine) in descending order,
-    cosine ties broken by ascending table id."""
-
-    ranked: tuple[tuple[str, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.ranked)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(tid for tid, _ in self.ranked)
-
-
-@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Everything the pipeline decided for one query.
 
-    ``selected`` is the model's choice, ``restored`` what restoration added,
-    and ``final`` their union; all three are in candidate rank order and are
-    subsets of the candidate ids. When ``fallback_used`` is set, ``final`` is
-    the entire candidate list.
+    ``topk`` is the dense top-k in rank order. ``selected`` is the model's
+    choice, ``restored`` what restoration added, and ``final`` their union;
+    all three are in rank order and are subsets of ``topk``. When
+    ``fallback_used`` is set, ``final`` is the whole of ``topk``.
     """
 
-    candidates: CandidateSet
+    topk: tuple[str, ...]
     selected: tuple[str, ...]
     restored: tuple[str, ...]
     final: tuple[str, ...]
     fallback_used: bool
-    groups: tuple[tuple[int, ...], ...]
-    selected_group_index: int | None
     input_tokens: int
     output_tokens: int
 
@@ -69,19 +53,23 @@ def retrieve_topk(
     index: DenseIndex,
     embedder: Embedder,
     k: int = DEFAULT_TOP_K,
-) -> CandidateSet:
-    """Embed the query and rank the k nearest tables (clamped to the index).
+) -> tuple[str, ...]:
+    """Embed the query and return the ids of the k nearest tables (clamped
+    to the index), by descending cosine, ties by ascending table id.
 
-    A query vector whose width differs from the index's raises
+    An empty index gives ``()`` without embedding the query. A query vector
+    whose width differs from the index's raises
     :class:`BackendMismatchError`: the index was built with another embedder.
     """
+    if len(index) == 0:
+        return ()
     vector = np.asarray(embedder.embed(query), dtype=np.float64)
-    if len(index) and vector.shape != (index.dimension,):
+    if vector.shape != (index.dimension,):
         raise BackendMismatchError(
             f"the embedder returned a query vector of width {vector.size}, "
             f"but the index holds vectors of width {index.dimension}"
         )
-    return CandidateSet(ranked=tuple(index.search(vector, k)))
+    return tuple(tid for tid, _ in index.search(vector, k))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +79,7 @@ def retrieve_topk(
 
 def build_selection_prompt(
     query: str,
-    candidates: CandidateSet,
+    topk: tuple[str, ...],
     cache: CompatibilityCache,
     texts: Mapping[str, str],
 ) -> GenerationRequest:
@@ -102,20 +90,19 @@ def build_selection_prompt(
     candidate pair with a positive cached score, using those same indices.
     """
     blocks = []
-    for i, (tid, _) in enumerate(candidates.ranked):
+    for i, tid in enumerate(topk):
         if tid not in texts:
             raise KeyError(f"no enriched text for candidate table {tid!r}")
         blocks.append(f"Table {i}:\n{texts[tid]}")
     tables_content = "\n" + "\n\n".join(blocks) if blocks else ""
 
-    ids = candidates.ids()
     lines = []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            cs = cache.score(ids[i], ids[j])
+    for i in range(len(topk)):
+        for j in range(i + 1, len(topk)):
+            cs = cache.score(topk[i], topk[j])
             if cs <= 0.0:
                 continue
-            col_i, col_j = cache.best_join(ids[i], ids[j])
+            col_i, col_j = cache.best_join(topk[i], topk[j])
             lines.append(
                 f"Pair (Table {i} <-> Table {j}): "
                 f"overall_compatibility: {cs:.2f}; "
@@ -129,13 +116,6 @@ def build_selection_prompt(
         compatibility_analysis=compatibility_analysis,
     )
     return GenerationRequest(prompt=prompt, max_tokens=SELECTION_MAX_TOKENS, temperature=0.0)
-
-
-@dataclass(frozen=True)
-class ParsedSelection:
-    groups: tuple[tuple[int, ...], ...]
-    selected_group_index: int
-    selected_indices: tuple[int, ...]
 
 
 def _extract_json_object(text: str) -> dict:
@@ -160,11 +140,13 @@ def _as_index(value: object, what: str, upper: int | None = None) -> int:
     return value
 
 
-def parse_selection(response_text: str, candidates: CandidateSet) -> ParsedSelection:
-    """Extract the chosen table indices from a selection response.
+def parse_selection(response_text: str, topk: tuple[str, ...]) -> tuple[int, ...]:
+    """The positions in ``topk`` of the tables in the selected group, in the
+    order the response lists them, repeats dropped.
 
     The first JSON object in the text is used, so code fences and surrounding
-    prose are tolerated. Any deviation from the expected shape raises
+    prose are tolerated. Every group is checked, not only the selected one,
+    and any deviation from the expected shape raises
     :class:`SelectionParseError`; callers treat that as the fallback signal.
     A selected group with no tables is malformed too: it would answer the
     query from nothing. Rationale fields are ignored.
@@ -183,7 +165,6 @@ def parse_selection(response_text: str, candidates: CandidateSet) -> ParsedSelec
     selected_index = _as_index(raw_index, "selected_group_index")
 
     by_index: dict[int, tuple[int, ...]] = {}
-    ordered: list[tuple[int, ...]] = []
     for group in groups_raw:
         if not isinstance(group, dict):
             raise SelectionParseError(f"group entry is not an object: {group!r}")
@@ -193,21 +174,15 @@ def parse_selection(response_text: str, candidates: CandidateSet) -> ParsedSelec
         raw_indices = group.get("table_indices")
         if not isinstance(raw_indices, list):
             raise SelectionParseError(f"group {gi} lacks a table_indices list")
-        indices = tuple(
-            dict.fromkeys(_as_index(v, "table index", upper=len(candidates)) for v in raw_indices)
+        by_index[gi] = tuple(
+            dict.fromkeys(_as_index(v, "table index", upper=len(topk)) for v in raw_indices)
         )
-        by_index[gi] = indices
-        ordered.append(indices)
 
     if selected_index not in by_index:
         raise SelectionParseError(f"selected_group_index {selected_index} names no group")
     if not by_index[selected_index]:
         raise SelectionParseError(f"selected group {selected_index} picks no tables")
-    return ParsedSelection(
-        groups=tuple(ordered),
-        selected_group_index=selected_index,
-        selected_indices=by_index[selected_index],
-    )
+    return by_index[selected_index]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +192,7 @@ def parse_selection(response_text: str, candidates: CandidateSet) -> ParsedSelec
 
 def adjust(
     selected: tuple[str, ...] | set[str],
-    candidates: CandidateSet,
+    topk: tuple[str, ...],
     cache: CompatibilityCache,
     tau: float = DEFAULT_RESTORE_THRESHOLD,
 ) -> tuple[str, ...]:
@@ -225,27 +200,25 @@ def adjust(
 
     One pass over the original selection: restored tables never trigger
     further lookups. Only neighbors with a positive cached score compete;
-    argmax ties go to the neighbor with higher retrieval score, then lower
-    table id. The result is returned in candidate rank order.
+    argmax ties go to the neighbor ranked earlier in ``topk`` (higher
+    retrieval score, then lower table id). The result is in ``topk`` order.
     """
-    ids = candidates.ids()
     selected_set = set(selected)
-    if not selected_set <= set(ids):
-        raise ValueError("selected tables must all be candidates")
-    unchosen = [tid for tid in ids if tid not in selected_set]
+    if not selected_set <= set(topk):
+        raise ValueError("selected tables must all be in the top-k")
+    unchosen = [tid for tid in topk if tid not in selected_set]
     restored: set[str] = set()
-    for t in (tid for tid in ids if tid in selected_set):
+    for t in (tid for tid in topk if tid in selected_set):
         best_id: str | None = None
         best_cs = 0.0
-        # rank order is rs-descending with id tie-break, so the first
-        # strict maximum seen is the tie-break winner
+        # the first strict maximum seen in rank order is the tie-break winner
         for u in unchosen:
             cs = cache.score(t, u)
             if cs > 0.0 and cs > best_cs:
                 best_cs, best_id = cs, u
         if best_id is not None and best_cs >= tau:
             restored.add(best_id)
-    return tuple(tid for tid in ids if tid in restored)
+    return tuple(tid for tid in topk if tid in restored)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +266,13 @@ class OnlinePipeline:
 
         Embedding failures propagate (the query cannot be answered at all);
         generation and parsing failures degrade to the fallback result, the
-        whole candidate list. An empty index gives an empty result that is
-        not a fallback.
+        whole top-k. An empty index gives an empty result that is not a
+        fallback.
         """
-        if len(self.index) == 0:
-            candidates = CandidateSet(ranked=())
-        else:
-            candidates = retrieve_topk(query, self.index, self.embedder, self.k)
-        response = parsed = None
-        if len(candidates) and self.generator is not None:
-            request = build_selection_prompt(query, candidates, self.cache, self.texts)
+        topk = retrieve_topk(query, self.index, self.embedder, self.k)
+        response = picked = None
+        if topk and self.generator is not None:
+            request = build_selection_prompt(query, topk, self.cache, self.texts)
             try:
                 response = self.generator.generate(request)
             except BackendError:
@@ -311,28 +281,25 @@ class OnlinePipeline:
                 if self.ledger is not None:
                     self.ledger.record(SELECTION_STAGE, response.input_tokens, response.output_tokens)
                 try:
-                    parsed = parse_selection(response.text, candidates)
+                    picked = parse_selection(response.text, topk)
                 except SelectionParseError:
                     pass
 
-        ids = candidates.ids()
-        if parsed is None:
+        if picked is None:
             selected = restored = ()
-            final = ids
+            final = topk
         else:
-            selected_set = {ids[i] for i in parsed.selected_indices}
-            selected = tuple(tid for tid in ids if tid in selected_set)
-            restored = adjust(selected, candidates, self.cache, self.tau)
+            selected_set = {topk[i] for i in picked}
+            selected = tuple(tid for tid in topk if tid in selected_set)
+            restored = adjust(selected, topk, self.cache, self.tau)
             final_set = selected_set | set(restored)
-            final = tuple(tid for tid in ids if tid in final_set)
+            final = tuple(tid for tid in topk if tid in final_set)
         return SelectionResult(
-            candidates=candidates,
+            topk=topk,
             selected=selected,
             restored=restored,
             final=final,
-            fallback_used=parsed is None and len(candidates) > 0,
-            groups=parsed.groups if parsed is not None else (),
-            selected_group_index=parsed.selected_group_index if parsed is not None else None,
+            fallback_used=picked is None and len(topk) > 0,
             input_tokens=response.input_tokens if response is not None else 0,
             output_tokens=response.output_tokens if response is not None else 0,
         )
@@ -342,7 +309,7 @@ def result_record(query_id: str, result: SelectionResult) -> dict:
     """The per-query record written to results files (one JSON line each)."""
     return {
         "query_id": query_id,
-        "topk": list(result.candidates.ids()),
+        "topk": list(result.topk),
         "selected": list(result.selected),
         "restored": list(result.restored),
         "final": list(result.final),

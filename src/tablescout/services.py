@@ -276,10 +276,10 @@ class TokenLedger:
 # ---------------------------------------------------------------------------
 
 #: transport(url, payload, headers, timeout) -> (status_code, parsed_json)
-Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
+Transport = Callable[[str, dict, dict, float], tuple[int, object]]
 
 
-def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
+def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, object]:
     import requests
 
     try:
@@ -334,6 +334,8 @@ class _HttpClient:
                 continue
             if 200 <= status < 300:
                 logger.debug("reply %s status=%d", url, status)
+                if not isinstance(body, dict):
+                    raise BackendError(f"{url} replied with a JSON {type(body).__name__}, not an object")
                 return body
             if status >= 500 or status == 429:
                 last_error = f"server status {status}"
@@ -368,6 +370,8 @@ class HttpEmbeddingClient(_HttpClient):
         values = body.get("embedding")
         if not isinstance(values, list) or not values:
             raise BackendError("malformed embedding reply: missing 'embedding'")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise BackendError("malformed embedding reply: 'embedding' is not a flat list of numbers")
         vec = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(vec)):
             raise BackendError("embedding reply contains non-finite components")
@@ -401,11 +405,17 @@ class HttpGenerationClient(_HttpClient):
                 "temperature": request.temperature,
             },
         )
-        try:
-            return GenerationResponse(
-                text=str(body["text"]),
-                input_tokens=int(body["input_tokens"]),
-                output_tokens=int(body["output_tokens"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BackendError(f"malformed generation reply: {exc}") from exc
+        if "text" not in body:
+            raise BackendError("malformed generation reply: missing 'text'")
+        return GenerationResponse(
+            text=str(body["text"]),
+            input_tokens=_token_count(body, "input_tokens"),
+            output_tokens=_token_count(body, "output_tokens"),
+        )
+
+
+def _token_count(body: dict, field: str) -> int:
+    value = body.get(field)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise BackendError(f"malformed generation reply: {field!r} is {value!r}, not a count")
+    return value

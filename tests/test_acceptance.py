@@ -180,7 +180,7 @@ def test_criterion_3_determinism_and_fallback():
     for i, result in enumerate(results):
         if result.fallback_used != (i in bad_positions):
             fallback_correct = False
-        if i in bad_positions and result.final != result.candidates.ids():
+        if i in bad_positions and result.final != result.topk:
             fallback_correct = False
         if i in bad_positions and len(result.final) != 10:
             fallback_correct = False
@@ -231,9 +231,9 @@ def test_criterion_4_adjustment_additivity():
         recall_selected = len(set(result.selected) & gold) / len(gold)
         if recall_final >= recall_selected:
             recall_ok += 1
-        if set(result.final) <= set(result.candidates.ids()):
+        if set(result.final) <= set(result.topk):
             subset_ok += 1
-        assert adjust(result.selected, result.candidates, cache, tau=1.01) == ()
+        assert adjust(result.selected, result.topk, cache, tau=1.01) == ()
     ok = recall_ok == trials and subset_ok == trials
     report(
         4,

@@ -211,6 +211,31 @@ def test_wrong_typed_or_shaped_field_is_an_input_error(built, capsys, name, fiel
     assert str(path) in err and field in err
 
 
+@pytest.mark.parametrize(
+    "reverse, cs",
+    [(True, None), (False, 0), (False, -0.5), (False, float("nan")), (False, float("inf")), (False, True)],
+    ids=["reversed-key", "zero", "negative", "nan", "infinity", "bool"],
+)
+def test_bad_cache_pair_is_an_input_error(built, capsys, tmp_path, reverse, cs):
+    out, _ = built
+    path = out / "compat_cache.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    key, record = next(iter(data["pairs"].items()))
+    if reverse:
+        key = "|".join(reversed(key.split("|")))
+        record["join"].reverse()
+    else:
+        record["cs"] = cs
+    data["pairs"] = {key: record}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    left, right = key.split("|")
+    gold = tmp_path / "gold_joins.json"
+    gold.write_text(json.dumps([{"table_a": left, "table_b": right, "joinable": True}]), encoding="utf-8")
+    assert main(["eval", "--out-dir", str(out), "--gold-joins", str(gold)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(key) in err
+
+
 def with_value(value):
     def change(vectors):
         vectors = vectors.copy()

@@ -311,6 +311,14 @@ class TestExecutionMatch:
         assert out.status == "mismatch"
         assert not out.correct
 
+    @pytest.mark.parametrize(
+        "pred, detail",
+        [("", "empty prediction"), (" \n\t", "empty prediction"), ("-- none", "not a query"), (";", "not a query")],
+    )
+    def test_prediction_without_a_query_is_an_error_even_against_no_rows(self, db_path, pred, detail):
+        out = execution_match(db_path, pred, "SELECT name FROM heads WHERE id < 0")
+        assert (out.status, out.detail) == ("error", detail)
+
     def test_wrong_answer_mismatches(self, db_path):
         out = execution_match(
             db_path,
@@ -497,6 +505,7 @@ class TestGenerateSql:
         for reply in (
             "```sql\nSELECT 1\n```",
             "```\nSELECT 1\n```",
+            "```SELECT 1```",
             "  SELECT 1  ",
         ):
             generator = ScriptedGenerator(responses=[reply])

@@ -23,7 +23,6 @@ from tablescout.pipeline import (
     DEFAULT_RESTORE_THRESHOLD,
     DEFAULT_TOP_K,
     SELECTION_MAX_TOKENS,
-    CandidateSet,
     _extract_json_object,
     adjust,
     build_selection_prompt,
@@ -31,13 +30,9 @@ from tablescout.pipeline import (
     retrieve_topk,
 )
 from tablescout.prompts import SELECTION_PROMPT_TEMPLATE
-from tablescout.services import cosine
+from tablescout.services import HttpGenerationClient, cosine
 
 from synth import MappedEmbedder
-
-
-def candidate_set(*ranked):
-    return CandidateSet(ranked=tuple(ranked))
 
 
 def selection_json(groups, selected=0):
@@ -65,13 +60,12 @@ def edges_cache(*edges):
 
 
 class TestRetrieveTopk:
-    def test_identity_query_ranks_first_with_full_score(self):
+    def test_identity_query_ranks_first(self):
         emb = HashingEmbedder(dimension=64)
         texts = {"t1": "city museums", "t2": "train schedules", "t3": "river levels"}
         index = DenseIndex.build(texts, emb)
         out = retrieve_topk("train schedules", index, emb, k=2)
-        assert out.ids()[0] == "t2"
-        assert dict(out.ranked)["t2"] == pytest.approx(1.0)
+        assert out[0] == "t2"
         assert len(out) == 2
 
     def test_k_clamped_to_corpus_size(self):
@@ -96,13 +90,22 @@ class TestRetrieveTopk:
                 ((tid, cosine(emb.embed(text), qv)) for tid, text in texts.items()),
                 key=lambda pair: (-pair[1], pair[0]),
             )[:7]
-            assert got.ids() == tuple(tid for tid, _ in want)
+            assert got == tuple(tid for tid, _ in want)
 
     def test_invalid_k_rejected(self):
         emb = HashingEmbedder(dimension=16)
         index = DenseIndex.build({"a": "x"}, emb)
         with pytest.raises(ValueError):
             retrieve_topk("x", index, emb, k=0)
+
+    def test_empty_index_embeds_nothing(self):
+        class Refusing:
+            backend_id, dimension = "refusing", 16
+
+            def embed(self, text):
+                raise AssertionError("an empty index needs no query vector")
+
+        assert retrieve_topk("anything", DenseIndex.build({}, Refusing()), Refusing()) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +115,10 @@ class TestRetrieveTopk:
 
 class TestBuildSelectionPrompt:
     def test_sections_rendered_exactly(self):
-        candidates = candidate_set(("B", 0.9), ("A", 0.8))
+        topk = ("B", "A")
         texts = {"A": "Table name: A\nTable content: | x |", "B": "Table name: B\nTable content: | y |"}
         cache = edges_cache(JoinEdge(0.9, "A", "a_col", "B", "b_col"))
-        request = build_selection_prompt("list all rivers", candidates, cache, texts)
+        request = build_selection_prompt("list all rivers", topk, cache, texts)
         expected_tables = (
             "\nTable 0:\nTable name: B\nTable content: | y |"
             "\n\nTable 1:\nTable name: A\nTable content: | x |"
@@ -136,10 +139,10 @@ class TestBuildSelectionPrompt:
     def test_table_indices_follow_rank_order(self):
         # B outranks A, so B must be Table 0 and the join columns must be
         # oriented with B's side first
-        candidates = candidate_set(("B", 0.9), ("A", 0.8))
+        topk = ("B", "A")
         texts = {"A": "ta", "B": "tb"}
         cache = edges_cache(JoinEdge(0.9, "A", "a_col", "B", "b_col"))
-        prompt = build_selection_prompt("q", candidates, cache, texts).prompt
+        prompt = build_selection_prompt("q", topk, cache, texts).prompt
         line = (
             'Pair (Table 0 <-> Table 1): overall_compatibility: 0.90; '
             'best_join_columns: "b_col <-> a_col"'
@@ -150,10 +153,10 @@ class TestBuildSelectionPrompt:
         assert "Table 1:\nta" in prompt
 
     def test_only_positive_pairs_listed(self):
-        candidates = candidate_set(("a", 0.9), ("b", 0.8), ("c", 0.7))
+        topk = ("a", "b", "c")
         texts = {"a": "A", "b": "B", "c": "C"}
         cache = edges_cache(JoinEdge(0.42, "a", "x", "b", "y"))
-        prompt = build_selection_prompt("q", candidates, cache, texts).prompt
+        prompt = build_selection_prompt("q", topk, cache, texts).prompt
         baseline = SELECTION_PROMPT_TEMPLATE.count("Pair (Table")
         assert prompt.count("Pair (Table") == baseline + 1
         assert "Pair (Table 0 <-> Table 1)" in prompt.replace(
@@ -161,30 +164,30 @@ class TestBuildSelectionPrompt:
         )
 
     def test_no_cached_pairs_renders_empty_section(self):
-        candidates = candidate_set(("a", 0.9), ("b", 0.8))
+        topk = ("a", "b")
         texts = {"a": "A", "b": "B"}
-        prompt = build_selection_prompt("q", candidates, edges_cache(), texts).prompt
+        prompt = build_selection_prompt("q", topk, edges_cache(), texts).prompt
         baseline = SELECTION_PROMPT_TEMPLATE.count("Pair (Table")
         assert prompt.count("Pair (Table") == baseline
         assert "Table 0:\nA" in prompt
 
     def test_query_substituted(self):
-        candidates = candidate_set(("a", 0.9))
+        topk = ("a",)
         prompt = build_selection_prompt(
-            "how many bridges were built", candidates, edges_cache(), {"a": "A"}
+            "how many bridges were built", topk, edges_cache(), {"a": "A"}
         ).prompt
         assert "how many bridges were built" in prompt
         assert "{query}" not in prompt
         assert "{tables_content}" not in prompt
 
     def test_missing_text_raises(self):
-        candidates = candidate_set(("a", 0.9), ("b", 0.8))
+        topk = ("a", "b")
         with pytest.raises(KeyError):
-            build_selection_prompt("q", candidates, edges_cache(), {"a": "A"})
+            build_selection_prompt("q", topk, edges_cache(), {"a": "A"})
 
     def test_max_tokens_override(self):
-        candidates = candidate_set(("a", 0.9))
-        request = build_selection_prompt("q", candidates, edges_cache(), {"a": "A"})
+        topk = ("a",)
+        request = build_selection_prompt("q", topk, edges_cache(), {"a": "A"})
         assert request.max_tokens == SELECTION_MAX_TOKENS
 
 
@@ -195,13 +198,10 @@ class TestBuildSelectionPrompt:
 
 class TestParseSelection:
     def setup_method(self):
-        self.candidates = candidate_set(("a", 0.9), ("b", 0.8), ("c", 0.7))
+        self.topk = ("a", "b", "c")
 
     def test_nested_shape(self):
-        parsed = parse_selection(selection_json([[0, 1]]), self.candidates)
-        assert parsed.selected_indices == (0, 1)
-        assert parsed.selected_group_index == 0
-        assert parsed.groups == ((0, 1),)
+        assert parse_selection(selection_json([[0, 1]]), self.topk) == (0, 1)
 
     def test_flat_shape(self):
         text = json.dumps(
@@ -210,28 +210,23 @@ class TestParseSelection:
                 "selected_group_index": 0,
             }
         )
-        parsed = parse_selection(text, self.candidates)
-        assert parsed.selected_indices == (2,)
+        assert parse_selection(text, self.topk) == (2,)
 
     def test_second_group_selected(self):
-        parsed = parse_selection(selection_json([[0], [1, 2]], selected=1), self.candidates)
-        assert parsed.selected_indices == (1, 2)
-        assert parsed.groups == ((0,), (1, 2))
+        assert parse_selection(selection_json([[0], [1, 2]], selected=1), self.topk) == (1, 2)
 
     def test_code_fence_and_prose_tolerated(self):
         text = "Here is my analysis:\n```json\n" + selection_json([[0]]) + "\n```\nDone."
-        parsed = parse_selection(text, self.candidates)
-        assert parsed.selected_indices == (0,)
+        assert parse_selection(text, self.topk) == (0,)
 
     def test_braces_in_prose_before_json(self):
         text = "best {candidate} overall:\n" + selection_json([[1]])
-        parsed = parse_selection(text, self.candidates)
-        assert parsed.selected_indices == (1,)
+        assert parse_selection(text, self.topk) == (1,)
 
     def test_first_json_object_wins(self):
         text = json.dumps({"unrelated": 1}) + "\n" + selection_json([[0]])
         with pytest.raises(SelectionParseError):
-            parse_selection(text, self.candidates)
+            parse_selection(text, self.topk)
 
     @given(
         st.dictionaries(
@@ -252,18 +247,18 @@ class TestParseSelection:
 
     def test_garbage_rejected(self):
         with pytest.raises(SelectionParseError):
-            parse_selection("no structure here at all", self.candidates)
+            parse_selection("no structure here at all", self.topk)
 
     def test_empty_groups_rejected(self):
         text = json.dumps(
             {"group_formation": {"groups_formed": []}, "group_selection": {"selected_group_index": 0}}
         )
         with pytest.raises(SelectionParseError):
-            parse_selection(text, self.candidates)
+            parse_selection(text, self.topk)
 
     def test_unknown_selected_group_rejected(self):
         with pytest.raises(SelectionParseError):
-            parse_selection(selection_json([[0]], selected=5), self.candidates)
+            parse_selection(selection_json([[0]], selected=5), self.topk)
 
     def test_duplicate_group_index_rejected(self):
         text = json.dumps(
@@ -276,38 +271,36 @@ class TestParseSelection:
             }
         )
         with pytest.raises(SelectionParseError):
-            parse_selection(text, self.candidates)
+            parse_selection(text, self.topk)
 
     def test_out_of_range_table_index_rejected(self):
         with pytest.raises(SelectionParseError):
-            parse_selection(selection_json([[0, 3]]), self.candidates)
+            parse_selection(selection_json([[0, 3]]), self.topk)
 
     def test_negative_and_boolean_indices_rejected(self):
         with pytest.raises(SelectionParseError):
-            parse_selection(selection_json([[-1]]), self.candidates)
+            parse_selection(selection_json([[-1]]), self.topk)
         text = json.dumps(
             {"groups_formed": [{"group_index": 0, "table_indices": [True]}], "selected_group_index": 0}
         )
         with pytest.raises(SelectionParseError):
-            parse_selection(text, self.candidates)
+            parse_selection(text, self.topk)
 
     def test_duplicate_table_indices_deduped_in_order(self):
-        parsed = parse_selection(selection_json([[2, 0, 2, 1]]), self.candidates)
-        assert parsed.selected_indices == (2, 0, 1)
+        assert parse_selection(selection_json([[2, 0, 2, 1]]), self.topk) == (2, 0, 1)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(SelectionParseError, match="picks no tables"):
-            parse_selection(selection_json([[]]), self.candidates)
+            parse_selection(selection_json([[]]), self.topk)
         # only the selected group must pick tables
-        parsed = parse_selection(selection_json([[], [1]], selected=1), self.candidates)
-        assert parsed.selected_indices == (1,)
+        assert parse_selection(selection_json([[], [1]], selected=1), self.topk) == (1,)
 
     def test_missing_table_indices_rejected(self):
         text = json.dumps(
             {"groups_formed": [{"group_index": 0}], "selected_group_index": 0}
         )
         with pytest.raises(SelectionParseError):
-            parse_selection(text, self.candidates)
+            parse_selection(text, self.topk)
 
 
 # ---------------------------------------------------------------------------
@@ -317,87 +310,92 @@ class TestParseSelection:
 
 class TestAdjust:
     def test_adds_best_neighbor_above_threshold(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8), ("C", 0.7))
+        topk = ("A", "B", "C")
         cache = edges_cache(
             JoinEdge(0.5, "A", "x", "B", "y"),
             JoinEdge(0.2, "A", "x", "C", "y"),
         )
-        assert adjust(("A",), candidates, cache, tau=0.3) == ("B",)
+        assert adjust(("A",), topk, cache, tau=0.3) == ("B",)
 
     def test_below_threshold_adds_nothing(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8))
+        topk = ("A", "B")
         cache = edges_cache(JoinEdge(0.2, "A", "x", "B", "y"))
-        assert adjust(("A",), candidates, cache, tau=0.3) == ()
+        assert adjust(("A",), topk, cache, tau=0.3) == ()
 
     def test_shared_argmax_added_once(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8), ("C", 0.7))
+        topk = ("A", "B", "C")
         cache = edges_cache(
             JoinEdge(0.9, "A", "x", "C", "y"),
             JoinEdge(0.8, "B", "x", "C", "y"),
         )
-        assert adjust(("A", "B"), candidates, cache, tau=0.3) == ("C",)
+        assert adjust(("A", "B"), topk, cache, tau=0.3) == ("C",)
 
     def test_threshold_above_one_restores_nothing(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8))
+        topk = ("A", "B")
         cache = edges_cache(JoinEdge(1.0, "A", "x", "B", "y"))
-        assert adjust(("A",), candidates, cache, tau=1.01) == ()
+        assert adjust(("A",), topk, cache, tau=1.01) == ()
 
     def test_zero_threshold_adds_only_argmaxes(self):
         # tau 0 still adds one neighbor per selected table, not every neighbor
-        candidates = candidate_set(("A", 0.9), ("B", 0.8), ("C", 0.7), ("D", 0.6))
+        topk = ("A", "B", "C", "D")
         cache = edges_cache(
             JoinEdge(0.6, "A", "x", "B", "y"),
             JoinEdge(0.1, "A", "x", "C", "y"),
             JoinEdge(0.05, "A", "x", "D", "y"),
         )
-        assert adjust(("A",), candidates, cache, tau=0.0) == ("B",)
+        assert adjust(("A",), topk, cache, tau=0.0) == ("B",)
 
     def test_no_positive_neighbor_adds_nothing_at_zero_threshold(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8))
-        assert adjust(("A",), candidates, edges_cache(), tau=0.0) == ()
+        topk = ("A", "B")
+        assert adjust(("A",), topk, edges_cache(), tau=0.0) == ()
 
     def test_tie_prefers_higher_retrieval_score(self):
-        candidates = candidate_set(("A", 0.9), ("C", 0.8), ("B", 0.7))
+        # C outranks B in the top-k
+        topk = ("A", "C", "B")
         cache = edges_cache(
             JoinEdge(0.5, "A", "x", "B", "y"),
             JoinEdge(0.5, "A", "x", "C", "y"),
         )
-        assert adjust(("A",), candidates, cache, tau=0.3) == ("C",)
+        assert adjust(("A",), topk, cache, tau=0.3) == ("C",)
 
     def test_tie_then_prefers_lower_id(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8), ("C", 0.8))
+        # B and C tie on retrieval score too, so retrieval ranks B first
+        emb = MappedEmbedder({"a": [1.0, 0.0], "bc": [0.6, 0.8]})
+        index = DenseIndex.build({"A": "a", "C": "bc", "B": "bc"}, emb)
+        topk = retrieve_topk("a", index, emb, k=3)
+        assert topk == ("A", "B", "C")
         cache = edges_cache(
             JoinEdge(0.5, "A", "x", "B", "y"),
             JoinEdge(0.5, "A", "x", "C", "y"),
         )
-        assert adjust(("A",), candidates, cache, tau=0.3) == ("B",)
+        assert adjust(("A",), topk, cache, tau=0.3) == ("B",)
 
     def test_single_pass_only(self):
         # B's own strong neighbor C must not be pulled in by restored B
-        candidates = candidate_set(("A", 0.9), ("B", 0.8), ("C", 0.7))
+        topk = ("A", "B", "C")
         cache = edges_cache(
             JoinEdge(0.5, "A", "x", "B", "y"),
             JoinEdge(0.95, "B", "x", "C", "y"),
         )
-        assert adjust(("A",), candidates, cache, tau=0.3) == ("B",)
+        assert adjust(("A",), topk, cache, tau=0.3) == ("B",)
 
     def test_selected_tables_never_restored(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8))
+        topk = ("A", "B")
         cache = edges_cache(JoinEdge(0.9, "A", "x", "B", "y"))
-        assert adjust(("A", "B"), candidates, cache, tau=0.3) == ()
+        assert adjust(("A", "B"), topk, cache, tau=0.3) == ()
 
     def test_result_in_rank_order(self):
-        candidates = candidate_set(("A", 0.9), ("B", 0.8), ("C", 0.7), ("D", 0.6))
+        topk = ("A", "B", "C", "D")
         cache = edges_cache(
             JoinEdge(0.9, "A", "x", "D", "y"),
             JoinEdge(0.8, "B", "x", "C", "y"),
         )
-        assert adjust(("A", "B"), candidates, cache, tau=0.3) == ("C", "D")
+        assert adjust(("A", "B"), topk, cache, tau=0.3) == ("C", "D")
 
     def test_non_candidate_selection_rejected(self):
-        candidates = candidate_set(("A", 0.9))
+        topk = ("A",)
         with pytest.raises(ValueError):
-            adjust(("Z",), candidates, edges_cache())
+            adjust(("Z",), topk, edges_cache())
 
     def test_default_threshold_constant(self):
         assert DEFAULT_RESTORE_THRESHOLD == 0.3
@@ -446,14 +444,12 @@ class TestOnlinePipeline:
         pipeline, generator = pipeline_fixture([selection_json([[0, 1]])], ledger=ledger)
         result = pipeline.run_query("the alpha question")
         # ranks: t0 (1.0), t1 (0.8), t2 (0.6), then t3/t4 tied at 0 by id
-        assert result.candidates.ids() == ("t0", "t1", "t2", "t3", "t4")
+        assert result.topk == ("t0", "t1", "t2", "t3", "t4")
         assert result.selected == ("t0", "t1")
         # t0's best unchosen neighbor is t2 (0.96), t1's is t3 (0.4)
         assert result.restored == ("t2", "t3")
         assert result.final == ("t0", "t1", "t2", "t3")
         assert not result.fallback_used
-        assert result.groups == ((0, 1),)
-        assert result.selected_group_index == 0
         assert result.input_tokens == len(generator.calls[0].split())
         assert result.output_tokens == len(selection_json([[0, 1]]).split())
         assert ledger.stage_totals() == {
@@ -480,6 +476,21 @@ class TestOnlinePipeline:
         assert (result.input_tokens, result.output_tokens) == (0, 0)
         assert ledger.stage_totals() == {}
 
+    def test_malformed_http_reply_falls_back(self):
+        # a negative token count is refused by the client, so it never
+        # reaches the ledger, which would raise on it
+        def transport(url, payload, headers, timeout):
+            return 200, {"text": selection_json([[0]]), "input_tokens": -5, "output_tokens": 1}
+
+        ledger = TokenLedger()
+        pipeline, _ = pipeline_fixture([], ledger=ledger)
+        pipeline.generator = HttpGenerationClient("http://svc", "g", transport=transport, sleep=lambda s: None)
+        result = pipeline.run_query("the alpha question")
+        assert result.fallback_used
+        assert result.final == ("t0", "t1", "t2", "t3", "t4")
+        assert (result.input_tokens, result.output_tokens) == (0, 0)
+        assert ledger.stage_totals() == {}
+
     def test_empty_index_returns_empty_result(self):
         emb = HashingEmbedder(dimension=16)
         index = DenseIndex.build({}, emb)
@@ -499,7 +510,7 @@ class TestOnlinePipeline:
     def test_k_limits_candidates(self):
         pipeline, _ = pipeline_fixture([selection_json([[0]])], k=2)
         result = pipeline.run_query("the alpha question")
-        assert result.candidates.ids() == ("t0", "t1")
+        assert result.topk == ("t0", "t1")
         assert result.final == ("t0",)  # t0's neighbor t2 is not a candidate
 
     def test_empty_selection_falls_back(self):
@@ -558,7 +569,7 @@ class TestOnlinePipeline:
                 index, cache, emb, generator, texts=texts, k=k, tau=tau
             )
             result = pipeline.run_query(" ".join(rng.choice(words, size=3)))
-            topk = result.candidates.ids()
+            topk = result.topk
             assert len(topk) == k
             if not pick:
                 # an empty pick is malformed: the whole top-k, nothing restored
@@ -575,25 +586,26 @@ class TestOnlinePipeline:
             assert result.final == tuple(t for t in topk if t in set(result.final))
             if tau > 1.0:
                 assert result.restored == ()
-            expected = oracle_adjust(result.selected, result.candidates, cache, tau)
+            expected = oracle_adjust(result.selected, topk, cache, tau)
             assert set(result.restored) == expected
         assert empty_picks > 0  # the draw exercised the fallback case
 
 
-def oracle_adjust(selected, candidates, cache, tau):
+def oracle_adjust(selected, topk, cache, tau):
+    # rank order is descending retrieval score, ties by ascending id, so
+    # ranking by position is the score-then-id tie-break
     chosen = set(selected)
-    unchosen = [t for t in candidates.ids() if t not in chosen]
-    rs = dict(candidates.ranked)
+    unchosen = [t for t in topk if t not in chosen]
     restored = set()
     for s in selected:
         scored = [
-            (cache.score(s, u), rs[u], u)
+            (cache.score(s, u), topk.index(u), u)
             for u in unchosen
             if cache.score(s, u) > 0.0
         ]
         if not scored:
             continue
-        best = min(scored, key=lambda item: (-item[0], -item[1], item[2]))
+        best = min(scored, key=lambda item: (-item[0], item[1]))
         if best[0] >= tau:
             restored.add(best[2])
     return restored

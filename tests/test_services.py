@@ -274,10 +274,23 @@ class TestHttpEmbeddingClient:
         with pytest.raises(BackendError, match="dimension"):
             client.embed("b")
 
-    def test_malformed_reply_rejected(self):
-        transport, _ = make_transport([(200, {"not_embedding": []})])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"not_embedding": []},
+            {"embedding": []},
+            {"embedding": ["a", "b"]},
+            {"embedding": [True, 0.5]},
+            {"embedding": [[1, 2], [3, 4]]},
+            {"embedding": [1.0, None]},
+            [1.0, 2.0],
+        ],
+        ids=["missing", "empty", "strings", "bool", "nested", "null", "list-body"],
+    )
+    def test_malformed_reply_rejected(self, body):
+        transport, _ = make_transport([(200, body)])
         client = HttpEmbeddingClient("http://svc", "m", transport=transport, sleep=lambda s: None)
-        with pytest.raises(BackendError, match="malformed"):
+        with pytest.raises(BackendError, match="malformed|not an object"):
             client.embed("x")
 
     def test_api_key_header_from_environment(self, monkeypatch):
@@ -305,6 +318,25 @@ class TestHttpGenerationClient:
         client = HttpGenerationClient("http://svc", "g", transport=transport, sleep=lambda s: None)
         with pytest.raises(BackendError, match="malformed"):
             client.generate(GenerationRequest(prompt="p"))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"input_tokens": 4, "output_tokens": 1},
+            {"text": "hi", "input_tokens": -5, "output_tokens": 1},
+            {"text": "hi", "input_tokens": 4, "output_tokens": 2.7},
+            {"text": "hi", "input_tokens": True, "output_tokens": 1},
+            {"text": "hi", "input_tokens": "4", "output_tokens": 1},
+            ["hi", 4, 1],
+        ],
+        ids=["no-text", "negative", "fraction", "bool", "string", "list-body"],
+    )
+    def test_malformed_counts_or_body_rejected(self, body):
+        transport, calls = make_transport([(200, body)])
+        client = HttpGenerationClient("http://svc", "g", transport=transport, sleep=lambda s: None)
+        with pytest.raises(BackendError, match="malformed|not an object"):
+            client.generate(GenerationRequest(prompt="p"))
+        assert len(calls) == 1  # a malformed reply is not retried
 
     def test_backend_down_errors_after_retries(self):
         transport, calls = make_transport([ConnectionError("x")] * 3)
