@@ -3,9 +3,14 @@
 Writes go to ``<name>.tmp`` beside the target and are moved over it with
 ``os.replace``, so a killed process leaves the old file or the new one, never
 a torn one. No fsync: the fault covered is a killed process, not a lost
-machine. Records go to compact JSON (:func:`write_json`); vectors, the dense
-index and the embedding cache, go to one compressed ``.npz`` each
-(:func:`write_npz`), read back as one row per key (:func:`read_npz`). The
+machine. Records go to compact JSON (:func:`write_json`); vectors go to
+compressed ``.npz`` files (:func:`write_npz`), read back as one row per key
+(:func:`read_npz`). The dense index is one such file. The embedding cache is
+a log of them, its segments (:func:`segment_path`, :func:`numbered_segments`):
+``<name>`` is segment 0 and ``<name>.1``, ``<name>.2``, ... sit beside it,
+each written once and never changed, except that a compaction rewrites every
+entry into segment 0 and then deletes the others; its owner,
+``services.CachingEmbedder``, says what a kill at each step leaves. The
 index keeps its table ids as ``str``, since an id may be any unicode; the
 cache keeps its hex-digest keys as ASCII bytes, a quarter of the raw size of
 ``str``. Reads turn an unreadable or malformed file, or a missing or
@@ -132,8 +137,7 @@ def write_npz(path: str | Path, meta: dict, **arrays: np.ndarray) -> None:
 
     The bytes are those ``np.savez_compressed`` writes for C-ordered arrays,
     but each array goes out in chunks of ``_NPZ_CHUNK_BYTES``, where numpy
-    first copies it whole: saving the embedding cache is the peak of a
-    build's memory.
+    first copies it whole, so a save holds no second copy of a large array.
     """
     arrays = {**arrays, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
     with replacing(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as npz:
@@ -144,6 +148,30 @@ def write_npz(path: str | Path, meta: dict, **arrays: np.ndarray) -> None:
                 np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
                 for start in range(0, flat.size, step):
                     member.write(flat[start : start + step].tobytes())
+
+
+def segment_path(path: str | Path, number: int) -> Path:
+    """Segment ``number`` of the segmented artifact at ``path``: the file
+    itself for 0, ``<name>.<number>`` beside it otherwise."""
+    target = Path(path)
+    return target if number == 0 else target.with_name(f"{target.name}.{number}")
+
+
+def numbered_segments(path: str | Path) -> dict[int, Path]:
+    """The segments ``<name>.1``, ``<name>.2``, ... beside ``path``, by
+    number; any other name, ``<name>.2.tmp`` among them, is not a segment."""
+    target = Path(path)
+    prefix = target.name + "."
+    try:
+        names = os.listdir(target.parent)
+    except FileNotFoundError:
+        return {}
+    found = {}
+    for name in names:
+        number = name[len(prefix) :]
+        if name.startswith(prefix) and number.isascii() and number.isdigit() and number[0] != "0":
+            found[int(number)] = target.parent / name
+    return dict(sorted(found.items()))
 
 
 def read_npz(

@@ -5,6 +5,14 @@ artifacts in an output directory (corpus.json, enriched.json, index.npz,
 embedding_cache.npz, compat_cache.json, results.jsonl, report files) so runs
 are resumable and byte-reproducible with the offline stub backends.
 
+The embedding cache is segmented: enrich and cache each add the vectors they
+embedded as one new segment, embedding_cache.npz.<n>, and add none when they
+embedded nothing. Past ``services.MAX_CACHE_SEGMENTS`` segments, a command
+rewrites them all into embedding_cache.npz, which records the segments it
+absorbed, then deletes those. A command killed mid-save leaves a cache that
+loads, with no vector twice, and at most a stray ``*.tmp`` file, which
+nothing reads.
+
 Exit codes: 0 success, 2 configuration problem, 3 input problem, 4 backend
 failure.
 """

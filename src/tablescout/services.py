@@ -20,8 +20,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_npz, write_npz
-from .errors import BackendError
+from .artifacts import FORMAT_VERSION, numbered_segments, read_npz, segment_path, write_npz
+from .errors import BackendError, CorpusError
 
 logger = logging.getLogger(__name__)
 
@@ -109,26 +109,87 @@ class HashingEmbedder:
 # Persistent embedding cache
 # ---------------------------------------------------------------------------
 
+#: The most segments the embedding cache spans on disk: a save that would
+#: leave more rewrites every entry into segment 0 instead.
+MAX_CACHE_SEGMENTS = 8
+
+
 class CachingEmbedder:
     """Wrap an embedder with an in-memory cache that can persist to ``.npz``.
 
     Cache entries are keyed by the SHA-256 of the input text and are only
     valid for the backend that produced them; loading a cache written under a
-    different backend id is refused. The file holds the sorted keys, each a
-    64-character hex digest stored as ASCII bytes, and one float64 vector row
-    per key, whatever its suffix; a cache whose keys were stored as ``str``
-    loads the same. ``backend_calls`` counts actual backend invocations, which
-    makes resumability measurable in tests.
+    different backend id is refused. ``backend_calls`` counts actual backend
+    invocations, which makes resumability measurable in tests.
+
+    On disk the cache is a log of segments (:func:`segment_path`): segment 0
+    at ``path``, then ``<name>.1``, ``<name>.2``, ... beside it. Each holds
+    the sorted keys, each a 64-character hex digest stored as ASCII bytes,
+    and one float64 vector row per key, whatever its suffix; a segment whose
+    keys were stored as ``str`` loads the same. :meth:`save` writes only the
+    entries embedded since the load, as one new segment, so a rebuild that
+    adds a few vectors writes those few. The loader joins the live segments
+    and refuses a key held by two of them, or two non-empty segments of
+    different widths.
+
+    When a save would leave more than :data:`MAX_CACHE_SEGMENTS` segments,
+    it rewrites every entry into segment 0, whose header then records in
+    ``absorbed`` the highest segment number it took in, and deletes those
+    segments. The loader ignores a segment numbered ``absorbed`` or below, so
+    a process killed between the rewrite and the deletes leaves no key twice;
+    the next save deletes what is left. Every file is written through
+    :func:`write_npz`, so a kill at any other point leaves the segments as
+    they were, plus at most one ``*.tmp`` file, which is not a segment.
     """
 
     def __init__(self, backend: Embedder, path: str | Path | None = None):
         self._backend = backend
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, np.ndarray] = {}
+        # keys embedded since the load, which the next save writes
+        self._unsaved: list[str] = []
+        # numbers of the live numbered segments, and of those segment 0 absorbed
+        self._live: list[int] = []
+        self._absorbed = 0
+        # the width of the vectors held, not the backend's: an HTTP backend
+        # knows its dimension only after a call, and a fully cached rerun
+        # makes none. None while the cache holds no vector.
+        self._width: int | None = None
         self.backend_calls = 0
-        if self._path is not None and self._path.exists():
-            _, keys, vectors = read_npz(self._path, "embedding cache", backend.backend_id, "keys")
-            self._entries = dict(zip(keys, vectors))
+        if self._path is not None:
+            self._load(self._path)
+
+    def _load(self, path: Path) -> None:
+        backend_id = self._backend.backend_id
+        numbered = numbered_segments(path)
+        if path.exists():
+            meta, keys, vectors = read_npz(path, "embedding cache", backend_id, "keys")
+            absorbed = meta.get("absorbed", 0)
+            if isinstance(absorbed, bool) or not isinstance(absorbed, int) or absorbed < 0:
+                raise CorpusError(f"malformed embedding cache {path}: field 'absorbed' holds {absorbed!r}")
+            self._absorbed = absorbed
+            self._join(path, keys, vectors)
+        self._live = [number for number in numbered if number > self._absorbed]
+        for number in self._live:
+            _, keys, vectors = read_npz(numbered[number], "embedding cache", backend_id, "keys")
+            self._join(numbered[number], keys, vectors)
+
+    def _join(self, path: Path, keys: list[str], vectors: np.ndarray) -> None:
+        """Add one segment's entries to those of the segments loaded before it."""
+        if keys:  # an empty segment is (0, 0) and has no width
+            if self._width is None:
+                self._width = vectors.shape[1]
+            elif vectors.shape[1] != self._width:
+                raise CorpusError(
+                    f"malformed embedding cache {path}: vectors of width {vectors.shape[1]}, "
+                    f"earlier segments {self._width}"
+                )
+        repeated = self._entries.keys() & keys
+        if repeated:
+            raise CorpusError(
+                f"malformed embedding cache {path}: key {min(repeated)} is also in an earlier segment"
+            )
+        self._entries.update(zip(keys, vectors))
 
     @property
     def backend_id(self) -> str:
@@ -143,21 +204,52 @@ class CachingEmbedder:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def save(self) -> None:
+        """Write the entries embedded since the load as one new segment.
+
+        With nothing new and a cache on disk, nothing is written. A cache
+        with no segment 0 gets its new entries there; past
+        :data:`MAX_CACHE_SEGMENTS` segments, every entry is.
+        """
         if self._path is None:
             return
-        keys = sorted(self._entries)
-        # the width of the vectors held, not the backend's: an HTTP backend
-        # knows its dimension only after a call, and a fully cached rerun
-        # makes none. An empty cache is (0, 0), like an empty index.
-        width = len(self._entries[keys[0]]) if keys else 0
+        # segments absorbed by a compaction that was killed before it deleted them
+        for number in numbered_segments(self._path):
+            if number <= self._absorbed:
+                segment_path(self._path, number).unlink(missing_ok=True)
+        has_zero = self._path.exists()
+        if not self._unsaved and (has_zero or self._live):
+            return
+        if has_zero + len(self._live) + 1 > MAX_CACHE_SEGMENTS:
+            absorbed = self._live[-1]
+            self._write(0, sorted(self._entries), absorbed)
+            for number in self._live:
+                segment_path(self._path, number).unlink(missing_ok=True)
+            self._absorbed, self._live = absorbed, []
+        elif not has_zero:
+            self._write(0, sorted(self._unsaved), 0)
+        else:
+            number = max([self._absorbed, *self._live]) + 1
+            self._write(number, sorted(self._unsaved), 0)
+            self._live.append(number)
+        self._unsaved = []
+
+    def _write(self, number: int, keys: list[str], absorbed: int) -> None:
+        """Write ``keys`` as segment ``number``; ``absorbed`` goes into segment 0's header."""
+        width = self._width or 0  # an empty cache is (0, 0), like an empty index
         vectors = np.asarray([self._entries[k] for k in keys], dtype=np.float64)
-        vectors = vectors.reshape(len(keys), width)
         header = {
             "version": FORMAT_VERSION,
             "backend_id": self._backend.backend_id,
             "dimension": width,
         }
-        write_npz(self._path, header, keys=np.asarray(keys, dtype="S"), vectors=vectors)
+        if absorbed:
+            header["absorbed"] = absorbed
+        write_npz(
+            segment_path(self._path, number),
+            header,
+            keys=np.asarray(keys, dtype="S"),
+            vectors=vectors.reshape(len(keys), width),
+        )
 
     def embed(self, text: str) -> np.ndarray:
         key = self._key(text)
@@ -165,11 +257,12 @@ class CachingEmbedder:
         if hit is not None:
             return hit
         vec = self._backend.embed(text)
-        if len(vec) != self._backend.dimension:
-            raise BackendError(
-                f"backend returned dimension {len(vec)}, expected {self._backend.dimension}"
-            )
+        width = self._width if self._width is not None else self._backend.dimension
+        if len(vec) != width:
+            raise BackendError(f"backend returned dimension {len(vec)}, expected {width}")
+        self._width = width
         self._entries[key] = vec
+        self._unsaved.append(key)
         self.backend_calls += 1
         return vec
 
@@ -405,10 +498,11 @@ class HttpGenerationClient(_HttpClient):
                 "temperature": request.temperature,
             },
         )
-        if "text" not in body:
-            raise BackendError("malformed generation reply: missing 'text'")
+        text = body.get("text")
+        if not isinstance(text, str):
+            raise BackendError(f"malformed generation reply: 'text' is {text!r}, not a string")
         return GenerationResponse(
-            text=str(body["text"]),
+            text=text,
             input_tokens=_token_count(body, "input_tokens"),
             output_tokens=_token_count(body, "output_tokens"),
         )

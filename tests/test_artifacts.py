@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,19 +16,24 @@ from hypothesis import strategies as st
 from tablescout.artifacts import (
     FORMAT_VERSION,
     append_journal,
+    numbered_segments,
     read_journal,
     read_npz,
     replacing,
+    segment_path,
     write_npz,
 )
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
 from tablescout.compatibility import CompatibilityCache
 from tablescout.corpus import load_corpus, save_corpus
+from tablescout.errors import BackendError
 from tablescout.indexing import DenseIndex, EnrichmentStore
-from tablescout.services import CachingEmbedder, HashingEmbedder
+from tablescout.services import MAX_CACHE_SEGMENTS, CachingEmbedder, HashingEmbedder
 
-ARTIFACTS = ["corpus.json", "enriched.json", "embedding_cache.npz", "index.npz", "compat_cache.json"]
-WITH_BACKEND = ["embedding_cache.npz", "index.npz", "compat_cache.json"]
+# after enrich then cache, the embedding cache is segment 0 plus segment 1
+CACHE = "embedding_cache.npz"
+ARTIFACTS = ["corpus.json", "enriched.json", CACHE, f"{CACHE}.1", "index.npz", "compat_cache.json"]
+WITH_BACKEND = [CACHE, f"{CACHE}.1", "index.npz", "compat_cache.json"]
 
 
 @pytest.fixture
@@ -50,17 +56,27 @@ def built(tmp_path):
 
 def next_command(name, out, queries):
     """Exit code of the next CLI command that reads ``name``."""
-    if name in ("corpus.json", "embedding_cache.npz"):
+    if name == "corpus.json" or name.startswith(CACHE):
         return main(["cache", "--out-dir", str(out)])
     return main(["retrieve", "--out-dir", str(out), "--queries", str(queries), "--fallback-only"])
 
 
+def is_npz(path):
+    return ".npz" in path.suffixes  # a numbered segment ends in .npz.<n>
+
+
+def savez(path, **arrays):
+    """``np.savez`` to ``path`` as named; given a name, numpy would add ``.npz``."""
+    with path.open("wb") as handle:
+        np.savez(handle, **arrays)
+
+
 def edit_header(path, **changes):
-    if path.suffix == ".npz":
+    if is_npz(path):
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(str(arrays.pop("meta")))
-        np.savez(path, **arrays, meta=np.asarray(json.dumps({**meta, **changes})))
+        savez(path, **arrays, meta=np.asarray(json.dumps({**meta, **changes})))
     else:
         data = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps({**data, **changes}), encoding="utf-8")
@@ -72,8 +88,11 @@ def resave(path):
         save_corpus(load_corpus(path), path)
     elif path.name == "enriched.json":
         EnrichmentStore(path).save()
-    elif path.name == "embedding_cache.npz":
-        CachingEmbedder(HashingEmbedder(), path).save()
+    elif path.name.startswith(CACHE):
+        # a save writes only what is new, so one new text makes it write
+        cache = CachingEmbedder(HashingEmbedder(), path.with_name(CACHE))
+        cache.embed("a text no command embedded")
+        cache.save()
     elif path.name == "index.npz":
         DenseIndex.load(path).save(path)
     else:
@@ -141,10 +160,10 @@ def test_failed_write_keeps_the_old_file(built, monkeypatch, name):
 
 def drop_field(path, name):
     """Remove one required field from a right-version artifact."""
-    if path.suffix == ".npz":
+    if is_npz(path):
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files if key != name}
-        np.savez(path, **arrays)
+        savez(path, **arrays)
         return
     data = json.loads(path.read_text(encoding="utf-8"))
     if name in data:
@@ -183,7 +202,7 @@ def edit_array(path, name, change):
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files}
     arrays[name] = change(arrays[name])
-    np.savez(path, **arrays)
+    savez(path, **arrays)
 
 
 WRONG_TYPED = {"tables": 5, "entries": ["x"], "pairs": []}
@@ -202,7 +221,7 @@ WRONG_TYPED = {"tables": 5, "entries": ["x"], "pairs": []}
 def test_wrong_typed_or_shaped_field_is_an_input_error(built, capsys, name, field):
     out, queries = built
     path = out / name
-    if path.suffix == ".npz":
+    if is_npz(path):
         edit_array(path, field, lambda keys: keys[:-1])  # one key fewer than vector rows
     else:
         edit_header(path, **{field: WRONG_TYPED[field]})
@@ -305,29 +324,54 @@ finite = st.floats(width=64, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)
 
 
-@given(entries=st.dictionaries(st.text(min_size=1), vectors, max_size=6))
-@example(entries={})
-@settings(max_examples=100, deadline=None)
-def test_embedding_cache_round_trips(tmp_path_factory, entries):
-    path = tmp_path_factory.mktemp("cache") / "embedding_cache.npz"
-    cache = CachingEmbedder(Fixed(entries), path)
-    for text in entries:
-        cache.embed(text)
-    cache.save()
+def cache_files(path):
+    """Segment 0 at ``path`` and the numbered segments beside it."""
+    return [path, *numbered_segments(path).values()]
 
-    _, keys, vectors = read_npz(path, "embedding cache", Fixed.backend_id, "keys")
-    assert keys == sorted(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in entries)
-    with np.load(path, allow_pickle=False) as data:
-        assert data["keys"].dtype.kind == "S"  # ASCII bytes, not 4-byte unicode
-    # the width is that of the vectors held, so an empty cache is (0, 0)
-    assert vectors.shape == (len(entries), 3 if entries else 0)
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@given(saves=st.lists(st.dictionaries(st.text(min_size=1), vectors, max_size=4), min_size=1, max_size=12))
+@example(saves=[{}])
+@settings(max_examples=100, deadline=None)
+def test_embedding_cache_round_trips(tmp_path_factory, saves):
+    # each save is a fresh process embedding one batch; a text in two batches
+    # is embedded once, and more saves than MAX_CACHE_SEGMENTS compact
+    path = tmp_path_factory.mktemp("cache") / "embedding_cache.npz"
+    entries = {}
+    for batch in saves:
+        for text, vector in batch.items():
+            entries.setdefault(text, vector)
+    for batch in saves:
+        cache = CachingEmbedder(Fixed(entries), path)
+        for text in batch:
+            cache.embed(text)
+        cache.save()
+    assert len(cache_files(path)) <= MAX_CACHE_SEGMENTS
+
+    union = {}
+    for segment in cache_files(path):
+        _, keys, vectors = read_npz(segment, "embedding cache", Fixed.backend_id, "keys")
+        assert keys == sorted(keys)
+        assert not union.keys() & keys
+        union.update(zip(keys, vectors))
+        with np.load(segment, allow_pickle=False) as data:
+            assert data["keys"].dtype.kind == "S"  # ASCII bytes, not 4-byte unicode
+    assert sorted(union) == sorted(digest(text) for text in entries)
+    for text, vector in entries.items():
+        assert union[digest(text)].tobytes() == vector.tobytes()  # bit-identical, -0.0 too
+    if not entries:  # the width is that of the vectors held, so an empty cache is (0, 0)
+        assert read_npz(path, "embedding cache", Fixed.backend_id, "keys")[2].shape == (0, 0)
+
     reloaded = CachingEmbedder(Fixed({}), path)
     for text, vector in entries.items():
-        assert reloaded.embed(text).tobytes() == vector.tobytes()  # bit-identical, -0.0 too
+        assert reloaded.embed(text).tobytes() == vector.tobytes()
     assert reloaded.backend_calls == 0
-    saved = path.read_bytes()
-    reloaded.save()
-    assert path.read_bytes() == saved
+    saved = {segment: segment.read_bytes() for segment in cache_files(path)}
+    reloaded.save()  # nothing new: nothing written
+    assert {segment: segment.read_bytes() for segment in cache_files(path)} == saved
 
 
 def test_cache_with_str_keys_loads_without_calls(tmp_path):
@@ -359,6 +403,126 @@ def test_cache_keys_that_are_not_ascii_are_an_input_error(built, capsys):
     assert next_command("embedding_cache.npz", out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
     assert str(path) in err and "not ASCII" in err and "Traceback" not in err
+
+
+def test_key_in_two_segments_is_an_input_error_naming_the_later(built, capsys):
+    out, queries = built
+    with np.load(out / CACHE, allow_pickle=False) as data:
+        taken = data["keys"][0]
+
+    def repeat_earlier(keys):
+        keys = keys.copy()
+        keys[0] = taken
+        return keys
+
+    edit_array(out / f"{CACHE}.1", "keys", repeat_earlier)
+    assert next_command(CACHE, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(out / f"{CACHE}.1") in err and taken.decode() in err and "earlier segment" in err
+
+
+def test_segments_of_different_widths_are_an_input_error(built, capsys):
+    out, queries = built
+    edit_array(out / f"{CACHE}.1", "vectors", lambda vectors: vectors[:, :-1])
+    assert next_command(CACHE, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(out / f"{CACHE}.1") in err and "width 255" in err
+
+
+def test_backend_width_other_than_the_cache_is_a_backend_error(tmp_path):
+    path = tmp_path / CACHE
+    first = CachingEmbedder(Fixed({"a": np.ones(3)}), path)
+    first.embed("a")
+    first.save()
+    wider = Fixed({"b": np.ones(4)})
+    wider.dimension = 4
+    rerun = CachingEmbedder(wider, path)
+    with pytest.raises(BackendError, match="dimension 4, expected 3"):
+        rerun.embed("b")
+    rerun.save()
+    assert cache_files(path) == [path]  # nothing new to write, no segment of width 4
+
+
+def test_stray_temp_file_is_not_a_segment(built):
+    out, _ = built
+    stray = out / f"{CACHE}.2.tmp"
+    stray.write_bytes(b"torn")
+    assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
+    assert numbered_segments(out / CACHE) == {1: out / f"{CACHE}.1"}
+    cache = CachingEmbedder(HashingEmbedder(), out / CACHE)
+    cache.embed("a text no command embedded")
+    cache.save()  # the stray's name is taken over by the segment it was to become
+    assert numbered_segments(out / CACHE) == {1: out / f"{CACHE}.1", 2: out / f"{CACHE}.2"}
+    assert not stray.exists()
+
+
+class Killed(Exception):
+    """Stands for a process killed at a file operation."""
+
+
+@pytest.mark.parametrize("fillers", [0, MAX_CACHE_SEGMENTS - 2], ids=["save", "compaction"])
+def test_a_kill_at_any_step_of_a_save_leaves_a_cache_that_loads(built, tmp_path, monkeypatch, fillers):
+    out, _ = built
+    path = out / CACHE
+    # each filler save adds one segment; with MAX_CACHE_SEGMENTS of them the next save compacts
+    for i in range(fillers):
+        cache = CachingEmbedder(HashingEmbedder(), path)
+        cache.embed(f"filler {i}")
+        cache.save()
+    before = {p: p.read_bytes() for p in cache_files(path)}
+    purposes = f"scripted:{tmp_path / 'purposes.json'}"
+    real_replace, real_unlink = os.replace, Path.unlink
+
+    steps = 0
+    while True:
+        for leftover in out.glob(f"{CACHE}*"):
+            leftover.unlink()
+        for segment, content in before.items():
+            segment.write_bytes(content)
+        cache = CachingEmbedder(HashingEmbedder(), path)
+        cache.embed("the text this save writes")
+        done = 0
+
+        def step(operation):
+            def run(*args, **kwargs):
+                nonlocal done
+                if done == steps:
+                    raise Killed
+                done += 1
+                return operation(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(os, "replace", step(real_replace))
+        monkeypatch.setattr(Path, "unlink", step(real_unlink))
+        try:
+            cache.save()
+            finished = True
+        except Killed:
+            finished = False
+        monkeypatch.undo()
+
+        # the cache loads and holds every entry saved before: no command asks the backend
+        def no_call(self, text):
+            raise AssertionError(f"backend asked to embed {text!r}")
+
+        monkeypatch.setattr(HashingEmbedder, "embed", no_call)
+        assert main(["enrich", "--out-dir", str(out), "--generator", purposes]) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
+        reloaded = CachingEmbedder(HashingEmbedder(), path)
+        for i in range(fillers):
+            reloaded.embed(f"filler {i}")
+        monkeypatch.undo()
+        # either the old segments, the old ones plus the new, or one compacted segment 0
+        files = cache_files(path)
+        assert files in (list(before), list(before) + [segment_path(path, len(before))], [path])
+        if finished:
+            assert len(files) == (1 if fillers else len(before) + 1)
+            break
+        steps += 1
+    # each file operation was a kill point: the rename, the removal of the
+    # temp file and, in a compaction, the deletion of each absorbed segment
+    assert steps == 2 + (MAX_CACHE_SEGMENTS - 1 if fillers else 0)
 
 
 @pytest.mark.parametrize("rows, width", [(0, 0), (1, 3), (3000, 64)])

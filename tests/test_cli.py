@@ -335,6 +335,19 @@ class TestCache:
     def test_requires_corpus(self, out_dir):
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_INPUT
 
+    def test_clean_rerun_writes_no_embedding_cache_file(self, out_dir, sources, tmp_path):
+        a, b = sources
+        build_all(out_dir, tmp_path, a, b)
+        files = sorted(p.name for p in out_dir.iterdir())
+        # enrich wrote segment 0, cache the column vectors as segment 1
+        segments = sorted(out_dir.glob("embedding_cache.npz*"))
+        assert [p.name for p in segments] == ["embedding_cache.npz", "embedding_cache.npz.1"]
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in segments]
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == files
+        assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in segments] == before
+
     @pytest.mark.parametrize("cell", [5, 1.5, True, ["x"], {"x": 1}], ids=["int", "float", "bool", "list", "object"])
     def test_cell_that_is_not_text_or_null_is_input_error(self, out_dir, sources, capsys, cell):
         a, b = sources
@@ -438,11 +451,12 @@ class TestRetrieve:
 
     def test_does_not_read_the_embedding_cache(self, built):
         out_dir, queries = built
-        cache = out_dir / "embedding_cache.npz"
-        cache.write_bytes(b"torn")
+        segments = [out_dir / "embedding_cache.npz", out_dir / "embedding_cache.npz.1"]
+        for segment in segments:
+            segment.write_bytes(b"torn")
         argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
         assert main(argv) == EXIT_OK
-        assert cache.read_bytes() == b"torn"
+        assert [segment.read_bytes() for segment in segments] == [b"torn", b"torn"]
 
     def test_k_limits_candidates(self, built, tmp_path):
         out_dir, queries = built

@@ -328,8 +328,11 @@ class TestHttpGenerationClient:
             {"text": "hi", "input_tokens": True, "output_tokens": 1},
             {"text": "hi", "input_tokens": "4", "output_tokens": 1},
             ["hi", 4, 1],
+            {"text": None, "input_tokens": 4, "output_tokens": 1},
+            {"text": ["hi"], "input_tokens": 4, "output_tokens": 1},
+            {"text": 7, "input_tokens": 4, "output_tokens": 1},
         ],
-        ids=["no-text", "negative", "fraction", "bool", "string", "list-body"],
+        ids=["no-text", "negative", "fraction", "bool", "string", "list-body", "null-text", "list-text", "number-text"],
     )
     def test_malformed_counts_or_body_rejected(self, body):
         transport, calls = make_transport([(200, body)])
