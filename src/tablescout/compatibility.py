@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -66,15 +67,21 @@ class ColumnProfile:
     vector: np.ndarray
 
     @classmethod
-    def of(cls, column: Column, embedder: Embedder) -> "ColumnProfile":
+    def of(cls, column: Column, vector: np.ndarray) -> "ColumnProfile":
         non_null = column.non_null_values()
         values = frozenset(non_null)
         return cls(
             values=values,
             is_key=bool(values) and len(values) == len(non_null),
             name_key=_name_key(column.name),
-            vector=embedder.embed(header_text(column)),
+            vector=vector,
         )
+
+
+def profile_columns(columns: Sequence[Column], embedder: Embedder) -> list[ColumnProfile]:
+    """Profile ``columns``, their headers embedded as one batch."""
+    vectors = embedder.embed_many([header_text(column) for column in columns])
+    return [ColumnProfile.of(column, vector) for column, vector in zip(columns, vectors)]
 
 
 def _contained(sa: frozenset[str], sb: frozenset[str]) -> bool:
@@ -117,7 +124,7 @@ def column_pair_score(a: Column, b: Column, embedder: Embedder) -> float:
     Jaccard, header-embedding cosine clamped at zero, and exact header-name
     agreement.
     """
-    return _profile_score(ColumnProfile.of(a, embedder), ColumnProfile.of(b, embedder))
+    return _profile_score(*profile_columns([a, b], embedder))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +168,7 @@ def table_compatibility(
         raise ValueError("table compatibility requires two distinct tables")
     a, b = (ti, tj) if ti.id < tj.id else (tj, ti)
     if _profiles is None:
-        _profiles = {t.id: [ColumnProfile.of(c, embedder) for c in t.columns] for t in (a, b)}
+        _profiles = {t.id: profile_columns(t.columns, embedder) for t in (a, b)}
     best: tuple[float, int, int] | None = None
     for pos_a, pa in enumerate(_profiles[a.id]):
         for pos_b, pb in enumerate(_profiles[b.id]):
@@ -276,15 +283,16 @@ def _strip_table_prefix(qualified: str, table_id: str, path: str | Path) -> str:
 def build_cache(corpus: TableCorpus, embedder: Embedder) -> CompatibilityCache:
     """Score every table pair that value blocking can reach.
 
-    Each column is profiled (and its header embedded) once. A valid column
-    pair has a non-empty side ``p`` whose values all occur in the other side
-    ``q``, with ``q`` holding at least as many distinct values; so ``q`` holds
-    ``p``'s rarest value. Only table pairs marked through that one value are
-    scored, by :func:`table_compatibility` over all their column pairs; every
-    other pair has no valid column pair and scores zero.
+    Each column is profiled once, and every header is embedded in one batch.
+    A valid column pair has a non-empty side ``p`` whose values all occur in
+    the other side ``q``, with ``q`` holding at least as many distinct values;
+    so ``q`` holds ``p``'s rarest value. Only table pairs marked through that
+    one value are scored, by :func:`table_compatibility` over all their
+    column pairs; every other pair has no valid column pair and scores zero.
     """
     tables = sorted(corpus, key=lambda t: t.id)
-    profiles = {t.id: [ColumnProfile.of(c, embedder) for c in t.columns] for t in tables}
+    profiled = iter(profile_columns([c for t in tables for c in t.columns], embedder))
+    profiles = {t.id: list(islice(profiled, len(t.columns))) for t in tables}
     postings: dict[str, list[tuple[str, ColumnProfile]]] = defaultdict(list)
     for table in tables:
         for profile in profiles[table.id]:

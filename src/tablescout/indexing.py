@@ -30,7 +30,7 @@ from .artifacts import (
     write_npz,
 )
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
-from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine
+from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine_of_norms
 
 PURPOSE_PROMPT = (
     "Given the following table, describe the purpose of this table in "
@@ -231,7 +231,8 @@ class DenseIndex:
         self.ids: tuple[str, ...] = tuple(str(ids[i]) for i in order)
         self.vectors: np.ndarray = np.asarray(vectors, dtype=np.float64)[order]
         self.backend_id = backend_id
-        self._norms = np.linalg.norm(self.vectors, axis=1)
+        # each row's norm as ``cosine`` computes it, so rescoring reuses it
+        self._norms = np.array([float(np.linalg.norm(row)) for row in self.vectors], dtype=np.float64)
         self._safe = (self._norms >= SAFE_NORMS[0]) & (self._norms <= SAFE_NORMS[1])
 
     def __len__(self) -> int:
@@ -243,11 +244,11 @@ class DenseIndex:
 
     @classmethod
     def build(cls, texts: Mapping[str, str], embedder: Embedder) -> "DenseIndex":
-        """Embed each table text (in sorted-id order) into an index."""
+        """Embed every table text, as one batch in sorted-id order, into an index."""
         if not texts:
             return cls(ids=[], vectors=np.zeros((0, 0)), backend_id=embedder.backend_id)
         ids = sorted(texts)
-        vectors = np.stack([np.asarray(embedder.embed(texts[i]), dtype=np.float64) for i in ids])
+        vectors = embedder.embed_many([texts[i] for i in ids])
         return cls(ids=ids, vectors=vectors, backend_id=embedder.backend_id)
 
     def search(self, query_vector: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -278,7 +279,7 @@ class DenseIndex:
         )
         kth = np.partition(scores, n - k)[n - k]
         band = np.flatnonzero((scores >= kth - EPS) | ~safe)
-        rescored = [(cosine(self.vectors[i], q), int(i)) for i in band]
+        rescored = [(cosine_of_norms(self.vectors[i], q, self._norms[i], q_norm), int(i)) for i in band]
         rescored.sort(key=lambda pair: (-pair[0], pair[1]))  # row order is id order
         return [(self.ids[i], score) for score, i in rescored[:k]]
 

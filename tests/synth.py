@@ -37,6 +37,9 @@ class MappedEmbedder:
     def embed(self, text):
         return self.mapping[text]
 
+    def embed_many(self, texts):
+        return np.array([self.mapping[text] for text in texts]).reshape(len(texts), self.dimension)
+
 
 # ---------------------------------------------------------------------------
 # Oracle

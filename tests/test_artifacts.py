@@ -319,6 +319,9 @@ class Fixed:
     def embed(self, text):
         return self.vectors[text]
 
+    def embed_many(self, texts):
+        return np.array([self.vectors[text] for text in texts]).reshape(len(texts), self.dimension)
+
 
 finite = st.floats(width=64, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)

@@ -20,7 +20,6 @@ from tablescout import (
 )
 from tablescout.compatibility import (
     JOINABILITY_THRESHOLD,
-    ColumnProfile,
     GoldJoin,
     JoinEdge,
     _contained,
@@ -28,6 +27,7 @@ from tablescout.compatibility import (
     evaluate_cache,
     gold_joins_from_records,
     header_text,
+    profile_columns,
     table_compatibility,
 )
 from tablescout import compatibility
@@ -45,7 +45,7 @@ def make_table(table_id, column_names, rows):
 
 
 def profile(column):
-    return ColumnProfile.of(column, HashingEmbedder(dimension=16))
+    return profile_columns([column], HashingEmbedder(dimension=16))[0]
 
 
 def is_key(column):
@@ -72,6 +72,10 @@ class CountingEmbedder(HashingEmbedder):
     def embed(self, text):
         self.calls += 1
         return super().embed(text)
+
+    def embed_many(self, texts):
+        self.calls += len(texts)
+        return super().embed_many(texts)
 
 
 # ---------------------------------------------------------------------------

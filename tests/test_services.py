@@ -20,6 +20,7 @@ from tablescout import (
     TokenLedger,
 )
 from tablescout.services import (
+    DEFAULT_STUB_DIMENSION,
     CachingEmbedder,
     GenerationRequest,
     HttpEmbeddingClient,
@@ -55,15 +56,39 @@ class TestHashingEmbedder:
             min_size=1,
             max_size=8,
         ),
-        st.sampled_from([1, 2, 16, 256, 257]),
+        # at 20000 the batch kernel holds one text per chunk
+        st.sampled_from([1, 2, 16, 256, 257, 20000]),
     )
     @settings(max_examples=200, deadline=None)
     def test_equals_reference_warm_and_fresh(self, texts, dimension):
+        expected = [reference_embed(text, dimension).tobytes() for text in texts]
+        # the loop warms the memo for the kernel, and the kernel for the loop
         warm = HashingEmbedder(dimension)
-        for text in texts:
-            expected = reference_embed(text, dimension).tobytes()
-            assert warm.embed(text).tobytes() == expected
-            assert HashingEmbedder(dimension).embed(text).tobytes() == expected
+        assert [warm.embed(text).tobytes() for text in texts] == expected
+        assert [row.tobytes() for row in warm.embed_many(texts)] == expected
+        fresh = HashingEmbedder(dimension)
+        assert [row.tobytes() for row in fresh.embed_many(texts)] == expected
+        assert [fresh.embed(text).tobytes() for text in texts] == expected
+        assert [HashingEmbedder(dimension).embed(text).tobytes() for text in texts] == expected
+
+    # one chunk of the batch kernel holds 64 texts at the default dimension
+    @pytest.mark.parametrize("n", [1, 64, 65])
+    def test_batch_equals_reference_across_chunks(self, n):
+        texts = [f"t{i % 9}.column_{i} Table content: | {i} |" for i in range(n)]
+        vectors = HashingEmbedder().embed_many(texts)
+        assert vectors.shape == (n, DEFAULT_STUB_DIMENSION)
+        for text, row in zip(texts, vectors):
+            assert row.tobytes() == reference_embed(text, DEFAULT_STUB_DIMENSION).tobytes()
+
+    def test_empty_batch_gives_no_rows(self):
+        assert HashingEmbedder(dimension=8).embed_many([]).shape == (0, 8)
+
+    @pytest.mark.parametrize("position", [0, 1, 63, 64])
+    def test_empty_string_anywhere_in_a_batch_rejected(self, position):
+        texts = [f"text {i}" for i in range(65)]
+        texts[position] = ""
+        with pytest.raises(ValueError, match="empty string"):
+            HashingEmbedder().embed_many(texts)
 
     def test_zero_norm_falls_back_to_first_axis(self):
         # at dimension 1 the trigrams of " ab " take opposite signs and cancel
@@ -88,6 +113,8 @@ class TestHashingEmbedder:
         # every index.npz, embedding cache and compat_cache.json is keyed to
         # these vectors through backend_id; a drift must fail here, not re-key
         assert hashlib.sha256(HashingEmbedder().embed(text).tobytes()).hexdigest() == digest
+        row = HashingEmbedder().embed_many(["another text", text])[1]
+        assert hashlib.sha256(row.tobytes()).hexdigest() == digest
 
     def test_identical_input_identical_vector(self):
         e = HashingEmbedder()
@@ -293,6 +320,12 @@ class TestHttpEmbeddingClient:
         with pytest.raises(BackendError, match="malformed|not an object"):
             client.embed("x")
 
+    def test_batch_sends_one_request_per_text(self):
+        transport, calls = make_transport([(200, {"embedding": [1.0, 0.0]}), (200, {"embedding": [0.0, 1.0]})])
+        client = HttpEmbeddingClient("http://svc", "m", transport=transport, sleep=lambda s: None)
+        assert client.embed_many(["a", "b"]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert [call["payload"]["input"] for call in calls] == ["a", "b"]
+
     def test_api_key_header_from_environment(self, monkeypatch):
         monkeypatch.setenv("TABLESCOUT_API_KEY", "sekrit")
         transport, calls = make_transport([(200, {"embedding": [1.0]})])
@@ -408,6 +441,48 @@ class TestCachingEmbedder:
         empty_path = tmp_path / "empty.npz"
         CachingEmbedder(client([]), empty_path).save()
         assert CachingEmbedder(client([]), empty_path).backend_calls == 0
+
+    def test_batch_sends_each_distinct_miss_once(self, tmp_path):
+        class Recording(HashingEmbedder):
+            def __init__(self):
+                super().__init__(dimension=16)
+                self.batches = []
+
+            def embed_many(self, texts):
+                self.batches.append(list(texts))
+                return super().embed_many(texts)
+
+        path = tmp_path / "cache.npz"
+        backend = Recording()
+        cached = CachingEmbedder(backend, path)
+        assert cached.embed_many(["old"]).tobytes() == HashingEmbedder(16).embed("old").tobytes()
+        texts = ["new", "old", "new", "other", "old"]
+        vectors = cached.embed_many(texts)
+        assert backend.batches == [["old"], ["new", "other"]]
+        assert cached.backend_calls == 3
+        assert [row.tobytes() for row in vectors] == [HashingEmbedder(16).embed(t).tobytes() for t in texts]
+        assert cached.embed_many(["other", "old"]).tobytes() == vectors[[3, 1]].tobytes()
+        assert backend.batches == [["old"], ["new", "other"]]
+        cached.save()
+        reloaded = CachingEmbedder(Recording(), path)
+        assert reloaded.embed_many(texts).tobytes() == vectors.tobytes()
+        assert reloaded.backend_calls == 0
+
+    def test_batch_of_wrong_width_leaves_cache_unchanged(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        first = CachingEmbedder(HashingEmbedder(dimension=2), path)
+        first.embed("kept")
+        first.save()
+        files = [(p.name, p.read_bytes()) for p in sorted(tmp_path.iterdir())]
+        # a backend under the same id whose vectors came back wider than the cache's
+        wide = HashingEmbedder(dimension=3)
+        wide.backend_id = first.backend_id
+        cached = CachingEmbedder(wide, path)
+        with pytest.raises(BackendError, match="expected width 2"):
+            cached.embed_many(["kept", "fresh", "other"])
+        assert cached.backend_calls == 0
+        cached.save()
+        assert [(p.name, p.read_bytes()) for p in sorted(tmp_path.iterdir())] == files
 
     def test_passthrough_properties(self):
         backend = HashingEmbedder(dimension=16)
