@@ -81,13 +81,25 @@ def write_lines(path: str | Path, lines: list[str]) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+def _parse(text: str) -> object:
+    """``json.loads(text)``; a lone surrogate, which is not UTF-8 text, raises ``ValueError``."""
+    data = json.loads(text)
+    # text decoded from UTF-8 holds no surrogate, so only a \u escape can put one in data
+    if "\\u" in text:
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{exc.object[exc.start]!r} is a lone surrogate, not UTF-8 text") from None
+    return data
+
+
 def read_json(path: str | Path, what: str, error: type[Exception] = CorpusError) -> object:
     """Parse a JSON file; ``what`` names it in the ``error`` raised on failure."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return _parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+    except ValueError as exc:  # invalid UTF-8, invalid JSON or a lone surrogate
         raise error(f"malformed {what} {path}: {exc}") from exc
 
 
@@ -217,8 +229,8 @@ def _json_object(line: str | bytes, path: str | Path, lineno: int) -> dict:
     """One line of a JSON-lines file parsed; anything but a JSON object raises
     :class:`CorpusError` naming ``path:lineno``."""
     try:
-        record = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
-    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        record = _parse(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except ValueError as exc:  # invalid UTF-8, invalid JSON or a lone surrogate
         raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise CorpusError(f"{path}:{lineno}: expected a JSON object")

@@ -43,10 +43,12 @@ from .evaluation import (
     OUTPUT_RATE_PER_MILLION,
     CostLedger,
     ExecutionOutcome,
+    check_database,
     cost_estimate,
     evaluate_selection,
     execution_match,
     generate_sql,
+    gold_query,
     load_gold_queries,
     load_result_records,
     render_execution_table,
@@ -85,6 +87,14 @@ EXIT_BACKEND = 4
 # ---------------------------------------------------------------------------
 
 
+def _http_spec(spec: str, kind: str) -> tuple[str, str]:
+    """The ``(base_url, model)`` of an ``http:<base_url>,<model>`` spec."""
+    url, sep, model = spec[len("http:") :].rpartition(",")
+    if not sep or not url or not model:
+        raise ConfigError(f"http {kind} spec must be http:<base_url>,<model>: {spec!r}")
+    return url, model
+
+
 def parse_embedder_spec(spec: str) -> Embedder:
     """stub | stub:<dim> | http:<base_url>,<model>"""
     if spec == "stub":
@@ -95,11 +105,7 @@ def parse_embedder_spec(spec: str) -> Embedder:
         except ValueError as exc:
             raise ConfigError(f"bad stub embedder spec {spec!r}: {exc}") from exc
     if spec.startswith("http:"):
-        rest = spec[len("http:") :]
-        url, sep, model = rest.rpartition(",")
-        if not sep or not url or not model:
-            raise ConfigError(f"http embedder spec must be http:<base_url>,<model>: {spec!r}")
-        return HttpEmbeddingClient(url, model)
+        return HttpEmbeddingClient(*_http_spec(spec, "embedder"))
     raise ConfigError(f"unknown embedder spec {spec!r}")
 
 
@@ -112,11 +118,7 @@ def parse_generator_spec(spec: str) -> Generator:
             raise ConfigError(f"scripted responses {path} must be a JSON list")
         return ScriptedGenerator(responses=responses)
     if spec.startswith("http:"):
-        rest = spec[len("http:") :]
-        url, sep, model = rest.rpartition(",")
-        if not sep or not url or not model:
-            raise ConfigError(f"http generator spec must be http:<base_url>,<model>: {spec!r}")
-        return HttpGenerationClient(url, model)
+        return HttpGenerationClient(*_http_spec(spec, "generator"))
     raise ConfigError(f"unknown generator spec {spec!r}")
 
 
@@ -143,14 +145,14 @@ def _generator(args: argparse.Namespace, missing: str) -> Generator:
     return parse_generator_spec(args.generator)
 
 
-def _load_queries(path: str | Path, what: str = "queries file") -> list[tuple[str, str]]:
-    """JSON lines {query_id, question} -> [(query_id, question)].
+def _query_lines(path: str | Path, what: str) -> list[tuple[str, dict]]:
+    """(``path:lineno``, object) for each line of a queries or gold file.
 
     Each line needs a string query_id no earlier line holds and a question
     that is not blank; a bad line raises :class:`CorpusError` naming
     ``path:lineno``.
     """
-    pairs = []
+    lines = []
     seen: set[str] = set()
     for lineno, record in read_jsonl(path, what):
         where = f"{path}:{lineno}"
@@ -161,10 +163,18 @@ def _load_queries(path: str | Path, what: str = "queries file") -> list[tuple[st
         if query_id in seen:
             raise CorpusError(f"malformed {what} {where}: repeated query_id {query_id!r}")
         seen.add(query_id)
-        pairs.append((query_id, question))
-    if not pairs:
+        lines.append((where, record))
+    if not lines:
         raise CorpusError(f"{what} {path} holds no queries")
-    return pairs
+    return lines
+
+
+def _check_query_flags(args: argparse.Namespace) -> None:
+    """Refuse a ``--k`` or ``--tau`` out of range before anything is read."""
+    if args.k < 1:
+        raise ConfigError(f"k must be at least 1, got {args.k}")
+    if not 0.0 <= args.tau <= 1.0:
+        raise ConfigError(f"tau must lie in [0, 1], got {args.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +192,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             label, path = Path(item).stem, item
         if label in seen_labels:
             raise ConfigError(f"duplicate source label {label!r}")
+        try:
+            label.encode("utf-8")  # a name that is not UTF-8 decodes to lone surrogates
+        except UnicodeEncodeError:
+            raise CorpusError(f"source {item!r}: label {label!r} is not UTF-8 text") from None
         seen_labels.add(label)
         source = Path(path)
         sources.append((label, load_tables(source, "csv-dir" if source.is_dir() else "sqlite-file")))
@@ -249,17 +263,9 @@ def _build_pipeline(
     answers with the dense top-k, under ``--fallback-only``."""
     # only the query is embedded, so the embedding cache is neither read nor written
     embedder = parse_embedder_spec(args.embedder)
-    index = DenseIndex.load(
-        _require_artifact(out / "index.npz", "enrich"), embedder.backend_id
-    )
-    cache = CompatibilityCache.load(
-        _require_artifact(out / "compat_cache.json", "cache"), embedder.backend_id
-    )
+    index = DenseIndex.load(_require_artifact(out / "index.npz", "enrich"), embedder.backend_id)
+    cache = CompatibilityCache.load(_require_artifact(out / "compat_cache.json", "cache"), embedder.backend_id)
     store = EnrichmentStore(_require_artifact(out / "enriched.json", "enrich"))
-    if args.k < 1:
-        raise ConfigError(f"k must be at least 1, got {args.k}")
-    if not 0.0 <= args.tau <= 1.0:
-        raise ConfigError(f"tau must lie in [0, 1], got {args.tau}")
     ledger = TokenLedger()
     pipeline = OnlinePipeline(
         index,
@@ -275,16 +281,14 @@ def _build_pipeline(
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
+    _check_query_flags(args)
     out = _out_dir(args)
     generator = None
     if not args.fallback_only:
         generator = _generator(args, "a generator is required unless --fallback-only is set")
     pipeline, _, ledger = _build_pipeline(args, out, generator)
-    queries = _load_queries(args.queries)
-    lines = []
-    for query_id, question in queries:
-        result = pipeline.run_query(question)
-        lines.append(record_line(result_record(query_id, result)))
+    queries = [record for _, record in _query_lines(args.queries, "queries file")]
+    lines = [record_line(result_record(q["query_id"], pipeline.run_query(q["question"]))) for q in queries]
     write_lines(out / "results.jsonl", lines)
     logger.info(
         "retrieved %d queries, selection tokens in/out = %d/%d",
@@ -338,12 +342,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_e2e(args: argparse.Namespace) -> int:
+    _check_query_flags(args)
     out = _out_dir(args)
     sql_generator = _generator(args, "e2e needs a generator (it writes SQL)")
-    pipeline, store, ledger = _build_pipeline(args, out, sql_generator)
     # e2e runs every gold query, so each gold line must be a valid query too
-    _load_queries(args.gold, "gold file")
-    gold = load_gold_queries(args.gold)
+    gold = [gold_query(record, where) for where, record in _query_lines(args.gold, "gold file")]
+    check_database(args.db)
+    pipeline, store, ledger = _build_pipeline(args, out, sql_generator)
     lines = []
     eval_pairs = []
     em_results = []
@@ -373,11 +378,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         em_summary = stratified_execution_summary(em_results)
         report["execution"] = em_summary
         print(render_execution_table(em_summary))
-    cost = CostLedger.from_token_ledger(
-        ledger,
-        input_rate_per_million=args.input_rate,
-        output_rate_per_million=args.output_rate,
-    )
+    cost = CostLedger.from_token_ledger(ledger, args.input_rate, args.output_rate)
     report["cost"] = {
         "input_tokens": cost.input_tokens,
         "output_tokens": cost.output_tokens,

@@ -236,6 +236,10 @@ def _record_line(path: Path, number: int) -> int:
 
 
 def _load_csv_table(path: Path) -> Table:
+    try:
+        path.stem.encode("utf-8")  # a name that is not UTF-8 decodes to lone surrogates
+    except UnicodeEncodeError:
+        raise CorpusError(f"{path.parent}: file name {path.name!r} is not UTF-8 text") from None
     with _csv_reader(path) as reader:
         records = list(reader)
     if not records:

@@ -132,29 +132,27 @@ def _table_ids(record: dict, field: str, where: str, what: str) -> list[str]:
     return values
 
 
-def load_gold_queries(path: str | Path) -> list[GoldQuery]:
-    """Read gold annotations from JSON lines: {query_id, question, gold_tables, gold_sql?}.
-
-    A line whose query_id is not a string, whose gold_tables is not a list of
-    strings or whose gold_sql is present but neither a string nor null raises
-    :class:`CorpusError` naming ``path:lineno``.
+def gold_query(record: dict, where: str) -> GoldQuery:
+    """The gold line ``{query_id, question, gold_tables, gold_sql?}`` at
+    ``where`` (``path:lineno``). A query_id that is not a string, a
+    gold_tables that is not a list of strings or a gold_sql present but
+    neither a string nor null raises :class:`CorpusError` naming ``where``.
     """
     what = "gold file"
-    gold = []
-    for lineno, record in read_jsonl(path, what):
-        where = f"{path}:{lineno}"
-        gold_sql = record.get("gold_sql")
-        if gold_sql is not None:
-            require(record, "gold_sql", where, what, str)
-        gold.append(
-            GoldQuery(
-                query_id=require(record, "query_id", where, what, str),
-                question=str(record.get("question", "")),
-                gold_tables=frozenset(_table_ids(record, "gold_tables", where, what)),
-                gold_sql=gold_sql,
-            )
-        )
-    return gold
+    gold_sql = record.get("gold_sql")
+    if gold_sql is not None:
+        require(record, "gold_sql", where, what, str)
+    return GoldQuery(
+        query_id=require(record, "query_id", where, what, str),
+        question=str(record.get("question", "")),
+        gold_tables=frozenset(_table_ids(record, "gold_tables", where, what)),
+        gold_sql=gold_sql,
+    )
+
+
+def load_gold_queries(path: str | Path) -> list[GoldQuery]:
+    """Read gold annotations from JSON lines, each checked by :func:`gold_query`."""
+    return [gold_query(record, f"{path}:{lineno}") for lineno, record in read_jsonl(path, "gold file")]
 
 
 def load_result_records(path: str | Path) -> list[dict]:
@@ -298,6 +296,19 @@ class ExecutionOutcome:
         return self.status == "match"
 
 
+def check_database(db_path: str | Path) -> None:
+    """Open this thread's held connection to ``db_path``, which
+    :func:`execution_match` reuses, and read its schema; a file SQLite
+    cannot read raises :class:`CorpusError` naming it."""
+    try:
+        conn = _connection(db_path)
+        conn.set_progress_handler(None, 0)  # the deadline of an earlier statement
+        conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
+    except (OSError, sqlite3.Error) as exc:
+        _release()
+        raise CorpusError(f"cannot read database {db_path}: {exc}") from exc
+
+
 def execution_match(
     db_path: str | Path,
     pred_sql: str,
@@ -397,9 +408,7 @@ def generate_sql(
     """
     tables_content = "\n\n".join(text for _, text in tables)
     prompt = SQL_PROMPT_TEMPLATE.format(question=question, tables_content=tables_content)
-    response = generator.generate(
-        GenerationRequest(prompt=prompt, max_tokens=SQL_MAX_TOKENS, temperature=0.0)
-    )
+    response = generator.generate(GenerationRequest(prompt=prompt, max_tokens=SQL_MAX_TOKENS))
     if ledger is not None:
         ledger.record(SQL_STAGE, response.input_tokens, response.output_tokens)
     text = response.text.strip()

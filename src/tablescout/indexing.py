@@ -30,6 +30,7 @@ from .artifacts import (
     write_npz,
 )
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
+from .errors import BackendMismatchError
 from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine_of_norms
 
 PURPOSE_PROMPT = (
@@ -78,9 +79,7 @@ def generate_purpose(
     """
     rendered = serialize_markdown(table, sample)
     prompt = PURPOSE_PROMPT.replace("{table}", rendered)
-    response = generator.generate(
-        GenerationRequest(prompt=prompt, max_tokens=max_tokens, temperature=0.0)
-    )
+    response = generator.generate(GenerationRequest(prompt=prompt, max_tokens=max_tokens))
     if ledger is not None:
         ledger.record(PURPOSE_STAGE, response.input_tokens, response.output_tokens)
     purpose = response.text.strip()
@@ -252,7 +251,9 @@ class DenseIndex:
         return cls(ids=ids, vectors=vectors, backend_id=embedder.backend_id)
 
     def search(self, query_vector: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Top-k (table_id, cosine) pairs; k is clipped to the index size.
+        """Top-k (table_id, cosine) pairs; k is clipped to the index size. A
+        query vector of another width than the index's, which another
+        embedder gives, raises :class:`BackendMismatchError`.
 
         One matrix-vector product scores every row. The rows within
         ``EPS`` of the k-th of those scores, and any row the product
@@ -267,8 +268,9 @@ class DenseIndex:
             return []
         q = np.asarray(query_vector, dtype=np.float64)
         if q.shape != (self.dimension,):
-            raise ValueError(
-                f"query vector has shape {q.shape}, index dimension is {self.dimension}"
+            raise BackendMismatchError(
+                f"the embedder returned a query vector of width {q.size}, "
+                f"but the index holds vectors of width {self.dimension}"
             )
         n, k = len(self.ids), min(k, len(self.ids))
         q_norm = float(np.linalg.norm(q))

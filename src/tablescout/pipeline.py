@@ -15,10 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .compatibility import CompatibilityCache
-from .errors import BackendError, BackendMismatchError, SelectionParseError
+from .errors import BackendError, SelectionParseError
 from .indexing import DenseIndex
 from .prompts import SELECTION_PROMPT_TEMPLATE
 from .services import Embedder, GenerationRequest, Generator, TokenLedger
@@ -57,19 +55,11 @@ def retrieve_topk(
     """Embed the query and return the ids of the k nearest tables (clamped
     to the index), by descending cosine, ties by ascending table id.
 
-    An empty index gives ``()`` without embedding the query. A query vector
-    whose width differs from the index's raises
-    :class:`BackendMismatchError`: the index was built with another embedder.
+    An empty index gives ``()`` without embedding the query.
     """
     if len(index) == 0:
         return ()
-    vector = np.asarray(embedder.embed(query), dtype=np.float64)
-    if vector.shape != (index.dimension,):
-        raise BackendMismatchError(
-            f"the embedder returned a query vector of width {vector.size}, "
-            f"but the index holds vectors of width {index.dimension}"
-        )
-    return tuple(tid for tid, _ in index.search(vector, k))
+    return tuple(tid for tid, _ in index.search(embedder.embed(query), k))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +105,7 @@ def build_selection_prompt(
         tables_content=tables_content,
         compatibility_analysis=compatibility_analysis,
     )
-    return GenerationRequest(prompt=prompt, max_tokens=SELECTION_MAX_TOKENS, temperature=0.0)
+    return GenerationRequest(prompt=prompt, max_tokens=SELECTION_MAX_TOKENS)
 
 
 def _extract_json_object(text: str) -> dict:

@@ -11,10 +11,10 @@ An embedder serves two kinds of traffic. The offline build embeds a whole
 step's texts at once through ``embed_many``: every enriched table text for
 the dense index, every column header for the compatibility cache. The online
 path embeds one query text at a time through ``embed``. The hashing
-embedder answers each with its own code: a numpy kernel over a batch (the
-1808 build texts of a 602-table pool in 18 ms, against 68 ms one by one)
-and a plain loop over one text (31 us per query, against 69 us through the
-kernel). Both give the same vectors bit for bit.
+embedder answers a batch with a numpy kernel (the 1808 build texts of a
+602-table pool in 18 ms, against 68 ms one by one) and a single text with a
+plain loop (23 us per query, against 82 us through the kernel), bit for bit
+alike. A backend's width is that of the vectors it returns.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ _API_KEY_ENV = "TABLESCOUT_API_KEY"
 _TIMEOUT_SECONDS = 60.0
 _RETRIES = 3
 _BACKOFF_SECONDS = 1.0
+# every generation call is greedy, so a rerun sends the same request
+_TEMPERATURE = 0.0
 #: The most bytes of one chunk's count matrix in ``HashingEmbedder.embed_many``,
 #: which holds 2d int64 counts per text: 64 texts at d = 256. It keeps a wide
 #: stub from allocating n x 2d counts for a whole build step at once.
@@ -65,7 +67,6 @@ def cosine_of_norms(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float
 
 class Embedder(Protocol):
     backend_id: str
-    dimension: int
 
     def embed(self, text: str) -> np.ndarray: ...
 
@@ -93,9 +94,10 @@ class HashingEmbedder:
     vectors are those of hashing every occurrence.
 
     :meth:`embed` walks one text's trigrams in Python: a query is one short
-    text, where that loop took 31 us and the array kernel 69 us.
-    :meth:`embed_many` serves the build's batches with the kernel, chunk by
-    chunk (:data:`_CHUNK_BYTES`): each chunk's trigrams are packed into
+    text, where that loop took 23 us and the array kernel 82 us, so
+    :meth:`embed_many` answers a one-text batch through it too. It serves
+    the build's batches with the kernel, chunk by chunk
+    (:data:`_CHUNK_BYTES`): each chunk's trigrams are packed into
     integers, each distinct one is looked up once, and ``np.bincount`` sums
     the occurrences per row; 1808 build texts took 18 ms that way and 68 ms
     through the loop. Every bucket sum and its square is a small integer, so
@@ -139,6 +141,8 @@ class HashingEmbedder:
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Embed ``texts`` into one ``(n, d)`` array, row ``i`` equal to ``embed(texts[i])``."""
+        if len(texts) == 1:
+            return self.embed(texts[0])[None]
         if "" in texts:
             raise ValueError("cannot embed an empty string")
         out = np.empty((len(texts), self.dimension), dtype=np.float64)
@@ -227,9 +231,8 @@ class CachingEmbedder:
         # numbers of the live numbered segments, and of those segment 0 absorbed
         self._live: list[int] = []
         self._absorbed = 0
-        # the width of the vectors held, not the backend's: an HTTP backend
-        # knows its dimension only after a call, and a fully cached rerun
-        # makes none. None while the cache holds no vector.
+        # the width of the vectors held, set by the first vectors loaded or
+        # embedded; None while the cache holds no vector
         self._width: int | None = None
         self.backend_calls = 0
         if self._path is not None:
@@ -270,10 +273,6 @@ class CachingEmbedder:
     @property
     def backend_id(self) -> str:
         return self._backend.backend_id
-
-    @property
-    def dimension(self) -> int:
-        return self._backend.dimension
 
     @staticmethod
     def _key(text: str) -> str:
@@ -328,25 +327,14 @@ class CachingEmbedder:
         )
 
     def embed(self, text: str) -> np.ndarray:
-        key = self._key(text)
-        hit = self._entries.get(key)
-        if hit is not None:
-            return hit
-        vec = self._backend.embed(text)
-        width = self._width if self._width is not None else self._backend.dimension
-        if len(vec) != width:
-            raise BackendError(f"backend returned dimension {len(vec)}, expected {width}")
-        self._width = width
-        self._entries[key] = vec
-        self._unsaved.append(key)
-        self.backend_calls += 1
-        return vec
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Embed ``texts`` in one backend batch holding each distinct miss once.
 
         The reply is checked whole before any of it is cached, so a bad reply
-        leaves the cache as it was.
+        leaves the cache as it was. Its width must be that of the vectors the
+        cache holds; the first vectors of an empty cache set it.
         """
         keys = [self._key(text) for text in texts]
         misses: dict[str, str] = {}
@@ -355,11 +343,11 @@ class CachingEmbedder:
                 misses.setdefault(key, text)
         if misses:
             vectors = np.asarray(self._backend.embed_many(list(misses.values())), dtype=np.float64)
-            width = self._width if self._width is not None else self._backend.dimension
+            width = vectors.shape[-1] if self._width is None else self._width
             if vectors.shape != (len(misses), width):
                 raise BackendError(
-                    f"backend returned vectors of shape {vectors.shape} for {len(misses)} texts, "
-                    f"expected width {width}"
+                    f"backend returned vectors of shape {vectors.shape} for {len(misses)} texts: "
+                    f"dimension {vectors.shape[-1]}, expected {width}"
                 )
             self._width = width
             self._entries.update(zip(misses, vectors))
@@ -378,9 +366,10 @@ class CachingEmbedder:
 
 @dataclass(frozen=True)
 class GenerationRequest:
+    """One generation call; every call is made at temperature 0."""
+
     prompt: str
     max_tokens: int = 1024
-    temperature: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -545,20 +534,13 @@ class HttpEmbeddingClient(_HttpClient):
     """Text-embedding service client.
 
     POSTs ``{"model", "input"}`` to ``{base_url}/v1/embeddings`` and expects
-    ``{"embedding": [...]}``. The first reply fixes the dimension; later
-    mismatches raise :class:`BackendError`.
+    ``{"embedding": [...]}``. The embedding cache and the dense index check
+    the width of the vectors.
     """
 
     def __init__(self, base_url: str, model: str, **kwargs):
         super().__init__(base_url, model, **kwargs)
-        self._dimension: int | None = None
         self.backend_id = f"http:{model}"
-
-    @property
-    def dimension(self) -> int:
-        if self._dimension is None:
-            raise BackendError("embedding dimension unknown before the first call")
-        return self._dimension
 
     def embed(self, text: str) -> np.ndarray:
         if text == "":
@@ -572,25 +554,23 @@ class HttpEmbeddingClient(_HttpClient):
         vec = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(vec)):
             raise BackendError("embedding reply contains non-finite components")
-        if self._dimension is None:
-            self._dimension = len(vec)
-        elif len(vec) != self._dimension:
-            raise BackendError(
-                f"embedding dimension {len(vec)} does not match earlier {self._dimension}"
-            )
         return vec
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """One request per text, as :meth:`embed` sends it; the protocol has no batch form."""
         vectors = [self.embed(text) for text in texts]
-        return np.array(vectors, dtype=np.float64).reshape(len(texts), self._dimension or 0)
+        widths = sorted(set(map(len, vectors)))
+        if len(widths) > 1:
+            raise BackendError(f"embedding replies of widths {widths} in one batch")
+        return np.array(vectors, dtype=np.float64).reshape(len(texts), widths[0] if widths else 0)
 
 
 class HttpGenerationClient(_HttpClient):
     """Text-generation service client.
 
     POSTs ``{"model", "prompt", "max_tokens", "temperature"}`` to
-    ``{base_url}/v1/generate`` and expects ``{"text", "input_tokens",
+    ``{base_url}/v1/generate``, the temperature always
+    :data:`_TEMPERATURE`, and expects ``{"text", "input_tokens",
     "output_tokens"}``. Failures after the retries surface as
     :class:`BackendError`, never as silently empty text.
     """
@@ -604,7 +584,7 @@ class HttpGenerationClient(_HttpClient):
                 "model": self.model,
                 "prompt": request.prompt,
                 "max_tokens": request.max_tokens,
-                "temperature": request.temperature,
+                "temperature": _TEMPERATURE,
             },
         )
         text = body.get("text")

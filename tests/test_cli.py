@@ -3,6 +3,8 @@
 import csv
 import functools
 import json
+import os
+import pathlib
 import sqlite3
 
 import pytest
@@ -170,6 +172,25 @@ class TestIngest:
         assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"{src / 't.csv'}: not UTF-8 text" in err and "Traceback" not in err
+
+    def test_csv_name_that_is_not_utf8_is_input_error(self, out_dir, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "ok.csv").write_text("a\n1\n")
+        # a Latin-1 name: its stem decodes to a lone surrogate, "caf\udce9"
+        with open(os.path.join(os.fsencode(src), b"caf\xe9.csv"), "wb") as handle:
+            handle.write(b"a,b\n1,2\n")
+        assert main(["ingest", "--out-dir", str(out_dir), f"s={src}"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{src}: file name 'caf\\udce9.csv' is not UTF-8 text" in err and "Traceback" not in err
+        assert not (out_dir / "corpus.json").exists()
+
+    def test_source_label_that_is_not_utf8_is_input_error(self, out_dir, tmp_path, capsys):
+        src = os.path.join(os.fsencode(tmp_path), b"caf\xe9")
+        os.mkdir(src)
+        assert main(["ingest", "--out-dir", str(out_dir), os.fsdecode(src)]) == EXIT_INPUT
+        assert "is not UTF-8 text" in capsys.readouterr().err
+        assert not (out_dir / "corpus.json").exists()
 
     def test_csv_field_over_the_csv_limit_is_input_error(self, out_dir, tmp_path, capsys):
         src = tmp_path / "src"
@@ -362,6 +383,18 @@ class TestCache:
         assert str(path) in err and repr(table["id"]) in err and repr(table["columns"][1]) in err
         assert "row 2" in err and "Traceback" not in err
 
+    def test_cell_holding_a_lone_surrogate_is_input_error(self, out_dir, sources, tmp_path, capsys):
+        a, b = sources
+        assert ingest(out_dir, a, b) == EXIT_OK
+        path = out_dir / "corpus.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["tables"][0]["rows"][1][1] = "\ud800"
+        path.write_text(json.dumps(data), encoding="utf-8")  # ASCII, with the escape "\\ud800"
+        assert enrich(out_dir, tmp_path) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "lone surrogate" in err and "Traceback" not in err
+        assert not (out_dir / "enriched.json.journal").exists()
+
     def test_column_name_that_is_not_text_is_input_error(self, out_dir, sources, capsys):
         a, b = sources
         assert ingest(out_dir, a, b) == EXIT_OK
@@ -518,6 +551,29 @@ class TestRetrieve:
         out_dir, queries = built
         assert retrieve(out_dir, queries, tmp_path, [], "--tau", "1.5") == EXIT_CONFIG
         assert retrieve(out_dir, queries, tmp_path, [], "--k", "0") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", [["--k", "0"], ["--tau", "-0.5"]], ids=["k", "tau"])
+    def test_invalid_tau_and_k_are_refused_before_any_artifact(self, out_dir, tmp_path, capsys, flag):
+        queries = tmp_path / "queries.jsonl"
+        write_jsonl(queries, [{"query_id": "q", "question": "x"}])
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv + flag) == EXIT_CONFIG  # out_dir holds no index
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_query_line_with_a_lone_surrogate_is_input_error(self, built, tmp_path, capsys):
+        out_dir, _ = built
+        queries = tmp_path / "surrogate.jsonl"
+        # a surrogate pair is one character; a lone half is not UTF-8 text
+        queries.write_text(
+            '{"query_id": "q1", "question": "museums \\ud83d\\ude00"}\n'
+            '{"query_id": "q2", "question": "museums \\ud83d"}\n',
+            encoding="utf-8",
+        )
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{queries}:2" in err and "lone surrogate" in err and "Traceback" not in err
+        assert not (out_dir / "results.jsonl").exists()
 
     @pytest.mark.parametrize(
         "record",
@@ -848,6 +904,45 @@ class TestE2E:
         cost = json.loads((out_dir / "e2e_report.json").read_text())["cost"]
         expected = (cost["input_tokens"] * INPUT_RATE_PER_MILLION + cost["output_tokens"] * OUTPUT_RATE_PER_MILLION) / 1e6
         assert cost["dollars"] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("kind", ["missing", "not-a-database", "directory"])
+    def test_unreadable_db_is_refused_before_the_first_query(self, built, tmp_path, capsys, monkeypatch, kind):
+        out_dir, _ = built
+        db = tmp_path / "nosuch.sqlite"
+        if kind == "not-a-database":
+            db.write_text("hello, this is text\n" * 10)
+        elif kind == "directory":
+            db.mkdir()
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"query_id": "q1", "question": "how many museums", "gold_tables": ["museums"],
+                            "gold_sql": "SELECT count(*) FROM museums"}])
+        generator = ScriptedGenerator(reply=lambda prompt: "SELECT 1")
+        monkeypatch.setattr(cli, "parse_generator_spec", lambda spec: generator)
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(db), "--generator", "x"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"cannot read database {db}" in err and "Traceback" not in err
+        assert generator.calls == []
+        assert not (out_dir / "results.jsonl").exists()
+
+    def test_gold_file_is_read_once(self, built, tmp_path, monkeypatch):
+        out_dir, _ = built
+        gold = tmp_path / "gold.jsonl"
+        gold_sql = "SELECT count(*) FROM museums"
+        write_jsonl(gold, [{"query_id": "q1", "question": "how many museums", "gold_tables": ["museums"],
+                            "gold_sql": gold_sql}])
+        reads = []
+        read_text = pathlib.Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", counting)
+        spec = f"scripted:{scripted_file(tmp_path, [selection_json([0]), gold_sql])}"
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
+        assert main([*argv, "--generator", spec]) == EXIT_OK
+        assert reads.count(gold) == 1
 
     def test_needs_generator(self, built, tmp_path):
         out_dir, _ = built

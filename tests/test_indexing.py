@@ -76,11 +76,10 @@ class TestGeneratePurpose:
         assert gen.requests[0].prompt == PURPOSE_PROMPT.replace("{table}", serialize_markdown(table, sample))
         assert store.get("runs").text == enriched_text(table, gen.text, sample)
 
-    def test_request_uses_temperature_zero_and_token_cap(self):
+    def test_request_uses_token_cap(self):
         gen = RecordingGenerator()
         generate_purpose(SIMPLE, gen, sample_rows(SIMPLE))
         request = gen.requests[0]
-        assert request.temperature == 0.0
         assert request.max_tokens == PURPOSE_MAX_TOKENS == 256
 
     def test_none_sentinel_stored_as_empty(self):
@@ -311,7 +310,7 @@ class TestDenseIndex:
 
     def test_rejects_wrong_query_dimension(self):
         index = DenseIndex.build(self.texts(2), HashingEmbedder(16))
-        with pytest.raises(ValueError):
+        with pytest.raises(BackendMismatchError, match="width 8, but the index holds vectors of width 16"):
             index.search(np.ones(8), k=1)
 
     def test_rejects_nonpositive_k(self):

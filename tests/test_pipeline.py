@@ -100,7 +100,7 @@ class TestRetrieveTopk:
 
     def test_empty_index_embeds_nothing(self):
         class Refusing:
-            backend_id, dimension = "refusing", 16
+            backend_id = "refusing"
 
             def embed(self, text):
                 raise AssertionError("an empty index needs no query vector")
@@ -133,7 +133,6 @@ class TestBuildSelectionPrompt:
             compatibility_analysis=expected_pairs,
         )
         assert request.prompt == expected
-        assert request.temperature == 0.0
         assert request.max_tokens == SELECTION_MAX_TOKENS
 
     def test_table_indices_follow_rank_order(self):

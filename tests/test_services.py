@@ -263,7 +263,6 @@ class TestHttpEmbeddingClient:
         client = HttpEmbeddingClient("http://svc", "m1", transport=transport, sleep=lambda s: None)
         vec = client.embed("hello")
         assert list(vec) == [1.0, 0.0]
-        assert client.dimension == 2
         assert calls[0]["url"] == "http://svc/v1/embeddings"
         assert calls[0]["payload"] == {"model": "m1", "input": "hello"}
 
@@ -293,13 +292,13 @@ class TestHttpEmbeddingClient:
         assert len(calls) == 1
 
     def test_dimension_mismatch_detected(self):
+        # the client keeps no width across calls; one batch must hold one width
         transport, _ = make_transport(
             [(200, {"embedding": [1.0, 2.0]}), (200, {"embedding": [1.0]})]
         )
         client = HttpEmbeddingClient("http://svc", "m", transport=transport, sleep=lambda s: None)
-        client.embed("a")
-        with pytest.raises(BackendError, match="dimension"):
-            client.embed("b")
+        with pytest.raises(BackendError, match=re.escape("widths [1, 2]")):
+            client.embed_many(["a", "b"])
 
     @pytest.mark.parametrize(
         "body",
@@ -340,7 +339,7 @@ class TestHttpGenerationClient:
             [(200, {"text": "hi", "input_tokens": 4, "output_tokens": 1})]
         )
         client = HttpGenerationClient("http://svc/", "g", transport=transport, sleep=lambda s: None)
-        resp = client.generate(GenerationRequest(prompt="p", max_tokens=99, temperature=0.0))
+        resp = client.generate(GenerationRequest(prompt="p", max_tokens=99))
         assert (resp.text, resp.input_tokens, resp.output_tokens) == ("hi", 4, 1)
         assert calls[0]["url"] == "http://svc/v1/generate"
         assert calls[0]["payload"]["max_tokens"] == 99
@@ -380,9 +379,6 @@ class TestHttpGenerationClient:
         with pytest.raises(BackendError):
             client.generate(GenerationRequest(prompt="p"))
         assert len(calls) == 3
-
-    def test_temperature_defaults_to_zero(self):
-        assert GenerationRequest(prompt="p").temperature == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +474,7 @@ class TestCachingEmbedder:
         wide = HashingEmbedder(dimension=3)
         wide.backend_id = first.backend_id
         cached = CachingEmbedder(wide, path)
-        with pytest.raises(BackendError, match="expected width 2"):
+        with pytest.raises(BackendError, match="dimension 3, expected 2"):
             cached.embed_many(["kept", "fresh", "other"])
         assert cached.backend_calls == 0
         cached.save()
@@ -487,5 +483,4 @@ class TestCachingEmbedder:
     def test_passthrough_properties(self):
         backend = HashingEmbedder(dimension=16)
         cached = CachingEmbedder(backend)
-        assert cached.dimension == 16
         assert cached.backend_id == backend.backend_id
