@@ -21,10 +21,11 @@ wrong version or a different backend.
 
 The one file that is appended to instead is a journal, ``<name>.journal``
 beside the artifact it updates (:func:`journal_of`): a header line, then one
-JSON line per change (:func:`append_journal`). Only its last line can be torn
-by a killed process; :func:`read_journal` drops that line and
-:func:`append_journal` cuts it off before appending. The artifact's owner
-compacts the journal into the artifact once and then deletes it.
+JSON line per change. Its owner opens it once (:func:`open_journal`) and
+appends each change as one flushed write (:func:`append_journal`), so only
+its last line can be torn by a killed process; :func:`read_journal` drops
+that line and :func:`open_journal` cuts it off before the first append. The
+owner compacts the journal into the artifact once and then deletes it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -263,16 +264,16 @@ def journal_of(path: str | Path) -> Path:
     return target.with_name(target.name + ".journal")
 
 
-def append_journal(path: str | Path, record: dict) -> None:
-    """Append ``record`` to the journal at ``path`` as one compact JSON line.
+def open_journal(path: str | Path) -> BinaryIO:
+    """Open the journal at ``path`` for :func:`append_journal`.
 
-    A journal that is new, or holds no complete line, gets the
-    ``{"version": FORMAT_VERSION}`` header line first. A torn last line is
-    cut off before the append, so the line being written is the only one a
-    killed process can leave torn.
+    A torn last line is cut off first, so the line being written is the only
+    one a killed process can leave torn. A journal that is new, or holds no
+    complete line, gets the ``{"version": FORMAT_VERSION}`` header line.
+    The caller closes the handle.
     """
-    line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-    with Path(path).open("a+b") as handle:  # writes go to the end whatever the position
+    handle = Path(path).open("a+b")  # writes go to the end whatever the position
+    try:
         size = handle.seek(0, os.SEEK_END)
         if size:
             handle.seek(size - 1)
@@ -281,8 +282,18 @@ def append_journal(path: str | Path, record: dict) -> None:
                 size = handle.read().rfind(b"\n") + 1
                 handle.truncate(size)
         if not size:
-            line = json.dumps({"version": FORMAT_VERSION}) + "\n" + line
-        handle.write(line.encode("utf-8"))
+            handle.write(json.dumps({"version": FORMAT_VERSION}).encode("utf-8") + b"\n")
+    except BaseException:
+        handle.close()
+        raise
+    return handle
+
+
+def append_journal(handle: BinaryIO, record: dict) -> None:
+    """Append ``record`` as one compact JSON line through a handle from
+    :func:`open_journal`: one write, flushed before it returns."""
+    handle.write((json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8"))
+    handle.flush()
 
 
 def read_journal(path: str | Path, what: str) -> list[tuple[int, dict]]:

@@ -8,21 +8,25 @@ compatibility is the best score over its column pairs. Scores are symmetric
 by construction: every pair is computed with the tables in sorted-id order.
 
 Each column is read once into a :class:`ColumnProfile` (distinct normalized
-values, key flag, name key, header vector), and the scorer reads only
-profiles. :func:`build_cache` scores a table pair only when an inverted index
-from value to columns can reach it: a contained side holds its own rarest
-value, so for each column it looks up that one value and marks the tables of
-the columns that hold it, have at least as many distinct values and make the
-pair have a key side. This is exact, unary inclusion-dependency blocking; the
-worst case, a value present in every column, marks and scores every pair.
+values, key flag, name key, header vector and its norm), and the scorer
+reads only profiles. :func:`build_cache` scores only the column pairs that
+value blocking can reach: a contained side's values all occur in the other
+side, its rarest value among them. One count of how many columns hold each
+value picks every column's rarest value, an index from just those values to
+the columns holding them is built, and for each column the columns holding
+its rarest value that have at least as many distinct values and make the
+pair have a key side are its blocked partners. This is exact, unary
+inclusion-dependency blocking (De Marchi, Lopes & Petit, J. Intell. Inf.
+Syst. 32(1), 2009); the worst case, a value present in every column, blocks
+every pair.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -31,7 +35,7 @@ import numpy as np
 from .artifacts import FORMAT_VERSION, read_artifact, require, write_json
 from .corpus import Column, Table, TableCorpus
 from .errors import CorpusError
-from .services import Embedder, cosine
+from .services import Embedder, cosine_of_norms
 
 JOINABILITY_THRESHOLD = 0.5
 
@@ -57,24 +61,30 @@ class ColumnProfile:
     ``values`` is the set of distinct normalized non-NULL values. ``is_key``
     holds when there is at least one non-NULL value and no two are equal
     after normalization: an all-NULL column gives no evidence of being a key.
-    ``name_key`` is the header name up to case and -/space vs underscore, and
-    ``vector`` the embedding of :func:`header_text`.
+    ``name_key`` is the header name up to case and -/space vs underscore,
+    ``vector`` the embedding of :func:`header_text` and ``norm`` its norm, as
+    ``cosine`` computes it.
     """
 
     values: frozenset[str]
     is_key: bool
     name_key: str
     vector: np.ndarray
+    norm: float
 
     @classmethod
     def of(cls, column: Column, vector: np.ndarray) -> "ColumnProfile":
-        non_null = column.non_null_values()
-        values = frozenset(non_null)
+        cells = column.values
+        nulls = cells.count(None)
+        non_null = [v for v in cells if v is not None] if nulls else cells
+        # normalize_value over every cell in one pass: strip, then casefold
+        values = frozenset(map(str.casefold, map(str.strip, non_null)))
         return cls(
             values=values,
-            is_key=bool(values) and len(values) == len(non_null),
+            is_key=bool(values) and len(values) == len(cells) - nulls,
             name_key=_name_key(column.name),
             vector=vector,
+            norm=float(np.linalg.norm(vector)),
         )
 
 
@@ -110,7 +120,7 @@ def _profile_score(pa: ColumnProfile, pb: ColumnProfile) -> float:
     """The one column-pair scorer; see :func:`column_pair_score`."""
     if not (pa.is_key or pb.is_key) or not _contained(pa.values, pb.values):
         return 0.0
-    sem = max(0.0, cosine(pa.vector, pb.vector))
+    sem = max(0.0, cosine_of_norms(pa.vector, pb.vector, pa.norm, pb.norm))
     name = 0.5 * sem + 0.5 * (1.0 if pa.name_key == pb.name_key else 0.0)
     return 0.5 * _jaccard(pa.values, pb.values) + 0.5 * name
 
@@ -157,26 +167,31 @@ def table_compatibility(
     embedder: Embedder,
     *,
     _profiles: Mapping[str, Sequence[ColumnProfile]] | None = None,
+    _column_pairs: Iterable[tuple[int, int]] | None = None,
 ) -> JoinEdge | None:
     """Best-scoring plausible join between two tables, or None.
 
     The argument order never matters: scoring always runs with the tables
     arranged by ascending id, and score ties resolve to the lowest column
-    position pair in that arrangement.
+    position pair in that arrangement. ``_column_pairs``, position pairs in
+    that arrangement, limits scoring to those pairs; :func:`build_cache`
+    passes every pair that can be valid, so the result is the same.
     """
     if ti.id == tj.id:
         raise ValueError("table compatibility requires two distinct tables")
     a, b = (ti, tj) if ti.id < tj.id else (tj, ti)
     if _profiles is None:
         _profiles = {t.id: profile_columns(t.columns, embedder) for t in (a, b)}
+    profiles_a, profiles_b = _profiles[a.id], _profiles[b.id]
+    if _column_pairs is None:
+        _column_pairs = product(range(len(profiles_a)), range(len(profiles_b)))
     best: tuple[float, int, int] | None = None
-    for pos_a, pa in enumerate(_profiles[a.id]):
-        for pos_b, pb in enumerate(_profiles[b.id]):
-            s = _profile_score(pa, pb)
-            if s <= 0.0:
-                continue
-            if best is None or s > best[0]:
-                best = (s, pos_a, pos_b)
+    for pos_a, pos_b in sorted(_column_pairs):
+        s = _profile_score(profiles_a[pos_a], profiles_b[pos_b])
+        if s <= 0.0:
+            continue
+        if best is None or s > best[0]:
+            best = (s, pos_a, pos_b)
     if best is None:
         return None
     score, pos_a, pos_b = best
@@ -280,37 +295,58 @@ def _strip_table_prefix(qualified: str, table_id: str, path: str | Path) -> str:
     return qualified[len(prefix) :]
 
 
+def _blocked_pairs(
+    profiles: Mapping[str, Sequence[ColumnProfile]],
+) -> dict[tuple[str, str], set[tuple[int, int]]]:
+    """Every column pair that can be valid, grouped by table pair.
+
+    Keys are table-id pairs in ascending order, values the column position
+    pairs in that arrangement. A valid pair has a non-empty side ``p`` whose
+    values all occur in the other side ``q``, with ``q`` holding at least as
+    many distinct values; so ``q`` holds ``p``'s rarest value, the one the
+    fewest columns hold (ties to the least value), and only the columns
+    holding some column's rarest value are looked up.
+    """
+    columns = [(tid, pos, p) for tid, table in profiles.items() for pos, p in enumerate(table) if p.values]
+    holders = Counter(chain.from_iterable(p.values for _, _, p in columns))
+    rarest = [min(zip(map(holders.__getitem__, p.values), p.values))[1] for _, _, p in columns]
+    picked = set(rarest)
+    postings: dict[str, list[tuple[str, int, ColumnProfile]]] = defaultdict(list)
+    for column in columns:
+        for value in picked.intersection(column[2].values):
+            postings[value].append(column)
+    blocked: dict[tuple[str, str], set[tuple[int, int]]] = defaultdict(set)
+    for (tid, pos, p), value in zip(columns, rarest):
+        for other_id, other_pos, q in postings[value]:
+            if other_id != tid and len(q.values) >= len(p.values) and (p.is_key or q.is_key):
+                if tid < other_id:
+                    blocked[(tid, other_id)].add((pos, other_pos))
+                else:
+                    blocked[(other_id, tid)].add((other_pos, pos))
+    return blocked
+
+
 def build_cache(corpus: TableCorpus, embedder: Embedder) -> CompatibilityCache:
     """Score every table pair that value blocking can reach.
 
     Each column is profiled once, and every header is embedded in one batch.
-    A valid column pair has a non-empty side ``p`` whose values all occur in
-    the other side ``q``, with ``q`` holding at least as many distinct values;
-    so ``q`` holds ``p``'s rarest value. Only table pairs marked through that
-    one value are scored, by :func:`table_compatibility` over all their
-    column pairs; every other pair has no valid column pair and scores zero.
+    One count of how many columns hold each value gives each column its
+    rarest value, and only the columns holding one of those are looked up
+    (:func:`_blocked_pairs`): every valid column pair is among the pairs
+    found. Each table pair with such a column pair is scored by
+    :func:`table_compatibility` over those column pairs alone; every other
+    pair has no valid column pair and scores zero.
     """
     tables = sorted(corpus, key=lambda t: t.id)
     profiled = iter(profile_columns([c for t in tables for c in t.columns], embedder))
     profiles = {t.id: list(islice(profiled, len(t.columns))) for t in tables}
-    postings: dict[str, list[tuple[str, ColumnProfile]]] = defaultdict(list)
-    for table in tables:
-        for profile in profiles[table.id]:
-            for value in profile.values:
-                postings[value].append((table.id, profile))
-    candidates: set[tuple[str, str]] = set()
-    for table in tables:
-        for p in profiles[table.id]:
-            if not p.values:
-                continue
-            rarest = min(p.values, key=lambda v: (len(postings[v]), v))
-            for other_id, q in postings[rarest]:
-                if other_id != table.id and len(q.values) >= len(p.values) and (p.is_key or q.is_key):
-                    candidates.add((table.id, other_id) if table.id < other_id else (other_id, table.id))
     by_id = {t.id: t for t in tables}
     cache = CompatibilityCache(backend_id=embedder.backend_id)
-    for left, right in sorted(candidates):
-        edge = table_compatibility(by_id[left], by_id[right], embedder, _profiles=profiles)
+    blocked = _blocked_pairs(profiles)
+    for left, right in sorted(blocked):
+        edge = table_compatibility(
+            by_id[left], by_id[right], embedder, _profiles=profiles, _column_pairs=blocked[(left, right)]
+        )
         if edge is not None:
             cache.add(edge)
     return cache

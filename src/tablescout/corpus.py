@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from itertools import count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
+from urllib.parse import quote
 
 import numpy as np
 
@@ -56,10 +57,6 @@ class Column:
     name: str
     position: int
     values: tuple[str | None, ...]
-
-    def non_null_values(self) -> list[str]:
-        """Normalized non-NULL values, in row order."""
-        return [normalize_value(v) for v in self.values if v is not None]
 
 
 @dataclass(frozen=True)
@@ -275,9 +272,20 @@ def _sqlite_column(values: tuple[object, ...]) -> tuple[str | None, ...]:
     return tuple(map(_sqlite_cell, values))
 
 
+def connect_read_only(path: str | Path, **kwargs) -> sqlite3.Connection:
+    """A read-only SQLite connection to the file at ``path``.
+
+    The path is percent-encoded into the ``file:`` URI, so a ``#``, ``?`` or
+    ``%`` in it names that file and not a fragment, a query or an escape.
+    ``kwargs`` go to ``sqlite3.connect``.
+    """
+    uri = f"file:{quote(Path(path).as_posix())}?mode=ro"
+    return sqlite3.connect(uri, uri=True, **kwargs)
+
+
 def _load_sqlite_file(path: Path) -> list[Table]:
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = connect_read_only(path)
     except sqlite3.Error as exc:
         raise CorpusError(f"unreadable database {path}: {exc}") from exc
     try:

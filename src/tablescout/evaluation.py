@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .artifacts import read_jsonl, require
+from .corpus import connect_read_only
 from .errors import CorpusError
 from .services import GenerationRequest, Generator, TokenLedger
 
@@ -256,7 +257,7 @@ def _connection(db_path: str | Path) -> sqlite3.Connection:
     _release()
     # held before it is set up, so a failed set-up is closed by _release;
     # autocommit, so the module itself never sends the refused BEGIN
-    _held.conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, isolation_level=None)
+    _held.conn = connect_read_only(path, isolation_level=None)
     _held.conn.execute(f"PRAGMA cache_size = {_CACHE_SIZE_KIB}")
     _held.conn.set_authorizer(_authorize)
     _held.key = key

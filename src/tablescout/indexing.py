@@ -12,9 +12,9 @@ queried silently.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .artifacts import (
     FORMAT_VERSION,
     append_journal,
     journal_of,
+    open_journal,
     read_artifact,
     read_journal,
     read_npz,
@@ -112,15 +113,18 @@ class EnrichmentStore:
 
     A file-backed store reads its file, then replays the journal beside it
     (``enriched.json.journal``), a record a line. :meth:`put` appends each
-    new or changed record to that journal, and :meth:`save` compacts it: it
-    writes the whole file, then deletes the journal. A killed enrichment
-    thus loses at most the record it was appending.
+    new or changed record to that journal through one handle, opened at the
+    first record, as one write that is flushed before ``put`` returns.
+    :meth:`save` closes the handle and compacts the journal: it writes the
+    whole file, then deletes the journal. A killed enrichment thus loses at
+    most the record it was appending.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
         self._journal = journal_of(self._path) if self._path is not None else None
         self._entries: dict[str, EnrichedTable] = {}
+        self._handle: BinaryIO | None = None
         #: whether the journal holds records :meth:`save` has not compacted
         self.pending = False
         if self._path is None:
@@ -145,13 +149,21 @@ class EnrichmentStore:
         )
 
     def save(self) -> None:
-        """Write the whole store file, then delete the journal it holds."""
+        """Close the journal's handle, write the whole store file, then delete
+        the journal it held."""
+        self._close()
         if self._path is None:
             return
         entries = {e.table_id: {"purpose": e.purpose, "text": e.text} for e in self._entries.values()}
         write_json(self._path, {"version": FORMAT_VERSION, "entries": entries})
         self._journal.unlink(missing_ok=True)
         self.pending = False
+
+    def _close(self) -> None:
+        """Close the journal handle, if open; the next record opens it again."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def __contains__(self, table_id: str) -> bool:
         return table_id in self._entries
@@ -167,7 +179,10 @@ class EnrichmentStore:
         if self._entries.get(record.table_id) == record:
             return
         if self._journal is not None:
-            append_journal(self._journal, asdict(record))
+            if self._handle is None:
+                self._handle = open_journal(self._journal)
+            line = {"purpose": record.purpose, "table_id": record.table_id, "text": record.text}
+            append_journal(self._handle, line)
             self.pending = True
         self._entries[record.table_id] = record
 
@@ -195,19 +210,23 @@ def enrich_tables(
     now. Tables go in sorted-id order so generator call order (and any
     scripted backend) is reproducible. Each new or changed record goes to
     the store's journal as it is made; the store is saved once, at the end,
-    when its journal holds anything. Returns the store.
+    when its journal holds anything. The journal's handle is closed however
+    the loop ends, a generator error included. Returns the store.
     """
     if store is None:
         store = EnrichmentStore()
-    for table in sorted(tables, key=lambda t: t.id):
-        sample = sample_rows(table, n=n_rows, seed=seed)
-        if table.id in store:
-            purpose = store.get(table.id).purpose
-        else:
-            purpose = generate_purpose(table, generator, sample, max_tokens=max_tokens, ledger=ledger)
-        store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample)))
-    if store.pending:
-        store.save()
+    try:
+        for table in sorted(tables, key=lambda t: t.id):
+            sample = sample_rows(table, n=n_rows, seed=seed)
+            if table.id in store:
+                purpose = store.get(table.id).purpose
+            else:
+                purpose = generate_purpose(table, generator, sample, max_tokens=max_tokens, ledger=ledger)
+            store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample)))
+        if store.pending:
+            store.save()
+    finally:
+        store._close()
     return store
 
 

@@ -17,6 +17,7 @@ from tablescout.artifacts import (
     FORMAT_VERSION,
     append_journal,
     numbered_segments,
+    open_journal,
     read_journal,
     read_npz,
     replacing,
@@ -565,7 +566,8 @@ def test_torn_last_journal_line_is_dropped_and_cut_before_an_append(tmp_path, to
     path.write_bytes(journal_bytes(RECORD) + torn)
     assert read_journal(path, "journal") == [(2, RECORD)]
     other = {**RECORD, "table_id": "museums"}
-    append_journal(path, other)
+    with open_journal(path) as handle:
+        append_journal(handle, other)
     assert path.read_bytes() == journal_bytes(RECORD, other)
 
 
@@ -575,7 +577,8 @@ def test_journal_without_a_complete_line_gets_its_header_first(tmp_path, content
     if content is not None:
         path.write_bytes(content)
         assert read_journal(path, "journal") == []
-    append_journal(path, RECORD)
+    with open_journal(path) as handle:
+        append_journal(handle, RECORD)
     assert path.read_bytes() == journal_bytes(RECORD)
 
 

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablescout import (
@@ -20,8 +24,10 @@ from tablescout import (
 )
 from tablescout.compatibility import (
     JOINABILITY_THRESHOLD,
+    ColumnProfile,
     GoldJoin,
     JoinEdge,
+    _blocked_pairs,
     _contained,
     _jaccard,
     evaluate_cache,
@@ -31,7 +37,7 @@ from tablescout.compatibility import (
     table_compatibility,
 )
 from tablescout import compatibility
-from tablescout.corpus import NULL, Column
+from tablescout.corpus import NULL, Column, normalize_value
 
 from synth import MappedEmbedder, oracle_pair_score, oracle_table_compatibility, random_corpus
 
@@ -101,6 +107,37 @@ class TestColumnUniqueness:
 
     def test_normalization_collapses_duplicates(self):
         assert not is_key(col([" A ", "a"]))
+
+
+# pieces that strip or casefold change: unicode spaces, sharp s, dotted I,
+# ligatures and a decomposed dotted i
+TRICKY_PIECES = [" ", "\u00a0", "\u2003", "\u3000", "\t", "ß", "ẞ", "SS", "ss", "İ", "i\u0307", "ﬁ", "FI", "ŉ", "a", "A"]
+CELLS = st.one_of(
+    st.none(),
+    st.lists(st.one_of(st.sampled_from(TRICKY_PIECES), st.characters()), max_size=4).map("".join),
+)
+
+
+@given(
+    values=st.lists(CELLS, max_size=12),
+    # no sum of squares overflows
+    vector=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8),
+)
+@example(values=["ß", " SS", "ss\u00a0"], vector=[1.0])
+@example(values=["ﬁ", "FI", "x"], vector=[3.0, 4.0])
+@example(values=["İ", "i\u0307", NULL], vector=[0.0])
+@example(values=["", NULL, " "], vector=[1e-160, 1e-160])
+@example(values=["", NULL], vector=[1e150, -1e150])
+@settings(max_examples=300, deadline=None)
+def test_profile_follows_normalize_value(values, vector):
+    """The profile's one-pass normalization is :func:`normalize_value` per
+    cell, and ``""`` is a value while NULL is none."""
+    vec = np.array(vector, dtype=np.float64)
+    p = ColumnProfile.of(col(values), vec)
+    normalized = [normalize_value(v) for v in values if v is not None]
+    assert p.values == set(normalized)
+    assert p.is_key == (bool(normalized) and len(set(normalized)) == len(normalized))
+    assert p.norm == float(np.linalg.norm(vec))
 
 
 class TestSubsetRelation:
@@ -513,6 +550,49 @@ def test_blocking_matches_brute_force(corpus):
                 want[(ti.id, tj.id)] = oracle
     got = {(e.left_table, e.right_table): (e.score, (e.left_column, e.right_column)) for e in cache}
     assert got == want
+
+
+@given(corpus=blocking_corpora())
+@settings(max_examples=300, deadline=None)
+def test_blocked_column_pairs_give_the_all_pairs_edge(corpus):
+    emb = HashingEmbedder(dimension=32)
+    tables = sorted(corpus, key=lambda t: t.id)
+    profiles = {t.id: profile_columns(t.columns, emb) for t in tables}
+    blocked = _blocked_pairs(profiles)
+    for i, ti in enumerate(tables):
+        for tj in tables[i + 1 :]:
+            everything = table_compatibility(ti, tj, emb, _profiles=profiles)
+            pairs = blocked.get((ti.id, tj.id), ())
+            assert table_compatibility(tj, ti, emb, _profiles=profiles, _column_pairs=pairs) == everything
+
+
+# writes the cache of six synthetic corpora into the directory argv[1]
+HASH_SEED_RUN = """
+import sys
+import numpy as np
+from synth import random_corpus
+from tablescout import HashingEmbedder, build_cache
+for seed in range(6):
+    corpus = random_corpus(np.random.default_rng(seed), max_tables=8, max_cols=6, max_rows=60)
+    build_cache(corpus, HashingEmbedder(dimension=32)).save(f"{sys.argv[1]}/cache{seed}.json")
+"""
+
+
+def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashes, and with them set and Counter order, change with
+    ``PYTHONHASHSEED``; the saved cache must not."""
+    here = Path(__file__).resolve().parent
+    pythonpath = os.pathsep.join([str(here.parent / "src"), str(here)])
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+        subprocess.run([sys.executable, "-c", HASH_SEED_RUN, str(out)], env=env, check=True)
+    saved = sorted((tmp_path / "0").iterdir())
+    assert len(saved) == 6
+    assert sum(len(json.loads(f.read_text(encoding="utf-8"))["pairs"]) for f in saved) > 0
+    for f in saved:
+        assert f.read_bytes() == (tmp_path / "1" / f.name).read_bytes()
 
 
 def test_no_valid_pair_scores_no_table_pair(monkeypatch):

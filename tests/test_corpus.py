@@ -105,6 +105,19 @@ class TestLoadSqlite:
         assert alpha.columns[1].values == ("1.5",)
         assert zed.columns[0].values == (NULL,)
 
+    @pytest.mark.parametrize("name", ["x#y.sqlite", "p?q.sqlite", "a%41.sqlite"])
+    def test_uri_characters_in_the_file_name(self, tmp_path, name):
+        # '#', '?' and '%' end or escape a URI path unless percent-encoded
+        db = tmp_path / name
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE t (a TEXT)")
+        conn.execute("INSERT INTO t VALUES ('x')")
+        conn.commit()
+        conn.close()
+        (t,) = load_tables(db, "sqlite-file")
+        assert t.name == "t" and t.columns[0].values == ("x",)
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+
     def test_table_name_with_double_quote(self, tmp_path):
         db = tmp_path / "d.sqlite"
         conn = sqlite3.connect(db)

@@ -289,6 +289,14 @@ def heads_db(path, rows):
 
 
 class TestExecutionMatch:
+    @pytest.mark.parametrize("name", ["x#y.sqlite", "p?q.sqlite", "a%41.sqlite"])
+    def test_uri_characters_in_the_file_name(self, tmp_path, name):
+        # '#', '?' and '%' end or escape a URI path unless percent-encoded
+        heads_db(tmp_path / name, 3)
+        out = execution_match(tmp_path / name, "SELECT count(*) FROM heads", "SELECT 3")
+        assert out.status == "match"
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+
     def test_identical_statements_match(self, db_path):
         out = execution_match(db_path, "SELECT name FROM heads", "SELECT name FROM heads")
         assert out.status == "match"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from tablescout import (
     sample_rows,
     serialize_markdown,
 )
-from tablescout.artifacts import journal_of
+from tablescout.artifacts import journal_of, read_journal
 from tablescout.indexing import (
     PURPOSE_MAX_TOKENS,
     PURPOSE_PROMPT,
@@ -222,6 +224,45 @@ class TestEnrichment:
         assert len(resumed.calls) == 2
         assert [store.get(i).purpose for i in store.ids()] == ["pa", "pb", "pc"]
         assert not journal_of(path).exists()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failure_at_the_kth_purpose_closes_the_journal_and_resumes(self, tmp_path, k):
+        path = tmp_path / "cut" / "enriched.json"
+        path.parent.mkdir()
+        journal = journal_of(path)
+        purposes = ["pa", "pb", "pc"]
+        lines_on_disk = []
+
+        def reply(prompt):
+            # every record put so far is on disk before the next purpose is asked
+            lines_on_disk.append(journal.read_bytes().count(b"\n") if journal.exists() else 0)
+            if len(lines_on_disk) == k:
+                raise BackendError("backend down")
+            return purposes[len(lines_on_disk) - 1]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                enrich_tables(self.tables(), ScriptedGenerator(reply=reply), store=EnrichmentStore(path))
+            except BackendError:
+                pass
+            else:
+                pytest.fail("the failing purpose did not raise")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert lines_on_disk == [0, 2, 3][:k]  # the header, then one line a record
+        if k == 1:
+            assert not journal.exists()
+        else:
+            assert journal.read_bytes().endswith(b"\n")
+            assert [record["table_id"] for _, record in read_journal(journal, "journal")] == ["a", "b"][: k - 1]
+
+        enrich_tables(self.tables(), ScriptedGenerator(responses=purposes[k - 1 :]), store=EnrichmentStore(path))
+        whole = tmp_path / "whole" / "enriched.json"
+        whole.parent.mkdir()
+        enrich_tables(self.tables(), ScriptedGenerator(responses=purposes), store=EnrichmentStore(whole))
+        assert path.read_bytes() == whole.read_bytes()
+        assert not journal.exists()
 
     def test_memory_store_keeps_no_journal(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
