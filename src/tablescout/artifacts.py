@@ -3,7 +3,7 @@
 Writes go to ``<name>.tmp`` beside the target and are moved over it with
 ``os.replace``, so a killed process leaves the old file or the new one, never
 a torn one. No fsync: the fault covered is a killed process, not a lost
-machine. Records go to compact JSON (:func:`write_json`); vectors go to
+machine. Records go to compact JSON (:func:`write_artifact`); vectors go to
 compressed ``.npz`` files (:func:`write_npz`), read back as one row per key
 (:func:`read_npz`). The dense index is one such file. The embedding cache is
 a log of them, its segments (:func:`segment_path`, :func:`numbered_segments`):
@@ -14,10 +14,11 @@ entry into segment 0 and then deletes the others; its owner,
 index keeps its table ids as ``str``, since an id may be any unicode; the
 cache keeps its hex-digest keys as ASCII bytes, a quarter of the raw size of
 ``str``. Reads turn an unreadable or malformed file, or a missing or
-wrong-typed field, into :class:`CorpusError` naming it. Persisted artifacts
-carry one header, ``version`` plus ``backend_id`` where the content depends
-on the embedder, and :func:`check_header` is the one place that refuses a
-wrong version or a different backend.
+wrong-typed field, into :class:`CorpusError` naming it. Every header is
+built here, by :func:`header`, with writers passing only their body, and
+checked here: :func:`check_header` refuses a wrong ``version`` or another
+``backend_id``, and :func:`read_npz` a ``dimension`` other than the
+vectors' width or an ``absorbed`` that is not a count.
 
 The one file that is appended to instead is a journal, ``<name>.journal``
 beside the artifact it updates (:func:`journal_of`): a header line, then one
@@ -67,9 +68,18 @@ def _write(path: str | Path, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
 
 
-def write_json(path: str | Path, payload: object) -> None:
-    """Compact, key-sorted JSON: the layout of every JSON artifact."""
-    _write(path, json.dumps(payload, sort_keys=True, ensure_ascii=False))
+def header(backend_id: str | None = None, **fields: object) -> dict:
+    """The header of an artifact, the inverse of :func:`check_header`:
+    ``version``, ``backend_id`` when given, and ``fields``."""
+    if backend_id is not None:
+        fields["backend_id"] = backend_id
+    return {"version": FORMAT_VERSION, **fields}
+
+
+def write_artifact(path: str | Path, body: dict, backend_id: str | None = None) -> None:
+    """``body`` and its :func:`header` as compact, key-sorted JSON: the
+    layout of every JSON artifact, read back by :func:`read_artifact`."""
+    _write(path, json.dumps({**body, **header(backend_id)}, sort_keys=True, ensure_ascii=False))
 
 
 def write_report(path: str | Path, payload: object) -> None:
@@ -140,19 +150,23 @@ def require(
 
 
 def read_artifact(path: str | Path, what: str, backend_id: str | None = None) -> dict:
-    """A JSON artifact written with :func:`write_json`, its header checked."""
+    """A JSON artifact written with :func:`write_artifact`, its header checked."""
     return check_header(read_json(path, what), path, what, backend_id)
 
 
-def write_npz(path: str | Path, meta: dict, **arrays: np.ndarray) -> None:
-    """Save ``arrays`` plus ``meta`` (stored as a JSON string) in one
-    compressed ``.npz``, whatever the suffix of ``path``.
+def write_npz(
+    path: str | Path, backend_id: str, keys_field: str, keys: np.ndarray, vectors: np.ndarray, **fields: object
+) -> None:
+    """Save ``keys`` (as ``keys_field``), the 2-D ``vectors`` and their
+    :func:`header`, a JSON string with ``dimension`` the vectors' width, in
+    one compressed ``.npz``, whatever the suffix of ``path``.
 
     The bytes are those ``np.savez_compressed`` writes for C-ordered arrays,
     but each array goes out in chunks of ``_NPZ_CHUNK_BYTES``, where numpy
     first copies it whole, so a save holds no second copy of a large array.
     """
-    arrays = {**arrays, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
+    meta = header(backend_id, dimension=vectors.shape[1], **fields)
+    arrays = {keys_field: keys, "vectors": vectors, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
     with replacing(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as npz:
         for name, array in arrays.items():
             array = np.asarray(array, order="C")
@@ -196,7 +210,8 @@ def read_npz(
     back as a list of ``str``. Anything but a 1-D ``keys_field`` array of
     distinct keys and a 2-D ``vectors`` array of finite numbers with one row
     per key raises :class:`CorpusError` naming the file, and so do bytes keys
-    that are not ASCII.
+    that are not ASCII, a ``dimension`` other than the vectors' width and an
+    ``absorbed`` that is not a count.
     """
     try:
         # an open handle, because np.load leaks its own on a torn zip
@@ -214,6 +229,11 @@ def read_npz(
         raise CorpusError(f"malformed {what} {path}: {keys_field} {keys.shape} for vectors {vectors.shape}")
     if vectors.dtype.kind not in "fiu" or not np.isfinite(vectors).all():
         raise CorpusError(f"malformed {what} {path}: vectors hold NaN, infinity or non-numbers")
+    width, dimension, absorbed = vectors.shape[1], meta.get("dimension"), meta.get("absorbed", 0)
+    if type(dimension) is not int or dimension != width:
+        raise CorpusError(f"malformed {what} {path}: field 'dimension' holds {dimension!r} for vectors of width {width}")
+    if type(absorbed) is not int or absorbed < 0:
+        raise CorpusError(f"malformed {what} {path}: field 'absorbed' holds {absorbed!r}")
     try:
         # one decode for either layout: str (index ids) or ASCII bytes (cache keys)
         keys = keys.astype(str).tolist()
@@ -269,8 +289,7 @@ def open_journal(path: str | Path) -> BinaryIO:
 
     A torn last line is cut off first, so the line being written is the only
     one a killed process can leave torn. A journal that is new, or holds no
-    complete line, gets the ``{"version": FORMAT_VERSION}`` header line.
-    The caller closes the handle.
+    complete line, gets the :func:`header` line. The caller closes the handle.
     """
     handle = Path(path).open("a+b")  # writes go to the end whatever the position
     try:
@@ -282,7 +301,7 @@ def open_journal(path: str | Path) -> BinaryIO:
                 size = handle.read().rfind(b"\n") + 1
                 handle.truncate(size)
         if not size:
-            handle.write(json.dumps({"version": FORMAT_VERSION}).encode("utf-8") + b"\n")
+            handle.write(json.dumps(header()).encode("utf-8") + b"\n")
     except BaseException:
         handle.close()
         raise

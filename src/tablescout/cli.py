@@ -24,7 +24,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .artifacts import FORMAT_VERSION, read_json, read_jsonl, require, write_lines, write_report
+from .artifacts import header, read_json, read_jsonl, require, write_lines, write_report
 from .compatibility import (
     CompatibilityCache,
     build_cache,
@@ -202,7 +202,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     corpus = pool_corpora(sources)
     save_corpus(corpus, out / "corpus.json")
     manifest = {
-        "version": FORMAT_VERSION,
+        **header(),
         "sources": sorted(seen_labels),
         "tables": [
             {
@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, FileNotFoundError) as exc:
+    except (CorpusError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BackendError, BackendMismatchError) as exc:

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, require, write_json
+from .artifacts import read_artifact, require, write_artifact
 from .corpus import Column, Table, TableCorpus
 from .errors import CorpusError
 from .services import Embedder, cosine_of_norms
@@ -257,7 +257,7 @@ class CompatibilityCache:
                 "cs": e.score,
                 "join": [f"{e.left_table}.{e.left_column}", f"{e.right_table}.{e.right_column}"],
             }
-        write_json(path, {"version": FORMAT_VERSION, "backend_id": self.backend_id, "pairs": pairs})
+        write_artifact(path, {"pairs": pairs}, self.backend_id)
 
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "CompatibilityCache":

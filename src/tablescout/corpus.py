@@ -19,14 +19,14 @@ import hashlib
 import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 from urllib.parse import quote
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, read_artifact, require, write_json
+from .artifacts import read_artifact, require, write_artifact
 from .errors import CorpusError
 
 #: Distinguished marker for missing cells; distinct from the empty string.
@@ -50,12 +50,12 @@ class Column:
     """A named table column with its full ordered value list.
 
     ``values`` holds one entry per table row; missing cells are ``NULL``
-    (``None``), which is distinct from the empty string.
+    (``None``), which is distinct from the empty string. A column's position
+    is its index in :attr:`Table.columns`.
     """
 
     table_name: str
     name: str
-    position: int
     values: tuple[str | None, ...]
 
 
@@ -75,12 +75,7 @@ class Table:
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
-        for pos, col in enumerate(self.columns):
-            if col.position != pos:
-                raise CorpusError(
-                    f"table {self.name!r}: column {col.name!r} at position "
-                    f"{col.position}, expected {pos}"
-                )
+        for col in self.columns:
             if len(col.values) != self.row_count:
                 raise CorpusError(
                     f"table {self.name!r}: column {col.name!r} has "
@@ -122,7 +117,7 @@ class Table:
         row_count: int,
     ) -> Table:
         """Construct a table from column-major data, one value tuple per name."""
-        built = tuple(map(Column, repeat(name), column_names, count(), columns))
+        built = tuple(map(Column, repeat(name), column_names, columns))
         return cls(id=table_id, name=name, columns=built, row_count=row_count)
 
     def column_names(self) -> tuple[str, ...]:
@@ -351,10 +346,7 @@ def _rename_with_suffix(base: str, taken: set[str]) -> str:
 
 
 def _retitled(table: Table, new_name: str) -> Table:
-    columns = tuple(
-        Column(table_name=new_name, name=c.name, position=c.position, values=c.values)
-        for c in table.columns
-    )
+    columns = tuple(Column(table_name=new_name, name=c.name, values=c.values) for c in table.columns)
     return Table(id=new_name, name=new_name, columns=columns, row_count=table.row_count)
 
 
@@ -461,7 +453,6 @@ def _rows(table: Table) -> list:
 
 def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
     payload = {
-        "version": FORMAT_VERSION,
         "tables": [
             {
                 "id": t.id,
@@ -473,7 +464,7 @@ def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
             for t in corpus.tables
         ],
     }
-    write_json(path, payload)
+    write_artifact(path, payload)
 
 
 #: The types a ``corpus.json`` cell may hold: text, or null for NULL.

@@ -19,7 +19,6 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import (
-    FORMAT_VERSION,
     append_journal,
     journal_of,
     open_journal,
@@ -27,7 +26,7 @@ from .artifacts import (
     read_journal,
     read_npz,
     require,
-    write_json,
+    write_artifact,
     write_npz,
 )
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
@@ -155,7 +154,7 @@ class EnrichmentStore:
         if self._path is None:
             return
         entries = {e.table_id: {"purpose": e.purpose, "text": e.text} for e in self._entries.values()}
-        write_json(self._path, {"version": FORMAT_VERSION, "entries": entries})
+        write_artifact(self._path, {"entries": entries})
         self._journal.unlink(missing_ok=True)
         self.pending = False
 
@@ -305,8 +304,7 @@ class DenseIndex:
         return [(self.ids[i], score) for score, i in rescored[:k]]
 
     def save(self, path: str | Path) -> None:
-        meta = {"version": FORMAT_VERSION, "backend_id": self.backend_id, "dimension": self.dimension}
-        write_npz(path, meta, ids=np.asarray(self.ids), vectors=self.vectors)
+        write_npz(path, self.backend_id, "ids", np.asarray(self.ids), self.vectors)
 
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "DenseIndex":

@@ -77,7 +77,8 @@ def build_selection_prompt(
 
     Candidates appear as ``Table 0`` .. ``Table k-1`` in rank order with
     their enriched text; the compatibility section carries one line per
-    candidate pair with a positive cached score, using those same indices.
+    candidate pair with a positive cached score, using those same indices,
+    its score and join columns read from one cache lookup.
     """
     blocks = []
     for i, tid in enumerate(topk):
@@ -89,13 +90,13 @@ def build_selection_prompt(
     lines = []
     for i in range(len(topk)):
         for j in range(i + 1, len(topk)):
-            cs = cache.score(topk[i], topk[j])
-            if cs <= 0.0:
+            edge = cache.edge(topk[i], topk[j])
+            if edge is None or edge.score <= 0.0:
                 continue
-            col_i, col_j = cache.best_join(topk[i], topk[j])
+            col_i, col_j = edge.oriented(topk[i])
             lines.append(
                 f"Pair (Table {i} <-> Table {j}): "
-                f"overall_compatibility: {cs:.2f}; "
+                f"overall_compatibility: {edge.score:.2f}; "
                 f'best_join_columns: "{col_i} <-> {col_j}"'
             )
     compatibility_analysis = "\n" + "\n".join(lines) if lines else ""

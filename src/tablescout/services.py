@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import FORMAT_VERSION, numbered_segments, read_npz, segment_path, write_npz
+from .artifacts import numbered_segments, read_npz, segment_path, write_npz
 from .errors import BackendError, CorpusError
 
 logger = logging.getLogger(__name__)
@@ -243,10 +243,7 @@ class CachingEmbedder:
         numbered = numbered_segments(path)
         if path.exists():
             meta, keys, vectors = read_npz(path, "embedding cache", backend_id, "keys")
-            absorbed = meta.get("absorbed", 0)
-            if isinstance(absorbed, bool) or not isinstance(absorbed, int) or absorbed < 0:
-                raise CorpusError(f"malformed embedding cache {path}: field 'absorbed' holds {absorbed!r}")
-            self._absorbed = absorbed
+            self._absorbed = meta.get("absorbed", 0)
             self._join(path, keys, vectors)
         self._live = [number for number in numbered if number > self._absorbed]
         for number in self._live:
@@ -296,35 +293,24 @@ class CachingEmbedder:
             return
         if has_zero + len(self._live) + 1 > MAX_CACHE_SEGMENTS:
             absorbed = self._live[-1]
-            self._write(0, sorted(self._entries), absorbed)
+            self._write(0, sorted(self._entries), absorbed=absorbed)
             for number in self._live:
                 segment_path(self._path, number).unlink(missing_ok=True)
             self._absorbed, self._live = absorbed, []
         elif not has_zero:
-            self._write(0, sorted(self._unsaved), 0)
+            self._write(0, sorted(self._unsaved))
         else:
             number = max([self._absorbed, *self._live]) + 1
-            self._write(number, sorted(self._unsaved), 0)
+            self._write(number, sorted(self._unsaved))
             self._live.append(number)
         self._unsaved = []
 
-    def _write(self, number: int, keys: list[str], absorbed: int) -> None:
-        """Write ``keys`` as segment ``number``; ``absorbed`` goes into segment 0's header."""
-        width = self._width or 0  # an empty cache is (0, 0), like an empty index
-        vectors = np.asarray([self._entries[k] for k in keys], dtype=np.float64)
-        header = {
-            "version": FORMAT_VERSION,
-            "backend_id": self._backend.backend_id,
-            "dimension": width,
-        }
-        if absorbed:
-            header["absorbed"] = absorbed
-        write_npz(
-            segment_path(self._path, number),
-            header,
-            keys=np.asarray(keys, dtype="S"),
-            vectors=vectors.reshape(len(keys), width),
-        )
+    def _write(self, number: int, keys: list[str], **fields: int) -> None:
+        """Write ``keys`` as segment ``number``; a compaction passes ``absorbed``."""
+        # an empty cache is (0, 0), like an empty index
+        vectors = np.asarray([self._entries[k] for k in keys], dtype=np.float64).reshape(len(keys), self._width or 0)
+        path = segment_path(self._path, number)
+        write_npz(path, self.backend_id, "keys", np.asarray(keys, dtype="S"), vectors, **fields)
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]

@@ -82,12 +82,12 @@ def oracle_table_compatibility(ta: Table, tb: Table, embedder):
     """(score, (column of lower-id table, column of higher-id table)) or None."""
     a, b = (ta, tb) if ta.id < tb.id else (tb, ta)
     best = None
-    for ca in a.columns:
-        for cb in b.columns:
+    for pa, ca in enumerate(a.columns):
+        for pb, cb in enumerate(b.columns):
             s = oracle_pair_score(ca, cb, embedder)
             if s <= 0.0:
                 continue
-            key = (-s, ca.position, cb.position)
+            key = (-s, pa, pb)
             if best is None or key < best[0]:
                 best = (key, ca.name, cb.name, s)
     if best is None:

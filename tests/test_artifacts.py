@@ -231,6 +231,64 @@ def test_wrong_typed_or_shaped_field_is_an_input_error(built, capsys, name, fiel
     assert str(path) in err and field in err
 
 
+@pytest.mark.parametrize("name", ["index.npz", CACHE, f"{CACHE}.1"])
+@pytest.mark.parametrize("dimension", [255, None, "256", True], ids=["narrower", "null", "string", "bool"])
+def test_dimension_other_than_the_vectors_width_is_an_input_error(built, capsys, name, dimension):
+    out, queries = built
+    path = out / name
+    edit_header(path, dimension=dimension)
+    assert next_command(name, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and "'dimension'" in err and "width 256" in err
+
+
+@pytest.mark.parametrize("absorbed", [-1, "1", True, 1.5])
+def test_absorbed_that_is_not_a_count_is_an_input_error(built, capsys, absorbed):
+    out, queries = built
+    edit_header(out / CACHE, absorbed=absorbed)
+    assert next_command(CACHE, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(out / CACHE) in err and "'absorbed'" in err
+
+
+def npz_header(path):
+    with np.load(path, allow_pickle=False) as data:
+        return json.loads(str(data["meta"]))
+
+
+def json_header(path):
+    """The top-level fields of a JSON artifact other than its body."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return {key: value for key, value in data.items() if key not in ("entries", "pairs", "sources", "tables")}
+
+
+def test_every_artifact_carries_exactly_its_header(built):
+    out, _ = built
+    backend = HashingEmbedder().backend_id
+    vectors = {"version": FORMAT_VERSION, "backend_id": backend, "dimension": 256}
+    assert {name: json_header(out / name) for name in ["corpus.json", "manifest.json", "enriched.json"]} == {
+        name: {"version": FORMAT_VERSION} for name in ["corpus.json", "manifest.json", "enriched.json"]
+    }
+    assert json_header(out / "compat_cache.json") == {"version": FORMAT_VERSION, "backend_id": backend}
+    for name in ["index.npz", CACHE, f"{CACHE}.1"]:
+        assert npz_header(out / name) == vectors, name
+
+    journal = out / "enriched.json.journal"
+    with open_journal(journal) as handle:
+        append_journal(handle, RECORD)
+    assert json.loads(journal.read_text(encoding="utf-8").splitlines()[0]) == {"version": FORMAT_VERSION}
+
+    # one new segment a save, until a save compacts them all into segment 0
+    saves = 0
+    while numbered_segments(out / CACHE):
+        cache = CachingEmbedder(HashingEmbedder(), out / CACHE)
+        cache.embed(f"text {saves}")
+        cache.save()
+        saves += 1
+    assert saves == MAX_CACHE_SEGMENTS - 1
+    assert npz_header(out / CACHE) == {**vectors, "absorbed": MAX_CACHE_SEGMENTS - 1}
+
+
 @pytest.mark.parametrize(
     "reverse, cs",
     [(True, None), (False, 0), (False, -0.5), (False, float("nan")), (False, float("inf")), (False, True)],
@@ -428,6 +486,7 @@ def test_key_in_two_segments_is_an_input_error_naming_the_later(built, capsys):
 def test_segments_of_different_widths_are_an_input_error(built, capsys):
     out, queries = built
     edit_array(out / f"{CACHE}.1", "vectors", lambda vectors: vectors[:, :-1])
+    edit_header(out / f"{CACHE}.1", dimension=255)  # the segment agrees with itself
     assert next_command(CACHE, out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
     assert str(out / f"{CACHE}.1") in err and "width 255" in err
@@ -533,14 +592,12 @@ def test_a_kill_at_any_step_of_a_save_leaves_a_cache_that_loads(built, tmp_path,
 def test_npz_bytes_are_those_numpy_writes(tmp_path, rows, width):
     # 3000 rows span several chunks of both arrays
     rng = np.random.default_rng(rows)
-    arrays = {
-        "keys": np.asarray([f"key{i}" * 9 for i in range(rows)], dtype=str),
-        "vectors": rng.standard_normal((rows, width)),
-    }
-    meta = {"version": FORMAT_VERSION, "backend_id": "stub"}
-    write_npz(tmp_path / "chunked.npz", meta, **arrays)
+    keys = np.asarray([f"key{i}" * 9 for i in range(rows)], dtype=str)
+    vectors = rng.standard_normal((rows, width))
+    write_npz(tmp_path / "chunked.npz", "stub", "keys", keys, vectors)
+    meta = {"version": FORMAT_VERSION, "backend_id": "stub", "dimension": width}
     reference = tmp_path / "reference.npz"
-    np.savez_compressed(reference, **arrays, meta=np.asarray(json.dumps(meta, sort_keys=True)))
+    np.savez_compressed(reference, keys=keys, vectors=vectors, meta=np.asarray(json.dumps(meta, sort_keys=True)))
     assert (tmp_path / "chunked.npz").read_bytes() == reference.read_bytes()
 
 

@@ -219,6 +219,21 @@ class TestIngest:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert [t["id"] for t in manifest["tables"]] == ["pets"]
 
+    @pytest.mark.parametrize("case", ["file", "under-a-file", "artifact-is-a-directory"])
+    def test_unusable_out_dir_is_input_error_naming_it(self, tmp_path, sources, capsys, case):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory", encoding="utf-8")
+        out, named = {
+            "file": (blocker, blocker),
+            "under-a-file": (blocker / "run", blocker / "run"),
+            "artifact-is-a-directory": (tmp_path / "run", tmp_path / "run" / "corpus.json"),
+        }[case]
+        if case == "artifact-is-a-directory":
+            named.mkdir(parents=True)
+        assert main(["ingest", "--out-dir", str(out), f"a={sources[0]}"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(named) in err and "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # enrich and cache

@@ -42,8 +42,8 @@ from tablescout.corpus import NULL, Column, normalize_value
 from synth import MappedEmbedder, oracle_pair_score, oracle_table_compatibility, random_corpus
 
 
-def col(values, name="c", table="t", position=0):
-    return Column(table_name=table, name=name, position=position, values=tuple(values))
+def col(values, name="c", table="t"):
+    return Column(table_name=table, name=name, values=tuple(values))
 
 
 def make_table(table_id, column_names, rows):

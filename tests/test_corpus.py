@@ -21,7 +21,7 @@ from tablescout import (
     sample_rows,
     serialize_markdown,
 )
-from tablescout.artifacts import FORMAT_VERSION, write_json
+from tablescout.artifacts import FORMAT_VERSION, write_artifact
 from tablescout.corpus import NULL, Column, load_corpus, load_tables, normalize_value, save_corpus
 
 
@@ -485,7 +485,7 @@ def reference_sqlite_tables(path):
 def reference_table(name, header, rows):
     """A table whose columns are gathered one cell at a time."""
     columns = tuple(
-        Column(table_name=name, name=col, position=pos, values=tuple(row[pos] for row in rows))
+        Column(table_name=name, name=col, values=tuple(row[pos] for row in rows))
         for pos, col in enumerate(header)
     )
     return Table(id=name, name=name, columns=columns, row_count=len(rows))
@@ -493,10 +493,9 @@ def reference_table(name, header, rows):
 
 def reference_save(corpus, path):
     """``save_corpus`` writing each row by indexing every column."""
-    write_json(
+    write_artifact(
         path,
         {
-            "version": FORMAT_VERSION,
             "tables": [
                 {
                     "id": t.id,
