@@ -5,13 +5,9 @@ artifacts in an output directory (corpus.json, enriched.json, index.npz,
 embedding_cache.npz, compat_cache.json, results.jsonl, report files) so runs
 are resumable and byte-reproducible with the offline stub backends.
 
-The embedding cache is segmented: enrich and cache each add the vectors they
-embedded as one new segment, embedding_cache.npz.<n>, and add none when they
-embedded nothing. Past ``services.MAX_CACHE_SEGMENTS`` segments, a command
-rewrites them all into embedding_cache.npz, which records the segments it
-absorbed, then deletes those. A command killed mid-save leaves a cache that
-loads, with no vector twice, and at most a stray ``*.tmp`` file, which
-nothing reads.
+The embedding cache is segmented; ``services.CachingEmbedder`` and the
+README's "Artifacts" section say how its segments are written and what a
+killed command leaves.
 
 Exit codes: 0 success, 2 configuration problem, 3 input problem, 4 backend
 failure.
@@ -24,7 +20,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .artifacts import header, read_json, read_jsonl, require, write_lines, write_report
+from .artifacts import header, read_json, write_lines, write_report
 from .compatibility import (
     CompatibilityCache,
     build_cache,
@@ -48,9 +44,9 @@ from .evaluation import (
     evaluate_selection,
     execution_match,
     generate_sql,
-    gold_query,
     load_gold_queries,
     load_result_records,
+    query_lines,
     render_execution_table,
     render_metrics_table,
     stratified_execution_summary,
@@ -143,30 +139,6 @@ def _generator(args: argparse.Namespace, missing: str) -> Generator:
     if args.generator is None:
         raise ConfigError(missing)
     return parse_generator_spec(args.generator)
-
-
-def _query_lines(path: str | Path, what: str) -> list[tuple[str, dict]]:
-    """(``path:lineno``, object) for each line of a queries or gold file.
-
-    Each line needs a string query_id no earlier line holds and a question
-    that is not blank; a bad line raises :class:`CorpusError` naming
-    ``path:lineno``.
-    """
-    lines = []
-    seen: set[str] = set()
-    for lineno, record in read_jsonl(path, what):
-        where = f"{path}:{lineno}"
-        query_id = require(record, "query_id", where, what, str)
-        question = require(record, "question", where, what, str)
-        if not question.strip():
-            raise CorpusError(f"malformed {what} {where}: blank question")
-        if query_id in seen:
-            raise CorpusError(f"malformed {what} {where}: repeated query_id {query_id!r}")
-        seen.add(query_id)
-        lines.append((where, record))
-    if not lines:
-        raise CorpusError(f"{what} {path} holds no queries")
-    return lines
 
 
 def _check_query_flags(args: argparse.Namespace) -> None:
@@ -287,7 +259,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     if not args.fallback_only:
         generator = _generator(args, "a generator is required unless --fallback-only is set")
     pipeline, _, ledger = _build_pipeline(args, out, generator)
-    queries = [record for _, record in _query_lines(args.queries, "queries file")]
+    queries = [record for _, record in query_lines(args.queries, "queries file")]
     lines = [record_line(result_record(q["query_id"], pipeline.run_query(q["question"]))) for q in queries]
     write_lines(out / "results.jsonl", lines)
     logger.info(
@@ -345,8 +317,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
     _check_query_flags(args)
     out = _out_dir(args)
     sql_generator = _generator(args, "e2e needs a generator (it writes SQL)")
-    # e2e runs every gold query, so each gold line must be a valid query too
-    gold = [gold_query(record, where) for where, record in _query_lines(args.gold, "gold file")]
+    gold = load_gold_queries(args.gold)
     check_database(args.db)
     pipeline, store, ledger = _build_pipeline(args, out, sql_generator)
     lines = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import chain, islice, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -161,6 +161,10 @@ class JoinEdge:
         raise KeyError(f"{first_table!r} is not part of this edge")
 
 
+#: the fields of a :class:`JoinEdge`, in the order a saved cache's rows hold them
+_ROW_FIELDS = [field.name for field in fields(JoinEdge)]
+
+
 def table_compatibility(
     ti: Table,
     tj: Table,
@@ -225,8 +229,9 @@ class CompatibilityCache:
     def add(self, edge: JoinEdge) -> None:
         if edge.left_table >= edge.right_table:
             raise ValueError("edge sides must be in ascending id order")
-        if edge.score <= 0.0:
-            raise ValueError("only positive-score pairs belong in the cache")
+        # finite and positive; a cosine can round above 1.0, so no cap at 1
+        if not 0.0 < edge.score <= sys.float_info.max:
+            raise ValueError(f"score {edge.score!r} is not finite and positive")
         self._pairs[(edge.left_table, edge.right_table)] = edge
 
     def __len__(self) -> int:
@@ -245,54 +250,36 @@ class CompatibilityCache:
         edge = self.edge(ti, tj)
         return edge.score if edge is not None else 0.0
 
-    def best_join(self, ti: str, tj: str) -> tuple[str, str] | None:
-        """Join columns oriented as (column of ti, column of tj), or None."""
-        edge = self.edge(ti, tj)
-        return edge.oriented(ti) if edge is not None else None
-
     def save(self, path: str | Path) -> None:
-        pairs = {}
-        for (left, right), e in self._pairs.items():
-            pairs[f"{left}|{right}"] = {
-                "cs": e.score,
-                "join": [f"{e.left_table}.{e.left_column}", f"{e.right_table}.{e.right_column}"],
-            }
-        write_artifact(path, {"pairs": pairs}, self.backend_id)
+        """One row per edge, its fields in declaration order, sorted by table pair."""
+        edges = [list(astuple(edge)) for _, edge in sorted(self._pairs.items())]
+        write_artifact(path, {"edges": edges}, self.backend_id)
 
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "CompatibilityCache":
+        """The cache saved at ``path``. A row that is not four strings after a
+        number, that :meth:`add` refuses or whose table pair an earlier row
+        holds raises :class:`CorpusError` naming the file and the row."""
         data = read_artifact(path, "compatibility cache", expected_backend_id)
         cache = cls(backend_id=data.get("backend_id", ""))
-        for key, record in require(data, "pairs", path, "compatibility cache", dict).items():
-            left, sep, right = key.partition("|")
-            if not sep or left >= right:
-                raise CorpusError(f"malformed pair key {key!r} in {path}: not two table ids in ascending order")
-            join = require(record, "join", path, "compatibility cache")
-            if not isinstance(join, list) or len(join) != 2 or not all(isinstance(c, str) for c in join):
-                raise CorpusError(f"malformed join entry for {key!r} in {path}")
-            left_col = _strip_table_prefix(join[0], left, path)
-            right_col = _strip_table_prefix(join[1], right, path)
-            cs = require(record, "cs", path, "compatibility cache", (int, float))
-            # finite and positive; a cosine can round above 1.0, so no cap at 1
-            if isinstance(cs, bool) or not 0 < cs <= sys.float_info.max:
-                raise CorpusError(f"malformed compatibility cache {path}: pair {key!r} has cs {cs!r}")
-            cache.add(
-                JoinEdge(
-                    score=float(cs),
-                    left_table=left,
-                    left_column=left_col,
-                    right_table=right,
-                    right_column=right_col,
-                )
-            )
+        for index, row in enumerate(require(data, "edges", path, "compatibility cache", list)):
+            where = f"malformed compatibility cache {path}: edge {index}"
+            if not (
+                isinstance(row, list)
+                and len(row) == len(_ROW_FIELDS)
+                and isinstance(row[0], (int, float))
+                and not isinstance(row[0], bool)
+                and all(isinstance(value, str) for value in row[1:])
+            ):
+                raise CorpusError(f"{where} is not a number and four strings, {_ROW_FIELDS}")
+            size = len(cache)
+            try:
+                cache.add(JoinEdge(*row))
+            except ValueError as exc:
+                raise CorpusError(f"{where}: {exc}") from None
+            if len(cache) == size:
+                raise CorpusError(f"{where} repeats the table pair of an earlier edge")
         return cache
-
-
-def _strip_table_prefix(qualified: str, table_id: str, path: str | Path) -> str:
-    prefix = f"{table_id}."
-    if not qualified.startswith(prefix):
-        raise CorpusError(f"join column {qualified!r} does not belong to {table_id!r} in {path}")
-    return qualified[len(prefix) :]
 
 
 def _blocked_pairs(
@@ -372,12 +359,15 @@ def gold_joins_from_records(records: object, path: str | Path | None = None) -> 
 
     ``table_a`` and ``table_b`` must be strings, ``joinable`` a bool and
     ``gold_columns``, unless absent or null, a list of two strings. Anything
-    else raises :class:`CorpusError` naming ``path`` and the record's index.
+    else, or no record at all, raises :class:`CorpusError` naming ``path``
+    and the record's index.
     """
     what = "gold joins"
     source = "" if path is None else f"{path} "
     if not isinstance(records, list):
         raise CorpusError(f"{what} {source}must be a list of records")
+    if not records:
+        raise CorpusError(f"{what} {source}holds no records")
     gold = []
     for index, record in enumerate(records):
         where = f"{source}record {index}"
@@ -430,8 +420,9 @@ def evaluate_cache(
             join_hits += 1
         if g.joinable and g.gold_columns is not None:
             col_total += 1
-            best = cache.best_join(g.table_a, g.table_b)
-            if best is not None:
+            edge = cache.edge(g.table_a, g.table_b)
+            if edge is not None:
+                best = edge.oriented(g.table_a)
                 want = {(g.table_a, g.gold_columns[0]), (g.table_b, g.gold_columns[1])}
                 got = {(g.table_a, best[0]), (g.table_b, best[1])}
                 if want == got:

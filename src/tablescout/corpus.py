@@ -177,11 +177,6 @@ def _transpose(rows: Sequence[Sequence[object]], width: int) -> Iterable[tuple]:
     return zip(*rows) if rows else [()] * width
 
 
-def _safe_table_name(name: str) -> str:
-    # "|" is reserved by the cache pair-key format; map it to a broken bar.
-    return name.strip().replace("|", "¦")
-
-
 #: Called as ``_EMPTY_TO_NULL(cell, cell)``: NULL for ``""``, else the cell.
 _EMPTY_TO_NULL = {"": NULL}.get
 
@@ -245,7 +240,7 @@ def _load_csv_table(path: Path) -> Table:
     header = list(map(str.strip, records[0]))
     body = records[1:]
     columns = map(_csv_column, _transpose(body, width))
-    name = _safe_table_name(path.stem)
+    name = path.stem.strip()
     return Table._from_columns(name, name, header, columns, len(body))
 
 
@@ -298,7 +293,7 @@ def _load_sqlite_file(path: Path) -> list[Table]:
             header = [d[0] for d in cur.description]
             rows = cur.fetchall()
             columns = map(_sqlite_column, _transpose(rows, len(header)))
-            name = _safe_table_name(raw_name)
+            name = raw_name.strip()
             tables.append(Table._from_columns(name, name, header, columns, len(rows)))
         return tables
     except sqlite3.Error as exc:
@@ -364,7 +359,7 @@ def pool_corpora(corpora: Iterable[tuple[str, Sequence[Table]]]) -> TableCorpus:
     provenance: dict[str, str] = {}
     for label, source_tables in sorted(corpora, key=lambda item: item[0]):
         for table in source_tables:
-            name = _safe_table_name(table.name)
+            name = table.name.strip()
             if name in taken:
                 name = _rename_with_suffix(name, taken)
             taken.add(name)

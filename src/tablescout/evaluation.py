@@ -133,27 +133,47 @@ def _table_ids(record: dict, field: str, where: str, what: str) -> list[str]:
     return values
 
 
-def gold_query(record: dict, where: str) -> GoldQuery:
-    """The gold line ``{query_id, question, gold_tables, gold_sql?}`` at
-    ``where`` (``path:lineno``). A query_id that is not a string, a
-    gold_tables that is not a list of strings or a gold_sql present but
-    neither a string nor null raises :class:`CorpusError` naming ``where``.
+def query_lines(path: str | Path, what: str) -> list[tuple[str, dict]]:
+    """(``path:lineno``, object) for each line of a queries or gold file.
+
+    Each line needs a string query_id no earlier line holds and a question
+    that is not blank; a bad line raises :class:`CorpusError` naming
+    ``path:lineno``.
     """
-    what = "gold file"
-    gold_sql = record.get("gold_sql")
-    if gold_sql is not None:
-        require(record, "gold_sql", where, what, str)
-    return GoldQuery(
-        query_id=require(record, "query_id", where, what, str),
-        question=str(record.get("question", "")),
-        gold_tables=frozenset(_table_ids(record, "gold_tables", where, what)),
-        gold_sql=gold_sql,
-    )
+    lines = []
+    seen: set[str] = set()
+    for lineno, record in read_jsonl(path, what):
+        where = f"{path}:{lineno}"
+        query_id = require(record, "query_id", where, what, str)
+        question = require(record, "question", where, what, str)
+        if not question.strip():
+            raise CorpusError(f"malformed {what} {where}: blank question")
+        if query_id in seen:
+            raise CorpusError(f"malformed {what} {where}: repeated query_id {query_id!r}")
+        seen.add(query_id)
+        lines.append((where, record))
+    if not lines:
+        raise CorpusError(f"{what} {path} holds no queries")
+    return lines
 
 
 def load_gold_queries(path: str | Path) -> list[GoldQuery]:
-    """Read gold annotations from JSON lines, each checked by :func:`gold_query`."""
-    return [gold_query(record, f"{path}:{lineno}") for lineno, record in read_jsonl(path, "gold file")]
+    """Read gold lines ``{query_id, question, gold_tables, gold_sql?}``.
+
+    Each line gets the checks of a queries line (:func:`query_lines`); a
+    gold_tables that is not a list of strings or a gold_sql present but
+    neither a string nor null raises :class:`CorpusError` naming
+    ``path:lineno`` too.
+    """
+    what = "gold file"
+    gold = []
+    for where, record in query_lines(path, what):
+        gold_sql = record.get("gold_sql")
+        if gold_sql is not None:
+            require(record, "gold_sql", where, what, str)
+        tables = frozenset(_table_ids(record, "gold_tables", where, what))
+        gold.append(GoldQuery(record["query_id"], record["question"], tables, gold_sql))
+    return gold
 
 
 def load_result_records(path: str | Path) -> list[dict]:

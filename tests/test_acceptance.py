@@ -107,8 +107,8 @@ def test_criterion_2_planted_fk_recovery():
     for _ in range(trials):
         corpus, parent_id, child_id, join_col = planted_fk_corpus(rng)
         cache = build_cache(corpus, emb)
-        best = cache.best_join(parent_id, child_id)
-        if best == (join_col, join_col):
+        planted = cache.edge(parent_id, child_id)
+        if planted is not None and planted.oriented(parent_id) == (join_col, join_col):
             hits += 1
         by_id = {t.id: t for t in corpus}
         for edge in cache:

@@ -169,9 +169,11 @@ def drop_field(path, name):
     data = json.loads(path.read_text(encoding="utf-8"))
     if name in data:
         del data[name]
+    elif "edges" in data:  # a cache row's fields are positional, its score first
+        for row in data["edges"]:
+            del row[0]
     else:
-        records = data["entries"] if "entries" in data else data["pairs"]
-        for record in records.values():
+        for record in data["entries"].values():
             del record[name]
     path.write_text(json.dumps(data), encoding="utf-8")
 
@@ -185,8 +187,8 @@ def drop_field(path, name):
         ("enriched.json", "text"),
         ("embedding_cache.npz", "vectors"),
         ("index.npz", "vectors"),
-        ("compat_cache.json", "pairs"),
-        ("compat_cache.json", "cs"),
+        ("compat_cache.json", "edges"),
+        ("compat_cache.json", "score"),
     ],
 )
 def test_missing_field_is_an_input_error(built, capsys, name, field):
@@ -206,7 +208,7 @@ def edit_array(path, name, change):
     savez(path, **arrays)
 
 
-WRONG_TYPED = {"tables": 5, "entries": ["x"], "pairs": []}
+WRONG_TYPED = {"tables": 5, "entries": ["x"], "edges": {}}
 
 
 @pytest.mark.parametrize(
@@ -214,7 +216,7 @@ WRONG_TYPED = {"tables": 5, "entries": ["x"], "pairs": []}
     [
         ("corpus.json", "tables"),
         ("enriched.json", "entries"),
-        ("compat_cache.json", "pairs"),
+        ("compat_cache.json", "edges"),
         ("index.npz", "ids"),
         ("embedding_cache.npz", "keys"),
     ],
@@ -259,7 +261,7 @@ def npz_header(path):
 def json_header(path):
     """The top-level fields of a JSON artifact other than its body."""
     data = json.loads(path.read_text(encoding="utf-8"))
-    return {key: value for key, value in data.items() if key not in ("entries", "pairs", "sources", "tables")}
+    return {key: value for key, value in data.items() if key not in ("edges", "entries", "sources", "tables")}
 
 
 def test_every_artifact_carries_exactly_its_header(built):
@@ -298,20 +300,19 @@ def test_bad_cache_pair_is_an_input_error(built, capsys, tmp_path, reverse, cs):
     out, _ = built
     path = out / "compat_cache.json"
     data = json.loads(path.read_text(encoding="utf-8"))
-    key, record = next(iter(data["pairs"].items()))
+    row = data["edges"][0]
+    left, right = row[1], row[3]
     if reverse:
-        key = "|".join(reversed(key.split("|")))
-        record["join"].reverse()
+        row[1:] = row[3:] + row[1:3]
     else:
-        record["cs"] = cs
-    data["pairs"] = {key: record}
+        row[0] = cs
+    data["edges"] = [row]
     path.write_text(json.dumps(data), encoding="utf-8")
-    left, right = key.split("|")
     gold = tmp_path / "gold_joins.json"
     gold.write_text(json.dumps([{"table_a": left, "table_b": right, "joinable": True}]), encoding="utf-8")
     assert main(["eval", "--out-dir", str(out), "--gold-joins", str(gold)]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert str(path) in err and repr(key) in err
+    assert f"{path}: edge 0" in err
 
 
 def with_value(value):

@@ -364,12 +364,46 @@ class TestCache:
         first = path.read_bytes()
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
         assert path.read_bytes() == first
-        pairs = json.loads(first)["pairs"]
-        assert "cities|museums" in pairs  # city_id foreign key
-        assert pairs["cities|museums"]["join"] == ["cities.city_id", "museums.city_id"]
+        edges = json.loads(first)["edges"]
+        # city_id foreign key
+        assert [row[1:] for row in edges if row[1] == "cities" and row[3] == "museums"] == [
+            ["cities", "city_id", "museums", "city_id"]
+        ]
 
     def test_requires_corpus(self, out_dir):
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_INPUT
+
+    def test_cache_of_the_pair_key_layout_is_refused_naming_edges(self, out_dir, sources, tmp_path, capsys):
+        build_all(out_dir, tmp_path, *sources)
+        path = out_dir / "compat_cache.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["edges"]
+        data["pairs"] = {"cities|museums": {"cs": 0.8, "join": ["cities.city_id", "museums.city_id"]}}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        queries = tmp_path / "queries.jsonl"
+        write_jsonl(queries, [{"query_id": "q1", "question": "museums per city"}])
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_INPUT
+        assert f"{path}: missing field 'edges'" in capsys.readouterr().err
+
+    def test_pipe_in_a_table_name_is_kept_by_every_command(self, out_dir, tmp_path):
+        source = tmp_path / "pipes"
+        source.mkdir()
+        (source / "a|b.csv").write_text("id,name\n1,Ada\n2,Bo\n", encoding="utf-8")
+        (source / "c.csv").write_text("c_id,id\n7,1\n8,2\n9,1\n", encoding="utf-8")
+        assert main(["ingest", "--out-dir", str(out_dir), f"s={source}"]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("people", "visits")) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        tables = json.loads((out_dir / "corpus.json").read_text(encoding="utf-8"))["tables"]
+        assert [t["id"] for t in tables] == ["a|b", "c"]
+        assert set(json.loads((out_dir / "enriched.json").read_text(encoding="utf-8"))["entries"]) == {"a|b", "c"}
+        edges = json.loads((out_dir / "compat_cache.json").read_text(encoding="utf-8"))["edges"]
+        assert [row[1:] for row in edges] == [["a|b", "id", "c", "id"]]
+        queries = tmp_path / "queries.jsonl"
+        write_jsonl(queries, [{"query_id": "q1", "question": "visits per person"}])
+        assert retrieve(out_dir, queries, tmp_path, [selection_json([0, 1])]) == EXIT_OK
+        (record,) = read_results(out_dir)
+        assert sorted(record["topk"]) == sorted(record["final"]) == ["a|b", "c"]
 
     def test_clean_rerun_writes_no_embedding_cache_file(self, out_dir, sources, tmp_path):
         a, b = sources
@@ -622,8 +656,8 @@ class TestEval:
         write_jsonl(
             gold,
             [
-                {"query_id": "q1", "question": "", "gold_tables": ["museums", "cities"]},
-                {"query_id": "q2", "question": "", "gold_tables": ["shared"]},
+                {"query_id": "q1", "question": "how many museums per city", "gold_tables": ["museums", "cities"]},
+                {"query_id": "q2", "question": "shared codes", "gold_tables": ["shared"]},
             ],
         )
         code = main(["eval", "--out-dir", str(out_dir), "--gold", str(gold)])
@@ -677,6 +711,15 @@ class TestEval:
         assert code == EXIT_INPUT
         assert f"{gold_joins} {complaint}" in capsys.readouterr().err
 
+    def test_empty_gold_joins_list_is_input_error_naming_it(self, built, tmp_path, capsys):
+        out_dir, _ = built
+        gold_joins = tmp_path / "gold_joins.json"
+        gold_joins.write_text("[]")
+        assert main(["eval", "--out-dir", str(out_dir), "--gold-joins", str(gold_joins)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"gold joins {gold_joins} holds no records" in err and "Traceback" not in err
+        assert not (out_dir / "compat_report.json").exists()
+
     def test_needs_a_gold_flag(self, built):
         out_dir, _ = built
         assert main(["eval", "--out-dir", str(out_dir)]) == EXIT_CONFIG
@@ -696,8 +739,8 @@ class TestEval:
         write_jsonl(
             gold,
             [
-                {"query_id": "q1", "question": "", "gold_tables": ["cities"]},
-                {"query_id": "q2", "question": "", "gold_tables": ["cities"]},
+                {"query_id": "q1", "question": "how many museums per city", "gold_tables": ["cities"]},
+                {"query_id": "q2", "question": "shared codes", "gold_tables": ["cities"]},
             ],
         )
         code = main(
@@ -718,8 +761,8 @@ class TestEval:
         write_jsonl(
             gold,
             [
-                {"query_id": "q1", "gold_tables": ["cities"]},
-                {"query_id": "q2", "gold_tables": gold_tables},
+                {"query_id": "q1", "question": "how many museums per city", "gold_tables": ["cities"]},
+                {"query_id": "q2", "question": "shared codes", "gold_tables": gold_tables},
             ],
         )
         results = tmp_path / "results.jsonl"
@@ -969,6 +1012,30 @@ class TestE2E:
         assert main(argv) == EXIT_CONFIG
         # the dense baseline still needs one to write SQL
         assert main([*argv, "--fallback-only"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        ([{"query_id": "q1", "question": "  ", "gold_tables": ["museums"]}], 1),
+        ([{"query_id": "q1", "gold_tables": ["museums"]}], 1),
+        ([{"query_id": "q1", "question": "how many museums", "gold_tables": ["museums"]}] * 2, 2),
+    ],
+    ids=["blank-question", "no-question", "repeated-query-id"],
+)
+def test_eval_and_e2e_refuse_a_gold_line_alike(built, tmp_path, capsys, lines, line):
+    out_dir, _ = built
+    gold = tmp_path / "gold.jsonl"
+    write_jsonl(gold, lines)
+    results = tmp_path / "results.jsonl"
+    write_jsonl(results, [{"query_id": "q1", "final": ["museums"]}])
+    assert main(["eval", "--out-dir", str(out_dir), "--gold", str(gold), "--results", str(results)]) == EXIT_INPUT
+    eval_err = capsys.readouterr().err
+    spec = f"scripted:{scripted_file(tmp_path, [selection_json([0])])}"
+    argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
+    assert main([*argv, "--generator", spec]) == EXIT_INPUT
+    assert capsys.readouterr().err == eval_err
+    assert f"{gold}:{line}: " in eval_err
 
 
 @pytest.mark.parametrize(

@@ -414,8 +414,8 @@ class TestCompatibilityCache:
     def test_scores_and_joins_are_orientation_safe(self):
         cache = build_cache(small_corpus(), HashingEmbedder(dimension=64))
         assert cache.score("t2", "t1") == cache.score("t1", "t2")
-        ab = cache.best_join("t1", "t2")
-        ba = cache.best_join("t2", "t1")
+        ab = cache.edge("t1", "t2").oriented("t1")
+        ba = cache.edge("t2", "t1").oriented("t2")
         assert ab == ("id", "id")
         assert ba == (ab[1], ab[0])
 
@@ -458,22 +458,31 @@ class TestCompatibilityCache:
         with pytest.raises(BackendMismatchError):
             CompatibilityCache.load(path, expected_backend_id="http:other-model")
 
+    @pytest.mark.parametrize(
+        "body, complaint",
+        [
+            ({"pairs": {"a|b": {"cs": 0.5, "join": ["a.c1", "b.c2"]}}}, "missing field 'edges'"),
+            ({"edges": {"a": 0.5}}, "field 'edges' holds dict"),
+            ({"edges": [[0.5, "a", "c1", "b"]]}, "edge 0 is not a number and four strings"),
+            ({"edges": [[0.5, "a", "c1", "b", 2]]}, "edge 0 is not a number and four strings"),
+            ({"edges": [["0.5", "a", "c1", "b", "c2"]]}, "edge 0 is not a number and four strings"),
+            ({"edges": [[True, "a", "c1", "b", "c2"]]}, "edge 0 is not a number and four strings"),
+            ({"edges": [[0.5, "a", "c1", "b", "c2"], [0.5, "b", "c2", "a", "c1"]]}, "edge 1: edge sides"),
+            ({"edges": [[0.5, "a", "c1", "b", "c2"], [0.4, "a", "c3", "b", "c4"]]}, "edge 1 repeats"),
+            ({"edges": [[10**400, "a", "c1", "b", "c2"]]}, "edge 0: score"),
+        ],
+        ids=["old-layout", "edges-dict", "short-row", "number-column", "string-score", "bool-score",
+             "reversed-sides", "repeated-pair", "huge-score"],
+    )
+    def test_load_rejects_malformed_rows(self, tmp_path, body, complaint):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": 1, "backend_id": "x", **body}))
+        with pytest.raises(CorpusError, match=complaint) as refused:
+            CompatibilityCache.load(path)
+        assert str(path) in str(refused.value)
+
     def test_load_rejects_malformed_payloads(self, tmp_path):
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 1, "backend_id": "x", "pairs": {"a": {}}}))
-        with pytest.raises(CorpusError):
-            CompatibilityCache.load(path)
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "backend_id": "x",
-                    "pairs": {"a|b": {"cs": 0.5, "join": ["z.c1", "b.c2"]}},
-                }
-            )
-        )
-        with pytest.raises(CorpusError):
-            CompatibilityCache.load(path)
         path.write_text("{not json")
         with pytest.raises(CorpusError):
             CompatibilityCache.load(path)
@@ -482,8 +491,22 @@ class TestCompatibilityCache:
         cache = CompatibilityCache()
         with pytest.raises(ValueError):
             cache.add(JoinEdge(0.5, "b", "x", "a", "y"))
-        with pytest.raises(ValueError):
-            cache.add(JoinEdge(0.0, "a", "x", "b", "y"))
+        for score in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                cache.add(JoinEdge(score, "a", "x", "b", "y"))
+        assert len(cache) == 0
+
+    def test_saved_bytes_do_not_depend_on_insertion_order(self, tmp_path):
+        edges = [
+            JoinEdge(0.75, "a", "k", "b", "fk"),
+            JoinEdge(0.5, "a", "k", "c", "a_k"),
+            JoinEdge(1.0000000000000002, "b", "fk", "c", "x"),
+        ]
+        CompatibilityCache(edges, backend_id="stub").save(tmp_path / "one.json")
+        CompatibilityCache(reversed(edges), backend_id="stub").save(tmp_path / "two.json")
+        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+        rows = json.loads((tmp_path / "one.json").read_text(encoding="utf-8"))["edges"]
+        assert rows == [[e.score, e.left_table, e.left_column, e.right_table, e.right_column] for e in edges]
 
     def test_cache_agrees_with_oracle_on_random_corpora(self):
         emb = HashingEmbedder(dimension=48)
@@ -499,7 +522,32 @@ class TestCompatibilityCache:
                         assert cache.edge(ti.id, tj.id) is None
                     else:
                         assert cache.score(ti.id, tj.id) == pytest.approx(want[0], abs=1e-12)
-                        assert cache.best_join(ti.id, tj.id) == want[1]
+                        assert cache.edge(ti.id, tj.id).oriented(ti.id) == want[1]
+
+
+# table ids and column names as a pooled corpus may hold them: "|", ".",
+# quotes, backslashes and newlines among any other text
+NAMES = st.text(alphabet=st.characters(exclude_categories=("Cs",)) | st.sampled_from('|."\'\\\n'), max_size=6)
+SCORES = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
+
+
+@given(rows=st.lists(st.tuples(SCORES, NAMES, NAMES, NAMES, NAMES), max_size=8))
+@example(rows=[(0.5, "a|b", "x.y", "a", 'q"\n'), (1.0000000000000002, "a|b", "k", "a|b.c", "|")])
+@settings(max_examples=80, deadline=None)
+def test_cache_round_trip_keeps_names_and_score_bits(tmp_path_factory, rows):
+    edges = {}
+    for score, a, column_a, b, column_b in rows:
+        if a != b:
+            (a, column_a), (b, column_b) = sorted([(a, column_a), (b, column_b)])
+            edges[(a, b)] = JoinEdge(score, a, column_a, b, column_b)
+    path = tmp_path_factory.mktemp("cache") / "compat_cache.json"
+    CompatibilityCache(edges.values(), backend_id="stub").save(path)
+    loaded = CompatibilityCache.load(path, "stub")
+    assert len(loaded) == len(edges)
+    for (a, b), edge in edges.items():
+        got = loaded.edge(a, b)
+        assert got == edge
+        assert got.score.hex() == edge.score.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +638,7 @@ def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         subprocess.run([sys.executable, "-c", HASH_SEED_RUN, str(out)], env=env, check=True)
     saved = sorted((tmp_path / "0").iterdir())
     assert len(saved) == 6
-    assert sum(len(json.loads(f.read_text(encoding="utf-8"))["pairs"]) for f in saved) > 0
+    assert sum(len(json.loads(f.read_text(encoding="utf-8"))["edges"]) for f in saved) > 0
     for f in saved:
         assert f.read_bytes() == (tmp_path / "1" / f.name).read_bytes()
 

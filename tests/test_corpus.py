@@ -446,7 +446,7 @@ def reference_csv_table(path):
             if len(raw) != len(header):
                 raise CorpusError(f"{path}:{reader.line_num}: row has {len(raw)} cells, header has {len(header)}")
             rows.append([c.strip() or NULL for c in raw])
-    name = path.stem.strip().replace("|", "¦")
+    name = path.stem.strip()
     return reference_table(name, header, rows)
 
 
@@ -476,7 +476,7 @@ def reference_sqlite_tables(path):
             cur = conn.execute(f'SELECT * FROM "{quoted}"')
             header = [d[0] for d in cur.description]
             rows = [[reference_sqlite_cell(v) for v in row] for row in cur.fetchall()]
-            tables.append(reference_table(raw_name.strip().replace("|", "¦"), header, rows))
+            tables.append(reference_table(raw_name.strip(), header, rows))
         return tables
     finally:
         conn.close()
@@ -637,7 +637,7 @@ def write_awkward_pool(base):
 
 #: sha256 of the corpus.json the awkward pool ingests to, taken from the
 #: row-by-row ingest this module's reference loader reproduces
-AWKWARD_POOL_SHA256 = "defc1b7d9498fb4ef744f2c36b7535dad8d7a577f0542f6bdfb529563dcd1460"
+AWKWARD_POOL_SHA256 = "810493b6352833d8e42f34a27d8cbb467afbc7d93c97eb516edee663930af984"
 
 
 def test_awkward_pool_corpus_bytes_are_pinned(tmp_path):

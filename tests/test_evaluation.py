@@ -161,13 +161,13 @@ class TestLoading:
 
     def test_gold_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "gold.jsonl"
-        path.write_text('{"query_id": "q1", "gold_tables": ["a"]}\n{broken\n')
+        path.write_text('{"query_id": "q1", "question": "which?", "gold_tables": ["a"]}\n{broken\n')
         with pytest.raises(CorpusError, match=r":2"):
             load_gold_queries(path)
         path.write_text('{"question": "no id"}\n')
         with pytest.raises(CorpusError):
             load_gold_queries(path)
-        path.write_text('{"query_id": "q1", "gold_tables": ["a"]}\n["q2"]\n')
+        path.write_text('{"query_id": "q1", "question": "which?", "gold_tables": ["a"]}\n["q2"]\n')
         with pytest.raises(CorpusError, match=r":2: expected a JSON object"):
             load_gold_queries(path)
         with pytest.raises(CorpusError):
