@@ -5,19 +5,21 @@ Writes go to ``<name>.tmp`` beside the target and are moved over it with
 a torn one. No fsync: the fault covered is a killed process, not a lost
 machine. Records go to compact JSON (:func:`write_artifact`); vectors go to
 compressed ``.npz`` files (:func:`write_npz`), read back as one row per key
-(:func:`read_npz`). The dense index is one such file. The embedding cache is
-a log of them, its segments (:func:`segment_path`, :func:`numbered_segments`):
-``<name>`` is segment 0 and ``<name>.1``, ``<name>.2``, ... sit beside it,
-each written once and never changed, except that a compaction rewrites every
-entry into segment 0 and then deletes the others; its owner,
-``services.CachingEmbedder``, says what a kill at each step leaves. The
-index keeps its table ids as ``str``, since an id may be any unicode; the
-cache keeps its hex-digest keys as ASCII bytes, a quarter of the raw size of
-``str``. Reads turn an unreadable or malformed file, or a missing or
-wrong-typed field, into :class:`CorpusError` naming it. Every header is
-built here, by :func:`header`, with writers passing only their body, and
-checked here: :func:`check_header` refuses a wrong ``version`` or another
-``backend_id``, and :func:`read_npz` a ``dimension`` other than the
+(:func:`read_npz`), or only their keys (:func:`read_npz_keys`). The dense
+index is one such file, with two key members: its table ids, as ``str``
+since an id may be any unicode, and the hex digest of each row's embedded
+text, as ASCII bytes, a quarter of the raw size of ``str``. The embedding
+cache reads the index as a source of vectors and keeps the rest in a log of
+such files, its segments (:func:`segment_path`, :func:`numbered_segments`),
+keyed by those digests: ``<name>`` is segment 0 and ``<name>.1``,
+``<name>.2``, ... sit beside it, each written once and never changed,
+except that a compaction rewrites every entry into segment 0 and then
+deletes the others; its owner, ``services.CachingEmbedder``, says what a
+kill at each step leaves. Reads turn an unreadable or malformed file, or a
+missing or wrong-typed field, into :class:`CorpusError` naming it. Every
+header is built here, by :func:`header`, with writers passing only their
+body, and checked here: :func:`check_header` refuses a wrong ``version`` or
+another ``backend_id``, and :func:`read_npz` a ``dimension`` other than the
 vectors' width or an ``absorbed`` that is not a count.
 
 The one file that is appended to instead is a journal, ``<name>.journal``
@@ -43,7 +45,8 @@ import numpy as np
 from .errors import BackendMismatchError, CorpusError
 
 #: Format version written into, and required of, every persisted artifact.
-FORMAT_VERSION = 1
+#: Version 2 added the index's text keys, which the embedding cache reads.
+FORMAT_VERSION = 2
 # bytes of one array that write_npz copies at a time
 _NPZ_CHUNK_BYTES = 1 << 18
 
@@ -155,18 +158,19 @@ def read_artifact(path: str | Path, what: str, backend_id: str | None = None) ->
 
 
 def write_npz(
-    path: str | Path, backend_id: str, keys_field: str, keys: np.ndarray, vectors: np.ndarray, **fields: object
+    path: str | Path, backend_id: str, keys: dict[str, np.ndarray], vectors: np.ndarray, **fields: object
 ) -> None:
-    """Save ``keys`` (as ``keys_field``), the 2-D ``vectors`` and their
-    :func:`header`, a JSON string with ``dimension`` the vectors' width, in
-    one compressed ``.npz``, whatever the suffix of ``path``.
+    """Save the key members ``keys`` (each a 1-D array, one key per row, by
+    member name), the 2-D ``vectors`` and their :func:`header`, a JSON string
+    with ``dimension`` the vectors' width, in one compressed ``.npz``,
+    whatever the suffix of ``path``.
 
     The bytes are those ``np.savez_compressed`` writes for C-ordered arrays,
     but each array goes out in chunks of ``_NPZ_CHUNK_BYTES``, where numpy
     first copies it whole, so a save holds no second copy of a large array.
     """
     meta = header(backend_id, dimension=vectors.shape[1], **fields)
-    arrays = {keys_field: keys, "vectors": vectors, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
+    arrays = {**keys, "vectors": vectors, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
     with replacing(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as npz:
         for name, array in arrays.items():
             array = np.asarray(array, order="C")
@@ -201,32 +205,50 @@ def numbered_segments(path: str | Path) -> dict[int, Path]:
     return dict(sorted(found.items()))
 
 
-def read_npz(
-    path: str | Path, what: str, backend_id: str | None, keys_field: str
-) -> tuple[dict, list[str], np.ndarray]:
-    """(checked meta, keys, vectors) of an ``.npz`` written by :func:`write_npz`.
-
-    The keys may be stored as ``str`` or as ASCII bytes; either way they come
-    back as a list of ``str``. Anything but a 1-D ``keys_field`` array of
-    distinct keys and a 2-D ``vectors`` array of finite numbers with one row
-    per key raises :class:`CorpusError` naming the file, and so do bytes keys
-    that are not ASCII, a ``dimension`` other than the vectors' width and an
-    ``absorbed`` that is not a count.
-    """
+def _open_npz(path: str | Path, what: str, backend_id: str | None, names: tuple[str, ...]) -> tuple[dict, dict]:
+    """(checked meta, the members among ``names`` that the file holds) of
+    an ``.npz`` written by :func:`write_npz`; no other member is read."""
     try:
         # an open handle, because np.load leaks its own on a torn zip
         with Path(path).open("rb") as handle, np.load(handle, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
+            arrays = {name: data[name] for name in ("meta", *names) if name in data.files}
         meta = json.loads(str(arrays.pop("meta")))
     except OSError as exc:
         raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise CorpusError(f"malformed {what} {path}: {exc}") from exc
-    check_header(meta, path, what, backend_id)
-    keys = require(arrays, keys_field, path, what)
+    return check_header(meta, path, what, backend_id), arrays
+
+
+def _decoded(keys: np.ndarray, field: str, path: str | Path, what: str) -> list[str]:
+    """A key member as a list of ``str``, from ``str`` or ASCII bytes."""
+    try:
+        # one decode for either layout: str (index ids) or ASCII bytes (text keys)
+        return keys.astype(str).tolist()
+    except ValueError as exc:  # bytes that are not ASCII, or not text at all
+        raise CorpusError(f"malformed {what} {path}: {field} are not ASCII or unicode text: {exc}") from exc
+
+
+def read_npz(path: str | Path, what: str, backend_id: str | None, *keys_fields: str) -> tuple:
+    """(checked meta, one list of keys per field of ``keys_fields``, vectors)
+    of an ``.npz`` written by :func:`write_npz`; a member not named is not read.
+
+    The keys may be stored as ``str`` or as ASCII bytes; either way they come
+    back as lists of ``str``. The first field names the rows, so its keys are
+    distinct. A later one holds the keys of the texts embedded, and two rows
+    may share one of those only when their vectors are equal bit for bit:
+    two tables with one text. Anything but 1-D key arrays and a 2-D
+    ``vectors`` array of finite numbers with one row per key raises
+    :class:`CorpusError` naming the file, and so do bytes keys that are not
+    ASCII, a ``dimension`` other than the vectors' width and an ``absorbed``
+    that is not a count.
+    """
+    meta, arrays = _open_npz(path, what, backend_id, (*keys_fields, "vectors"))
+    members = [require(arrays, field, path, what) for field in keys_fields]
     vectors = require(arrays, "vectors", path, what)
-    if keys.ndim != 1 or vectors.ndim != 2 or len(keys) != len(vectors):
-        raise CorpusError(f"malformed {what} {path}: {keys_field} {keys.shape} for vectors {vectors.shape}")
+    for field, keys in zip(keys_fields, members):
+        if keys.ndim != 1 or vectors.ndim != 2 or len(keys) != len(vectors):
+            raise CorpusError(f"malformed {what} {path}: {field} {keys.shape} for vectors {vectors.shape}")
     if vectors.dtype.kind not in "fiu" or not np.isfinite(vectors).all():
         raise CorpusError(f"malformed {what} {path}: vectors hold NaN, infinity or non-numbers")
     width, dimension, absorbed = vectors.shape[1], meta.get("dimension"), meta.get("absorbed", 0)
@@ -234,16 +256,26 @@ def read_npz(
         raise CorpusError(f"malformed {what} {path}: field 'dimension' holds {dimension!r} for vectors of width {width}")
     if type(absorbed) is not int or absorbed < 0:
         raise CorpusError(f"malformed {what} {path}: field 'absorbed' holds {absorbed!r}")
-    try:
-        # one decode for either layout: str (index ids) or ASCII bytes (cache keys)
-        keys = keys.astype(str).tolist()
-    except ValueError as exc:  # bytes that are not ASCII, or not text at all
-        raise CorpusError(
-            f"malformed {what} {path}: {keys_field} are not ASCII or unicode text: {exc}"
-        ) from exc
-    if len(set(keys)) != len(keys):
-        raise CorpusError(f"malformed {what} {path}: repeated {keys_field}")
-    return meta, keys, vectors
+    decoded = [_decoded(keys, field, path, what) for field, keys in zip(keys_fields, members)]
+    if len(set(decoded[0])) != len(decoded[0]):
+        raise CorpusError(f"malformed {what} {path}: repeated {keys_fields[0]}")
+    for field, keys in zip(keys_fields[1:], decoded[1:]):
+        if len(set(keys)) != len(keys):  # tables with one text share its key
+            held: dict[str, bytes] = {}
+            for key, row in zip(keys, vectors):
+                if held.setdefault(key, row.tobytes()) != row.tobytes():
+                    raise CorpusError(f"malformed {what} {path}: repeated {field} {key} with another vector")
+    return (meta, *decoded, vectors)
+
+
+def read_npz_keys(path: str | Path, what: str, backend_id: str | None, field: str) -> list[str]:
+    """The keys of member ``field`` of an ``.npz`` written by
+    :func:`write_npz`, its header checked; no other member is read."""
+    _, arrays = _open_npz(path, what, backend_id, (field,))
+    keys = require(arrays, field, path, what)
+    if keys.ndim != 1:
+        raise CorpusError(f"malformed {what} {path}: {field} {keys.shape} is not one key per row")
+    return _decoded(keys, field, path, what)
 
 
 def _json_object(line: str | bytes, path: str | Path, lineno: int) -> dict:

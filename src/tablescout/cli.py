@@ -5,9 +5,12 @@ artifacts in an output directory (corpus.json, enriched.json, index.npz,
 embedding_cache.npz, compat_cache.json, results.jsonl, report files) so runs
 are resumable and byte-reproducible with the offline stub backends.
 
-The embedding cache is segmented; ``services.CachingEmbedder`` and the
-README's "Artifacts" section say how its segments are written and what a
-killed command leaves.
+Each vector is stored once: ``index.npz`` (:data:`services.INDEX_FILE`)
+records the text key of each row, and the embedding cache reads it as a
+source, so its segments hold only what the index does not: the column
+headers ``cache`` embeds, and the texts of tables a re-ingest dropped.
+``services.CachingEmbedder`` and the README's "Artifacts" section say how
+the segments are written and what a killed command leaves.
 
 Exit codes: 0 success, 2 configuration problem, 3 input problem, 4 backend
 failure.
@@ -66,6 +69,7 @@ from .services import (
     HashingEmbedder,
     HttpEmbeddingClient,
     HttpGenerationClient,
+    INDEX_FILE,
     ScriptedGenerator,
     TokenLedger,
 )
@@ -205,14 +209,14 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     # the store keeps tables dropped from the corpus, so a table added back
     # costs no call; the index holds only the corpus's tables
     index = DenseIndex.build({t.id: store.get(t.id).text for t in corpus}, embedder)
-    index.save(out / "index.npz")
+    index.save(out / INDEX_FILE)
     embedder.save()
     tokens = ledger.stage_totals().get("purpose", (0, 0))
     logger.info(
         "enriched %d tables (%d already cached), purpose tokens in/out = %d/%d",
         len(store) - already, already, tokens[0], tokens[1],
     )
-    print(f"enriched {len(store)} tables -> {out / 'index.npz'}")
+    print(f"enriched {len(index)} tables -> {out / INDEX_FILE}")
     return EXIT_OK
 
 
@@ -235,7 +239,7 @@ def _build_pipeline(
     answers with the dense top-k, under ``--fallback-only``."""
     # only the query is embedded, so the embedding cache is neither read nor written
     embedder = parse_embedder_spec(args.embedder)
-    index = DenseIndex.load(_require_artifact(out / "index.npz", "enrich"), embedder.backend_id)
+    index = DenseIndex.load(_require_artifact(out / INDEX_FILE, "enrich"), embedder.backend_id)
     cache = CompatibilityCache.load(_require_artifact(out / "compat_cache.json", "cache"), embedder.backend_id)
     store = EnrichmentStore(_require_artifact(out / "enriched.json", "enrich"))
     ledger = TokenLedger()

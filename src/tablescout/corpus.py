@@ -65,7 +65,9 @@ class Table:
 
     The data is held column-major: each :class:`Column` has exactly
     ``row_count`` values. :meth:`build` is the row-major constructor and
-    rejects a row whose width differs from the header's.
+    rejects a row whose width differs from the header's. An id or name that
+    is blank once stripped, which would name no table in a prompt, the index
+    or the cache, raises :class:`CorpusError`.
     """
 
     id: str
@@ -74,6 +76,9 @@ class Table:
     row_count: int
 
     def __post_init__(self) -> None:
+        for field, value in (("id", self.id), ("name", self.name)):
+            if not value.strip():
+                raise CorpusError(f"table {field} {value!r} is blank")
         seen: set[str] = set()
         for col in self.columns:
             if len(col.values) != self.row_count:
@@ -241,7 +246,10 @@ def _load_csv_table(path: Path) -> Table:
     body = records[1:]
     columns = map(_csv_column, _transpose(body, width))
     name = path.stem.strip()
-    return Table._from_columns(name, name, header, columns, len(body))
+    try:
+        return Table._from_columns(name, name, header, columns, len(body))
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def _sqlite_cell(value: object) -> str | None:
@@ -298,6 +306,8 @@ def _load_sqlite_file(path: Path) -> list[Table]:
         return tables
     except sqlite3.Error as exc:
         raise CorpusError(f"failed reading {path}: {exc}") from exc
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     finally:
         conn.close()
 

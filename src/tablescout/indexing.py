@@ -31,7 +31,7 @@ from .artifacts import (
 )
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
 from .errors import BackendMismatchError
-from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine_of_norms
+from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine_of_norms, text_key
 
 PURPOSE_PROMPT = (
     "Given the following table, describe the purpose of this table in "
@@ -237,15 +237,21 @@ class DenseIndex:
     descending score with ties broken by ascending id; ranks and scores are
     those of the scalar ``cosine`` applied row by row, so results are stable
     across runs and across save/load round trips.
+
+    ``keys`` holds each row's :func:`text_key`, which :meth:`save` writes
+    beside the ids, so the embedding cache can serve those vectors from the
+    index instead of storing them again. An index made without them
+    searches, but cannot be saved.
     """
 
-    def __init__(self, ids: list[str], vectors: np.ndarray, backend_id: str):
-        if len(ids) != vectors.shape[0]:
-            raise ValueError("one vector per table id required")
+    def __init__(self, ids: list[str], vectors: np.ndarray, backend_id: str, keys: list[str] | None = None):
+        if len(ids) != vectors.shape[0] or (keys is not None and len(keys) != len(ids)):
+            raise ValueError("one vector (and text key) per table id required")
         if len(set(ids)) != len(ids):
             raise ValueError("table ids must be unique")
         order = sorted(range(len(ids)), key=lambda i: ids[i])
         self.ids: tuple[str, ...] = tuple(str(ids[i]) for i in order)
+        self.keys: tuple[str, ...] | None = None if keys is None else tuple(keys[i] for i in order)
         self.vectors: np.ndarray = np.asarray(vectors, dtype=np.float64)[order]
         self.backend_id = backend_id
         # each row's norm as ``cosine`` computes it, so rescoring reuses it
@@ -261,12 +267,14 @@ class DenseIndex:
 
     @classmethod
     def build(cls, texts: Mapping[str, str], embedder: Embedder) -> "DenseIndex":
-        """Embed every table text, as one batch in sorted-id order, into an index."""
+        """Embed every table text, as one batch in sorted-id order, into an
+        index that records each row's :func:`text_key`."""
         if not texts:
-            return cls(ids=[], vectors=np.zeros((0, 0)), backend_id=embedder.backend_id)
+            return cls(ids=[], vectors=np.zeros((0, 0)), backend_id=embedder.backend_id, keys=[])
         ids = sorted(texts)
-        vectors = embedder.embed_many([texts[i] for i in ids])
-        return cls(ids=ids, vectors=vectors, backend_id=embedder.backend_id)
+        ordered = [texts[i] for i in ids]
+        vectors = embedder.embed_many(ordered)
+        return cls(ids=ids, vectors=vectors, backend_id=embedder.backend_id, keys=list(map(text_key, ordered)))
 
     def search(self, query_vector: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Top-k (table_id, cosine) pairs; k is clipped to the index size. A
@@ -304,9 +312,13 @@ class DenseIndex:
         return [(self.ids[i], score) for score, i in rescored[:k]]
 
     def save(self, path: str | Path) -> None:
-        write_npz(path, self.backend_id, "ids", np.asarray(self.ids), self.vectors)
+        """Write the ids, text keys (as ASCII bytes) and vectors to ``path``."""
+        if self.keys is None:
+            raise ValueError("an index made without text keys cannot be saved")
+        keys = {"ids": np.asarray(self.ids), "keys": np.asarray(self.keys, dtype="S")}
+        write_npz(path, self.backend_id, keys, self.vectors)
 
     @classmethod
     def load(cls, path: str | Path, expected_backend_id: str | None = None) -> "DenseIndex":
-        meta, ids, vectors = read_npz(path, "index", expected_backend_id, "ids")
-        return cls(ids=ids, vectors=vectors, backend_id=meta.get("backend_id", ""))
+        meta, ids, keys, vectors = read_npz(path, "index", expected_backend_id, "ids", "keys")
+        return cls(ids=ids, vectors=vectors, backend_id=meta.get("backend_id", ""), keys=keys)

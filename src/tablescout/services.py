@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import numbered_segments, read_npz, segment_path, write_npz
+from .artifacts import numbered_segments, read_npz, read_npz_keys, segment_path, write_npz
 from .errors import BackendError, CorpusError
 
 logger = logging.getLogger(__name__)
@@ -192,42 +192,60 @@ class HashingEmbedder:
 #: The most segments the embedding cache spans on disk: a save that would
 #: leave more rewrites every entry into segment 0 instead.
 MAX_CACHE_SEGMENTS = 8
+#: The dense index's file name. The embedding cache at ``path`` reads the
+#: index at ``path.with_name(INDEX_FILE)`` as a read-only source.
+INDEX_FILE = "index.npz"
+
+
+def text_key(text: str) -> str:
+    """The key of an embedded text in the embedding cache and the index: the
+    SHA-256 hex digest of its UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class CachingEmbedder:
     """Wrap an embedder with an in-memory cache that can persist to ``.npz``.
 
-    Cache entries are keyed by the SHA-256 of the input text and are only
-    valid for the backend that produced them; loading a cache written under a
-    different backend id is refused. ``backend_calls`` counts actual backend
+    Cache entries are keyed by :func:`text_key` and are only valid for the
+    backend that produced them; loading a cache written under a different
+    backend id is refused. ``backend_calls`` counts actual backend
     invocations, which makes resumability measurable in tests.
 
-    On disk the cache is a log of segments (:func:`segment_path`): segment 0
-    at ``path``, then ``<name>.1``, ``<name>.2``, ... beside it. Each holds
-    the sorted keys, each a 64-character hex digest stored as ASCII bytes,
-    and one float64 vector row per key, whatever its suffix; a segment whose
-    keys were stored as ``str`` loads the same. :meth:`save` writes only the
-    entries embedded since the load, as one new segment, so a rebuild that
-    adds a few vectors writes those few. The loader joins the live segments
+    Each vector is stored once. The dense index beside ``path``
+    (:data:`INDEX_FILE`) records the key of each row's text, and the cache
+    loads it as a read-only source of entries; it never writes it. The rest
+    sits in a log of segments (:func:`segment_path`): segment 0 at ``path``,
+    then ``<name>.1``, ``<name>.2``, ... beside it. Each holds sorted keys,
+    each a 64-character hex digest stored as ASCII bytes, and one float64
+    vector row per key, whatever its suffix; a segment whose keys were stored
+    as ``str`` loads the same. :meth:`save` reads the keys of the index on
+    disk then, and writes, as one new segment, only the entries that neither
+    it nor a live segment holds: so a cold ``enrich``, whose every vector is
+    in the index it just saved, writes no segment, and a table the index
+    drops keeps its vector in a segment. The loader joins the live segments
     and refuses a key held by two of them, or two non-empty segments of
-    different widths.
+    different widths; the index may hold a key a segment holds too (a table
+    dropped, then added back), but only with the same vector.
 
     When a save would leave more than :data:`MAX_CACHE_SEGMENTS` segments,
-    it rewrites every entry into segment 0, whose header then records in
-    ``absorbed`` the highest segment number it took in, and deletes those
-    segments. The loader ignores a segment numbered ``absorbed`` or below, so
-    a process killed between the rewrite and the deletes leaves no key twice;
-    the next save deletes what is left. Every file is written through
-    :func:`write_npz`, so a kill at any other point leaves the segments as
-    they were, plus at most one ``*.tmp`` file, which is not a segment.
+    it rewrites every entry the index does not hold into segment 0, whose
+    header then records in ``absorbed`` the highest segment number it took
+    in, and deletes those segments. The loader ignores a segment numbered
+    ``absorbed`` or below, so a process killed between the rewrite and the
+    deletes leaves no key twice; the next save deletes what is left. Every
+    file is written through :func:`write_npz`, so a kill at any other point
+    leaves the segments as they were, plus at most one ``*.tmp`` file, which
+    is not a segment. A kill between an index save and the cache's save loses
+    only the vectors of the tables that index dropped.
     """
 
     def __init__(self, backend: Embedder, path: str | Path | None = None):
         self._backend = backend
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, np.ndarray] = {}
-        # keys embedded since the load, which the next save writes
-        self._unsaved: list[str] = []
+        # keys the live segments hold; a save writes the entries that neither
+        # they nor the index on disk hold
+        self._held: set[str] = set()
         # numbers of the live numbered segments, and of those segment 0 absorbed
         self._live: list[int] = []
         self._absorbed = 0
@@ -249,38 +267,44 @@ class CachingEmbedder:
         for number in self._live:
             _, keys, vectors = read_npz(numbered[number], "embedding cache", backend_id, "keys")
             self._join(numbered[number], keys, vectors)
+        self._held = set(self._entries)
+        index = path.with_name(INDEX_FILE)
+        if index.exists():
+            _, _, keys, vectors = read_npz(index, "index", backend_id, "ids", "keys")
+            self._join(index, keys, vectors, what="index")
 
-    def _join(self, path: Path, keys: list[str], vectors: np.ndarray) -> None:
-        """Add one segment's entries to those of the segments loaded before it."""
-        if keys:  # an empty segment is (0, 0) and has no width
+    def _join(self, path: Path, keys: list[str], vectors: np.ndarray, what: str = "embedding cache") -> None:
+        """Add one file's entries to those of the files loaded before it: a
+        segment's, or last the index's, which may repeat a segment's entry."""
+        if keys:  # an empty file is (0, 0) and has no width
             if self._width is None:
                 self._width = vectors.shape[1]
             elif vectors.shape[1] != self._width:
                 raise CorpusError(
-                    f"malformed embedding cache {path}: vectors of width {vectors.shape[1]}, "
+                    f"malformed {what} {path}: vectors of width {vectors.shape[1]}, "
                     f"earlier segments {self._width}"
                 )
-        repeated = self._entries.keys() & keys
-        if repeated:
-            raise CorpusError(
-                f"malformed embedding cache {path}: key {min(repeated)} is also in an earlier segment"
-            )
-        self._entries.update(zip(keys, vectors))
+        incoming = dict(zip(keys, vectors))
+        for key in sorted(self._entries.keys() & incoming.keys()):
+            if what != "index":
+                raise CorpusError(f"malformed {what} {path}: key {key} is also in an earlier segment")
+            if self._entries[key].tobytes() != incoming[key].tobytes():
+                raise CorpusError(
+                    f"malformed {what} {path}: key {key} holds another vector than the embedding cache"
+                )
+        self._entries.update(incoming)
 
     @property
     def backend_id(self) -> str:
         return self._backend.backend_id
 
-    @staticmethod
-    def _key(text: str) -> str:
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
     def save(self) -> None:
-        """Write the entries embedded since the load as one new segment.
+        """Write the entries that neither a live segment nor the index on
+        disk holds as one new segment.
 
-        With nothing new and a cache on disk, nothing is written. A cache
-        with no segment 0 gets its new entries there; past
-        :data:`MAX_CACHE_SEGMENTS` segments, every entry is.
+        With none, nothing is written. A cache with no segment 0 gets them
+        there; past :data:`MAX_CACHE_SEGMENTS` segments, every entry the
+        index does not hold is.
         """
         if self._path is None:
             return
@@ -288,29 +312,32 @@ class CachingEmbedder:
         for number in numbered_segments(self._path):
             if number <= self._absorbed:
                 segment_path(self._path, number).unlink(missing_ok=True)
-        has_zero = self._path.exists()
-        if not self._unsaved and (has_zero or self._live):
+        index = self._path.with_name(INDEX_FILE)
+        indexed = set(read_npz_keys(index, "index", self.backend_id, "keys")) if index.exists() else set()
+        new = self._entries.keys() - self._held - indexed
+        if not new:
             return
+        has_zero = self._path.exists()
         if has_zero + len(self._live) + 1 > MAX_CACHE_SEGMENTS:
-            absorbed = self._live[-1]
-            self._write(0, sorted(self._entries), absorbed=absorbed)
+            absorbed, kept = self._live[-1], self._entries.keys() - indexed
+            self._write(0, kept, absorbed=absorbed)
             for number in self._live:
                 segment_path(self._path, number).unlink(missing_ok=True)
-            self._absorbed, self._live = absorbed, []
+            self._absorbed, self._live, self._held = absorbed, [], kept
         elif not has_zero:
-            self._write(0, sorted(self._unsaved))
+            self._write(0, new)
         else:
             number = max([self._absorbed, *self._live]) + 1
-            self._write(number, sorted(self._unsaved))
+            self._write(number, new)
             self._live.append(number)
-        self._unsaved = []
+        self._held |= new
 
-    def _write(self, number: int, keys: list[str], **fields: int) -> None:
-        """Write ``keys`` as segment ``number``; a compaction passes ``absorbed``."""
-        # an empty cache is (0, 0), like an empty index
-        vectors = np.asarray([self._entries[k] for k in keys], dtype=np.float64).reshape(len(keys), self._width or 0)
-        path = segment_path(self._path, number)
-        write_npz(path, self.backend_id, "keys", np.asarray(keys, dtype="S"), vectors, **fields)
+    def _write(self, number: int, keys: set[str], **fields: int) -> None:
+        """Write ``keys``, sorted, as segment ``number``; a compaction passes ``absorbed``."""
+        ordered = sorted(keys)
+        vectors = np.asarray([self._entries[k] for k in ordered], dtype=np.float64)
+        keys_member = {"keys": np.asarray(ordered, dtype="S")}
+        write_npz(segment_path(self._path, number), self.backend_id, keys_member, vectors, **fields)
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -322,7 +349,7 @@ class CachingEmbedder:
         leaves the cache as it was. Its width must be that of the vectors the
         cache holds; the first vectors of an empty cache set it.
         """
-        keys = [self._key(text) for text in texts]
+        keys = [text_key(text) for text in texts]
         misses: dict[str, str] = {}
         for key, text in zip(keys, texts):
             if key not in self._entries:
@@ -337,7 +364,6 @@ class CachingEmbedder:
                 )
             self._width = width
             self._entries.update(zip(misses, vectors))
-            self._unsaved.extend(misses)
             self.backend_calls += len(misses)
             if len(misses) == len(keys):  # every text new and distinct: the reply, in order
                 return vectors

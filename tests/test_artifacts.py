@@ -31,7 +31,8 @@ from tablescout.errors import BackendError
 from tablescout.indexing import DenseIndex, EnrichmentStore
 from tablescout.services import MAX_CACHE_SEGMENTS, CachingEmbedder, HashingEmbedder
 
-# after enrich then cache, the embedding cache is segment 0 plus segment 1
+# the index holds the table-text vectors; the column-header vectors of the
+# two builds of the grown source are segment 0 and segment 1
 CACHE = "embedding_cache.npz"
 ARTIFACTS = ["corpus.json", "enriched.json", CACHE, f"{CACHE}.1", "index.npz", "compat_cache.json"]
 WITH_BACKEND = [CACHE, f"{CACHE}.1", "index.npz", "compat_cache.json"]
@@ -39,19 +40,27 @@ WITH_BACKEND = [CACHE, f"{CACHE}.1", "index.npz", "compat_cache.json"]
 
 @pytest.fixture
 def built(tmp_path):
+    """A source built twice, the second time grown by one table, so each
+    ``cache`` wrote one segment of column-header vectors."""
     source = tmp_path / "source"
     source.mkdir()
-    (source / "cities.csv").write_text("city_id,city\n1,Bern\n2,Oslo\n3,Rome\n", encoding="utf-8")
-    (source / "museums.csv").write_text("museum,city_id\nKunst,1\nMunch,2\n", encoding="utf-8")
     purposes = tmp_path / "purposes.json"
-    purposes.write_text(json.dumps(["city list", "museum list"]), encoding="utf-8")
+    out = tmp_path / "out"
+    tables = {
+        "cities": ("city_id,city\n1,Bern\n2,Oslo\n3,Rome\n", "city list"),
+        "museums": ("museum,city_id\nKunst,1\nMunch,2\n", "museum list"),
+    }
+    for name, (rows, purpose) in tables.items():
+        (source / f"{name}.csv").write_text(rows, encoding="utf-8")
+        purposes.write_text(json.dumps([purpose]), encoding="utf-8")  # only the new table is asked for
+        assert main(["ingest", "--out-dir", str(out), str(source)]) == EXIT_OK
+        assert main(["enrich", "--out-dir", str(out), "--generator", f"scripted:{purposes}"]) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
+    for segment in (CACHE, f"{CACHE}.1"):  # each holds its table's two headers
+        assert len(read_npz(out / segment, "embedding cache", None, "keys")[1]) == 2
     queries = tmp_path / "queries.jsonl"
     query = {"query_id": "q1", "question": "museums per city"}
     queries.write_text(json.dumps(query) + "\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(["ingest", "--out-dir", str(out), str(source)]) == EXIT_OK
-    assert main(["enrich", "--out-dir", str(out), "--generator", f"scripted:{purposes}"]) == EXIT_OK
-    assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
     return out, queries
 
 
@@ -113,10 +122,10 @@ def test_torn_artifact_is_an_input_error(built, capsys, name):
 def test_other_format_version_is_refused(built, capsys, name):
     out, queries = built
     path = out / name
-    edit_header(path, version=2)
+    edit_header(path, version=FORMAT_VERSION + 1)
     assert next_command(name, out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert "version 2" in err and str(path) in err
+    assert f"version {FORMAT_VERSION + 1}" in err and str(path) in err
 
 
 @pytest.mark.parametrize("name", WITH_BACKEND)
@@ -187,6 +196,7 @@ def drop_field(path, name):
         ("enriched.json", "text"),
         ("embedding_cache.npz", "vectors"),
         ("index.npz", "vectors"),
+        ("index.npz", "keys"),
         ("compat_cache.json", "edges"),
         ("compat_cache.json", "score"),
     ],
@@ -218,6 +228,7 @@ WRONG_TYPED = {"tables": 5, "entries": ["x"], "edges": {}}
         ("enriched.json", "entries"),
         ("compat_cache.json", "edges"),
         ("index.npz", "ids"),
+        ("index.npz", "keys"),
         ("embedding_cache.npz", "keys"),
     ],
 )
@@ -330,7 +341,9 @@ def repeat_first(keys):
     return keys
 
 
-@pytest.mark.parametrize("name, keys_field", [("index.npz", "ids"), ("embedding_cache.npz", "keys")])
+@pytest.mark.parametrize(
+    "name, keys_field", [("index.npz", "ids"), ("index.npz", "keys"), ("embedding_cache.npz", "keys")]
+)
 @pytest.mark.parametrize(
     "field, change, complaint",
     [
@@ -348,6 +361,55 @@ def test_nonfinite_vector_or_repeated_key_is_an_input_error(built, capsys, name,
     assert next_command(name, out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
     assert str(path) in err and complaint in err
+
+
+def not_ascii(keys):
+    keys = keys.copy()
+    keys[0] = b"\xff" * 64
+    return keys
+
+
+@pytest.mark.parametrize(
+    "change, complaint",
+    [(lambda keys: keys.reshape(-1, 1), "keys (2, 1)"), (not_ascii, "not ASCII")],
+    ids=["two-dimensional", "not-ascii"],
+)
+def test_index_keys_other_than_one_ascii_key_per_row_are_an_input_error(built, capsys, change, complaint):
+    out, queries = built
+    path = out / "index.npz"
+    edit_array(path, "keys", change)
+    # retrieve reads the index, and the embedding cache reads it as a source
+    assert next_command("index.npz", out, queries) == EXIT_INPUT
+    assert next_command(CACHE, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count(str(path)) == 2 and err.count(complaint) == 2 and "Traceback" not in err
+
+
+def test_key_in_the_index_and_a_segment_with_another_vector_is_an_input_error(built, capsys):
+    out, queries = built
+    with np.load(out / "index.npz", allow_pickle=False) as data:
+        taken = data["keys"][0]
+
+    def repeat_indexed(keys):
+        keys = keys.copy()
+        keys[0] = taken  # a column header's vector under a table text's key
+        return keys
+
+    edit_array(out / CACHE, "keys", repeat_indexed)
+    assert next_command(CACHE, out, queries) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(out / "index.npz") in err and taken.decode() in err and "another vector" in err
+
+
+def test_index_of_format_version_1_is_refused_by_retrieve_and_enrich(built, capsys):
+    out, queries = built
+    path = out / "index.npz"
+    edit_header(path, version=1)
+    purposes = f"scripted:{out.parent / 'purposes.json'}"
+    assert next_command("index.npz", out, queries) == EXIT_INPUT
+    assert main(["enrich", "--out-dir", str(out), "--generator", purposes]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count(f"unsupported index format version 1 in {path}") == 2
 
 
 def test_corpus_row_of_the_wrong_width_is_an_input_error(built, capsys):
@@ -388,8 +450,8 @@ vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)
 
 
 def cache_files(path):
-    """Segment 0 at ``path`` and the numbered segments beside it."""
-    return [path, *numbered_segments(path).values()]
+    """Segment 0 at ``path``, if written, and the numbered segments beside it."""
+    return [segment for segment in [path, *numbered_segments(path).values()] if segment.exists()]
 
 
 def digest(text):
@@ -425,8 +487,8 @@ def test_embedding_cache_round_trips(tmp_path_factory, saves):
     assert sorted(union) == sorted(digest(text) for text in entries)
     for text, vector in entries.items():
         assert union[digest(text)].tobytes() == vector.tobytes()  # bit-identical, -0.0 too
-    if not entries:  # the width is that of the vectors held, so an empty cache is (0, 0)
-        assert read_npz(path, "embedding cache", Fixed.backend_id, "keys")[2].shape == (0, 0)
+    if not entries:  # a save with nothing to write writes no file
+        assert cache_files(path) == []
 
     reloaded = CachingEmbedder(Fixed({}), path)
     for text, vector in entries.items():
@@ -456,12 +518,6 @@ def test_cache_with_str_keys_loads_without_calls(tmp_path):
 def test_cache_keys_that_are_not_ascii_are_an_input_error(built, capsys):
     out, queries = built
     path = out / "embedding_cache.npz"
-
-    def not_ascii(keys):
-        keys = keys.copy()
-        keys[0] = b"\xff" * 64
-        return keys
-
     edit_array(path, "keys", not_ascii)
     assert next_command("embedding_cache.npz", out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
@@ -591,14 +647,18 @@ def test_a_kill_at_any_step_of_a_save_leaves_a_cache_that_loads(built, tmp_path,
 
 @pytest.mark.parametrize("rows, width", [(0, 0), (1, 3), (3000, 64)])
 def test_npz_bytes_are_those_numpy_writes(tmp_path, rows, width):
-    # 3000 rows span several chunks of both arrays
+    # 3000 rows span several chunks of every array; the index's two key
+    # members, its ids as str and its text keys as ASCII bytes
     rng = np.random.default_rng(rows)
-    keys = np.asarray([f"key{i}" * 9 for i in range(rows)], dtype=str)
+    ids = np.asarray([f"key{i}" * 9 for i in range(rows)], dtype=str)
+    keys = np.asarray([digest(str(i)) for i in range(rows)], dtype="S")
     vectors = rng.standard_normal((rows, width))
-    write_npz(tmp_path / "chunked.npz", "stub", "keys", keys, vectors)
+    write_npz(tmp_path / "chunked.npz", "stub", {"ids": ids, "keys": keys}, vectors)
     meta = {"version": FORMAT_VERSION, "backend_id": "stub", "dimension": width}
     reference = tmp_path / "reference.npz"
-    np.savez_compressed(reference, keys=keys, vectors=vectors, meta=np.asarray(json.dumps(meta, sort_keys=True)))
+    np.savez_compressed(
+        reference, ids=ids, keys=keys, vectors=vectors, meta=np.asarray(json.dumps(meta, sort_keys=True))
+    )
     assert (tmp_path / "chunked.npz").read_bytes() == reference.read_bytes()
 
 
@@ -647,7 +707,7 @@ def test_journal_without_a_complete_line_gets_its_header_first(tmp_path, content
         (journal_bytes({**RECORD, "table_id": 5}, RECORD), ":2: field 'table_id' holds int"),
         (journal_bytes(RECORD, {"table_id": "museums", "text": "t"}), ":3: missing field 'purpose'"),
         (journal_bytes(RECORD) + b"[1]\n", ":3: expected a JSON object"),
-        (journal_bytes(RECORD, version=2), "version 2"),
+        (journal_bytes(RECORD, version=FORMAT_VERSION + 1), f"version {FORMAT_VERSION + 1}"),
     ],
     ids=["broken-line", "wrong-type", "missing-field", "last-line-complete-but-bad", "other-version"],
 )

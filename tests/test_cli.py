@@ -10,6 +10,7 @@ import sqlite3
 import pytest
 
 from tablescout import DenseIndex, HashingEmbedder, cli
+from tablescout.artifacts import FORMAT_VERSION, read_npz
 from tablescout.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -19,11 +20,13 @@ from tablescout.cli import (
     parse_embedder_spec,
     parse_generator_spec,
 )
+from tablescout.compatibility import header_text
+from tablescout.corpus import load_corpus
 from tablescout.errors import ConfigError
 from tablescout.evaluation import INPUT_RATE_PER_MILLION, OUTPUT_RATE_PER_MILLION
 from tablescout.pipeline import DEFAULT_RESTORE_THRESHOLD, DEFAULT_TOP_K
 from tablescout.prompts import SELECTION_PROMPT_TEMPLATE
-from tablescout.services import HttpEmbeddingClient, ScriptedGenerator
+from tablescout.services import CachingEmbedder, HttpEmbeddingClient, ScriptedGenerator, text_key
 
 
 def selection_json(indices):
@@ -235,6 +238,36 @@ class TestIngest:
         assert err.startswith("input error: ") and str(named) in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("case", ["csv", "sqlite", "corpus"])
+    def test_blank_table_name_is_input_error_naming_the_file(self, out_dir, tmp_path, capsys, case):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.csv").write_text("a\n1\n", encoding="utf-8")
+        if case == "csv":
+            named = src / " .csv"
+            named.write_text("a\n1\n", encoding="utf-8")
+            argv = ["ingest", "--out-dir", str(out_dir), str(src)]
+        elif case == "sqlite":
+            named = tmp_path / "blank.sqlite"
+            conn = sqlite3.connect(named)
+            conn.execute('CREATE TABLE " " (a TEXT)')
+            conn.commit()
+            conn.close()
+            argv = ["ingest", "--out-dir", str(out_dir), str(named)]
+        else:
+            assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+            named = out_dir / "corpus.json"
+            data = json.loads(named.read_text(encoding="utf-8"))
+            data["tables"][0]["id"] = ""
+            named.write_text(json.dumps(data), encoding="utf-8")
+            argv = ["cache", "--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(named) in err and "blank" in err and "Traceback" not in err
+        if case != "corpus":
+            assert not (out_dir / "corpus.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # enrich and cache
 # ---------------------------------------------------------------------------
@@ -245,8 +278,10 @@ class TestEnrich:
         a, b = sources
         assert ingest(out_dir, a, b) == EXIT_OK
         assert enrich(out_dir, tmp_path) == EXIT_OK
-        for name in ("enriched.json", "index.npz", "embedding_cache.npz"):
+        for name in ("enriched.json", "index.npz"):
             assert (out_dir / name).exists()
+        # every vector embedded is in the index, so no cache segment holds one again
+        assert list(out_dir.glob("embedding_cache.npz*")) == []
         index = DenseIndex.load(out_dir / "index.npz")
         assert len(index) == 4
         store = json.loads((out_dir / "enriched.json").read_text())
@@ -302,7 +337,7 @@ class TestEnrich:
         store = out_dir / "enriched.json"
         before = store.read_bytes()
         # a kill after every record reached the journal
-        lines = [json.dumps({"version": 1})] + [
+        lines = [json.dumps({"version": FORMAT_VERSION})] + [
             json.dumps({"table_id": table_id, **entry})
             for table_id, entry in json.loads(before)["entries"].items()
         ]
@@ -339,6 +374,21 @@ class TestEnrich:
         assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
         assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
         assert (out_dir / "index.npz").read_bytes() == both
+
+    def test_prints_the_number_of_tables_the_index_holds(self, out_dir, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("n\n1\n2\n")
+        (src / "b.csv").write_text("city\nBern\nOslo\n")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("numbers", "city names")) == EXIT_OK
+        assert f"enriched 2 tables -> {out_dir / 'index.npz'}" in capsys.readouterr().out
+        (src / "b.csv").unlink()
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        # the store keeps b, but the index holds only a
+        assert f"enriched 1 tables -> {out_dir / 'index.npz'}" in capsys.readouterr().out
+        assert DenseIndex.load(out_dir / "index.npz").ids == ("a",)
 
     def test_texts_hold_the_sample_size_the_selection_prompt_states(self, out_dir, tmp_path):
         src = tmp_path / "src"
@@ -409,9 +459,9 @@ class TestCache:
         a, b = sources
         build_all(out_dir, tmp_path, a, b)
         files = sorted(p.name for p in out_dir.iterdir())
-        # enrich wrote segment 0, cache the column vectors as segment 1
+        # enrich's vectors are in the index, so cache wrote the column vectors as segment 0
         segments = sorted(out_dir.glob("embedding_cache.npz*"))
-        assert [p.name for p in segments] == ["embedding_cache.npz", "embedding_cache.npz.1"]
+        assert [p.name for p in segments] == ["embedding_cache.npz"]
         before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in segments]
         assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
@@ -454,6 +504,105 @@ class TestCache:
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(path) in err and repr(data["tables"][0]["id"]) in err
+
+
+class Interrupted(Exception):
+    """Stands for a process killed between two steps of a command."""
+
+
+@pytest.fixture()
+def embedded(monkeypatch):
+    """The texts the stub embedder is asked for, batch by batch."""
+    batches = []
+    real = HashingEmbedder.embed_many
+
+    def recording(self, texts):
+        batches.append(list(texts))
+        return real(self, texts)
+
+    monkeypatch.setattr(HashingEmbedder, "embed_many", recording)
+    return batches
+
+
+def stored_vectors(out_dir):
+    """(index entries, segment entries), each text key -> vector bytes."""
+    index = DenseIndex.load(out_dir / "index.npz")
+    indexed = {key: row.tobytes() for key, row in zip(index.keys, index.vectors)}
+    segments = {}
+    for path in sorted(out_dir.glob("embedding_cache.npz*")):
+        _, keys, vectors = read_npz(path, "embedding cache", None, "keys")
+        assert not segments.keys() & keys
+        segments.update((key, row.tobytes()) for key, row in zip(keys, vectors))
+    return indexed, segments
+
+
+class TestVectorsStoredOnce:
+    def test_index_and_segments_hold_the_whole_cache_once(self, out_dir, sources, tmp_path):
+        build_all(out_dir, tmp_path, *sources)
+        indexed, segments = stored_vectors(out_dir)
+        assert not indexed.keys() & segments.keys()
+        # the cache that a build kept whole in its segments before: every
+        # table text and every column header, each embedded once
+        stub = HashingEmbedder()
+        entries = json.loads((out_dir / "enriched.json").read_text(encoding="utf-8"))["entries"]
+        tables = [entry["text"] for entry in entries.values()]
+        headers = [header_text(column) for table in load_corpus(out_dir / "corpus.json") for column in table.columns]
+        whole = {text_key(text): stub.embed(text).tobytes() for text in tables + headers}
+        assert {**indexed, **segments} == whole
+        assert set(indexed) == set(map(text_key, tables))
+
+    def test_table_dropped_then_added_back_costs_no_embed_call(self, out_dir, tmp_path, embedded):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("n\n1\n2\n")
+        b_rows = "city\nBern\nOslo\n"
+        (src / "b.csv").write_text(b_rows)
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("numbers", "city names")) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        b_key = text_key(json.loads((out_dir / "enriched.json").read_text(encoding="utf-8"))["entries"]["b"]["text"])
+
+        (src / "b.csv").unlink()
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        indexed, segments = stored_vectors(out_dir)
+        assert b_key not in indexed and b_key in segments  # the index dropped b, a segment keeps it
+
+        embedded.clear()
+        (src / "b.csv").write_text(b_rows)
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert embedded == []
+        indexed, segments = stored_vectors(out_dir)
+        assert indexed[b_key] == segments[b_key]  # held twice, with one vector
+
+    def test_kill_between_index_and_cache_saves_loses_no_held_vector(
+        self, out_dir, sources, tmp_path, monkeypatch, embedded
+    ):
+        a, b = sources
+        build_all(out_dir, tmp_path, a, b)
+        (b / "parks.csv").write_text("park,city_id\nAare,1\nFrogner,2\n")
+        assert ingest(out_dir, a, b) == EXIT_OK
+        save = CachingEmbedder.save
+
+        def killed(self):
+            raise Interrupted
+
+        monkeypatch.setattr(CachingEmbedder, "save", killed)
+        embedded.clear()
+        with pytest.raises(Interrupted):
+            enrich(out_dir, tmp_path, purposes=("park list",))
+        monkeypatch.setattr(CachingEmbedder, "save", save)
+        parks = json.loads((out_dir / "enriched.json").read_text(encoding="utf-8"))["entries"]["parks"]["text"]
+        assert embedded == [[parks]]
+        assert "parks" in DenseIndex.load(out_dir / "index.npz").ids
+
+        embedded.clear()
+        assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
+        assert embedded == []
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert embedded == [["parks.park", "parks.city_id"]]
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +682,13 @@ class TestRetrieve:
 
     def test_does_not_read_the_embedding_cache(self, built):
         out_dir, queries = built
-        segments = [out_dir / "embedding_cache.npz", out_dir / "embedding_cache.npz.1"]
+        segments = sorted(out_dir.glob("embedding_cache.npz*"))
+        assert segments  # the column headers the build embedded
         for segment in segments:
             segment.write_bytes(b"torn")
         argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
         assert main(argv) == EXIT_OK
-        assert [segment.read_bytes() for segment in segments] == [b"torn", b"torn"]
+        assert [segment.read_bytes() for segment in segments] == [b"torn"] * len(segments)
 
     def test_k_limits_candidates(self, built, tmp_path):
         out_dir, queries = built

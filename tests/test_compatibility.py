@@ -37,6 +37,7 @@ from tablescout.compatibility import (
     table_compatibility,
 )
 from tablescout import compatibility
+from tablescout.artifacts import FORMAT_VERSION
 from tablescout.corpus import NULL, Column, normalize_value
 
 from synth import MappedEmbedder, oracle_pair_score, oracle_table_compatibility, random_corpus
@@ -476,7 +477,7 @@ class TestCompatibilityCache:
     )
     def test_load_rejects_malformed_rows(self, tmp_path, body, complaint):
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 1, "backend_id": "x", **body}))
+        path.write_text(json.dumps({"version": FORMAT_VERSION, "backend_id": "x", **body}))
         with pytest.raises(CorpusError, match=complaint) as refused:
             CompatibilityCache.load(path)
         assert str(path) in str(refused.value)
