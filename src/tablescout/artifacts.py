@@ -10,17 +10,16 @@ index is one such file, with two key members: its table ids, as ``str``
 since an id may be any unicode, and the hex digest of each row's embedded
 text, as ASCII bytes, a quarter of the raw size of ``str``. The embedding
 cache reads the index as a source of vectors and keeps the rest in a log of
-such files, its segments (:func:`segment_path`, :func:`numbered_segments`),
-keyed by those digests: ``<name>`` is segment 0 and ``<name>.1``,
-``<name>.2``, ... sit beside it, each written once and never changed,
-except that a compaction rewrites every entry into segment 0 and then
-deletes the others; its owner, ``services.CachingEmbedder``, says what a
-kill at each step leaves. Reads turn an unreadable or malformed file, or a
-missing or wrong-typed field, into :class:`CorpusError` naming it. Every
-header is built here, by :func:`header`, with writers passing only their
-body, and checked here: :func:`check_header` refuses a wrong ``version`` or
-another ``backend_id``, and :func:`read_npz` a ``dimension`` other than the
-vectors' width or an ``absorbed`` that is not a count.
+such files, its segments (:func:`segments`), keyed by those digests:
+``<name>`` is segment 0 and ``<name>.1``, ``<name>.2``, ... sit beside it,
+each written once and never changed, except that a compaction rewrites
+segment 0 and then deletes the others; its owner,
+``services.CachingEmbedder``, says what a kill at each step leaves. Reads
+turn an unreadable or malformed file, or a missing or wrong-typed field,
+into :class:`CorpusError` naming it. Every header is built here, by
+:func:`header`, with writers passing only their body, and checked here:
+:func:`check_header` refuses a wrong ``version`` or another ``backend_id``,
+and :func:`read_npz` a ``dimension`` other than the vectors' width.
 
 The one file that is appended to instead is a journal, ``<name>.journal``
 beside the artifact it updates (:func:`journal_of`): a header line, then one
@@ -157,9 +156,7 @@ def read_artifact(path: str | Path, what: str, backend_id: str | None = None) ->
     return check_header(read_json(path, what), path, what, backend_id)
 
 
-def write_npz(
-    path: str | Path, backend_id: str, keys: dict[str, np.ndarray], vectors: np.ndarray, **fields: object
-) -> None:
+def write_npz(path: str | Path, backend_id: str, keys: dict[str, np.ndarray], vectors: np.ndarray) -> None:
     """Save the key members ``keys`` (each a 1-D array, one key per row, by
     member name), the 2-D ``vectors`` and their :func:`header`, a JSON string
     with ``dimension`` the vectors' width, in one compressed ``.npz``,
@@ -169,7 +166,7 @@ def write_npz(
     but each array goes out in chunks of ``_NPZ_CHUNK_BYTES``, where numpy
     first copies it whole, so a save holds no second copy of a large array.
     """
-    meta = header(backend_id, dimension=vectors.shape[1], **fields)
+    meta = header(backend_id, dimension=vectors.shape[1])
     arrays = {**keys, "vectors": vectors, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
     with replacing(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as npz:
         for name, array in arrays.items():
@@ -181,16 +178,11 @@ def write_npz(
                     member.write(flat[start : start + step].tobytes())
 
 
-def segment_path(path: str | Path, number: int) -> Path:
-    """Segment ``number`` of the segmented artifact at ``path``: the file
-    itself for 0, ``<name>.<number>`` beside it otherwise."""
-    target = Path(path)
-    return target if number == 0 else target.with_name(f"{target.name}.{number}")
-
-
-def numbered_segments(path: str | Path) -> dict[int, Path]:
-    """The segments ``<name>.1``, ``<name>.2``, ... beside ``path``, by
-    number; any other name, ``<name>.2.tmp`` among them, is not a segment."""
+def segments(path: str | Path) -> dict[int, Path]:
+    """The segments of the segmented artifact at ``path`` that exist, by
+    number: ``path`` itself is segment 0, and ``<name>.1``, ``<name>.2``,
+    ... beside it the others; any other name, ``<name>.2.tmp`` among them,
+    is not a segment."""
     target = Path(path)
     prefix = target.name + "."
     try:
@@ -200,7 +192,9 @@ def numbered_segments(path: str | Path) -> dict[int, Path]:
     found = {}
     for name in names:
         number = name[len(prefix) :]
-        if name.startswith(prefix) and number.isascii() and number.isdigit() and number[0] != "0":
+        if name == target.name:
+            found[0] = target
+        elif name.startswith(prefix) and number.isascii() and number.isdigit() and number[0] != "0":
             found[int(number)] = target.parent / name
     return dict(sorted(found.items()))
 
@@ -240,8 +234,7 @@ def read_npz(path: str | Path, what: str, backend_id: str | None, *keys_fields: 
     two tables with one text. Anything but 1-D key arrays and a 2-D
     ``vectors`` array of finite numbers with one row per key raises
     :class:`CorpusError` naming the file, and so do bytes keys that are not
-    ASCII, a ``dimension`` other than the vectors' width and an ``absorbed``
-    that is not a count.
+    ASCII and a ``dimension`` other than the vectors' width.
     """
     meta, arrays = _open_npz(path, what, backend_id, (*keys_fields, "vectors"))
     members = [require(arrays, field, path, what) for field in keys_fields]
@@ -251,11 +244,9 @@ def read_npz(path: str | Path, what: str, backend_id: str | None, *keys_fields: 
             raise CorpusError(f"malformed {what} {path}: {field} {keys.shape} for vectors {vectors.shape}")
     if vectors.dtype.kind not in "fiu" or not np.isfinite(vectors).all():
         raise CorpusError(f"malformed {what} {path}: vectors hold NaN, infinity or non-numbers")
-    width, dimension, absorbed = vectors.shape[1], meta.get("dimension"), meta.get("absorbed", 0)
+    width, dimension = vectors.shape[1], meta.get("dimension")
     if type(dimension) is not int or dimension != width:
         raise CorpusError(f"malformed {what} {path}: field 'dimension' holds {dimension!r} for vectors of width {width}")
-    if type(absorbed) is not int or absorbed < 0:
-        raise CorpusError(f"malformed {what} {path}: field 'absorbed' holds {absorbed!r}")
     decoded = [_decoded(keys, field, path, what) for field, keys in zip(keys_fields, members)]
     if len(set(decoded[0])) != len(decoded[0]):
         raise CorpusError(f"malformed {what} {path}: repeated {keys_fields[0]}")

@@ -8,7 +8,8 @@ are resumable and byte-reproducible with the offline stub backends.
 Each vector is stored once: ``index.npz`` (:data:`services.INDEX_FILE`)
 records the text key of each row, and the embedding cache reads it as a
 source, so its segments hold only what the index does not: the column
-headers ``cache`` embeds, and the texts of tables a re-ingest dropped.
+headers ``cache`` embeds, and the texts of tables a re-ingest dropped. A
+text key that two of those files hold must hold one vector in both.
 ``services.CachingEmbedder`` and the README's "Artifacts" section say how
 the segments are written and what a killed command leaves.
 

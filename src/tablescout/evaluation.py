@@ -379,19 +379,18 @@ def stratified_execution_summary(
     ``results`` pairs each outcome with its query's gold-table count.
     Queries whose gold SQL failed are excluded from every rate.
     """
-    def rate(pairs: list[tuple[ExecutionOutcome, int]]) -> float:
+    def rate(pairs: Sequence[tuple[ExecutionOutcome, int]]) -> float:
         counted = [o for o, _ in pairs if o.status != "gold_error"]
         if not counted:
             return 0.0
         return 100.0 * sum(1 for o in counted if o.correct) / len(counted)
 
-    usable = [(o, n) for o, n in results]
     return {
-        "queries": float(sum(1 for o, _ in usable if o.status != "gold_error")),
-        "gold_errors": float(sum(1 for o, _ in usable if o.status == "gold_error")),
-        "em_all": rate(usable),
-        "em_single": rate([(o, n) for o, n in usable if n == 1]),
-        "em_multi": rate([(o, n) for o, n in usable if n >= 2]),
+        "queries": float(sum(1 for o, _ in results if o.status != "gold_error")),
+        "gold_errors": float(sum(1 for o, _ in results if o.status == "gold_error")),
+        "em_all": rate(results),
+        "em_single": rate([(o, n) for o, n in results if n == 1]),
+        "em_multi": rate([(o, n) for o, n in results if n >= 2]),
     }
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import numbered_segments, read_npz, read_npz_keys, segment_path, write_npz
+from .artifacts import read_npz, read_npz_keys, segments, write_npz
 from .errors import BackendError, CorpusError
 
 logger = logging.getLogger(__name__)
@@ -190,7 +190,7 @@ class HashingEmbedder:
 # ---------------------------------------------------------------------------
 
 #: The most segments the embedding cache spans on disk: a save that would
-#: leave more rewrites every entry into segment 0 instead.
+#: leave more rewrites segment 0 with every entry the index lacks instead.
 MAX_CACHE_SEGMENTS = 8
 #: The dense index's file name. The embedding cache at ``path`` reads the
 #: index at ``path.with_name(INDEX_FILE)`` as a read-only source.
@@ -214,41 +214,41 @@ class CachingEmbedder:
     Each vector is stored once. The dense index beside ``path``
     (:data:`INDEX_FILE`) records the key of each row's text, and the cache
     loads it as a read-only source of entries; it never writes it. The rest
-    sits in a log of segments (:func:`segment_path`): segment 0 at ``path``,
+    sits in a log of segments (:func:`segments`): segment 0 at ``path``,
     then ``<name>.1``, ``<name>.2``, ... beside it. Each holds sorted keys,
     each a 64-character hex digest stored as ASCII bytes, and one float64
-    vector row per key, whatever its suffix; a segment whose keys were stored
-    as ``str`` loads the same. :meth:`save` reads the keys of the index on
-    disk then, and writes, as one new segment, only the entries that neither
-    it nor a live segment holds: so a cold ``enrich``, whose every vector is
-    in the index it just saved, writes no segment, and a table the index
-    drops keeps its vector in a segment. The loader joins the live segments
-    and refuses a key held by two of them, or two non-empty segments of
-    different widths; the index may hold a key a segment holds too (a table
-    dropped, then added back), but only with the same vector.
+    vector row per key, whatever its suffix. :meth:`save` reads the keys of
+    the index on disk then, and writes, as one new segment, only the entries
+    that neither it nor a segment holds: so a cold ``enrich``, whose every
+    vector is in the index it just saved, writes no segment, and a table the
+    index drops keeps its vector in a segment.
+
+    The loader reads every segment in number order, then the index, under
+    one rule: a key that an earlier file holds too must hold the same vector
+    bit for bit, and a file's vectors must be as wide as the earlier files';
+    a refusal names the later file. So a key is held twice only as equal
+    copies: a table dropped and then added back, in a segment and the index,
+    or the segments a killed compaction took in but did not delete.
 
     When a save would leave more than :data:`MAX_CACHE_SEGMENTS` segments,
-    it rewrites every entry the index does not hold into segment 0, whose
-    header then records in ``absorbed`` the highest segment number it took
-    in, and deletes those segments. The loader ignores a segment numbered
-    ``absorbed`` or below, so a process killed between the rewrite and the
-    deletes leaves no key twice; the next save deletes what is left. Every
-    file is written through :func:`write_npz`, so a kill at any other point
-    leaves the segments as they were, plus at most one ``*.tmp`` file, which
-    is not a segment. A kill between an index save and the cache's save loses
-    only the vectors of the tables that index dropped.
+    it rewrites segment 0 with every entry the index does not hold, then
+    deletes the other segments; a kill between the two leaves copies that
+    the next compaction deletes. Every file is written through
+    :func:`write_npz`, so a kill at any point leaves each segment whole,
+    plus at most one ``*.tmp`` file, which is not a segment. A kill between
+    an index save and the cache's save loses only the vectors of the tables
+    that index dropped.
     """
 
     def __init__(self, backend: Embedder, path: str | Path | None = None):
         self._backend = backend
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, np.ndarray] = {}
-        # keys the live segments hold; a save writes the entries that neither
+        # keys the segments hold; a save writes the entries that neither
         # they nor the index on disk hold
         self._held: set[str] = set()
-        # numbers of the live numbered segments, and of those segment 0 absorbed
-        self._live: list[int] = []
-        self._absorbed = 0
+        # the segments on disk, by number
+        self._live: dict[int, Path] = {}
         # the width of the vectors held, set by the first vectors loaded or
         # embedded; None while the cache holds no vector
         self._width: int | None = None
@@ -258,40 +258,31 @@ class CachingEmbedder:
 
     def _load(self, path: Path) -> None:
         backend_id = self._backend.backend_id
-        numbered = numbered_segments(path)
-        if path.exists():
-            meta, keys, vectors = read_npz(path, "embedding cache", backend_id, "keys")
-            self._absorbed = meta.get("absorbed", 0)
-            self._join(path, keys, vectors)
-        self._live = [number for number in numbered if number > self._absorbed]
-        for number in self._live:
-            _, keys, vectors = read_npz(numbered[number], "embedding cache", backend_id, "keys")
-            self._join(numbered[number], keys, vectors)
+        self._live = segments(path)
+        for segment in self._live.values():
+            _, keys, vectors = read_npz(segment, "embedding cache", backend_id, "keys")
+            self._join(segment, "embedding cache", keys, vectors)
         self._held = set(self._entries)
         index = path.with_name(INDEX_FILE)
         if index.exists():
             _, _, keys, vectors = read_npz(index, "index", backend_id, "ids", "keys")
-            self._join(index, keys, vectors, what="index")
+            self._join(index, "index", keys, vectors)
 
-    def _join(self, path: Path, keys: list[str], vectors: np.ndarray, what: str = "embedding cache") -> None:
-        """Add one file's entries to those of the files loaded before it: a
-        segment's, or last the index's, which may repeat a segment's entry."""
+    def _join(self, path: Path, what: str, keys: list[str], vectors: np.ndarray) -> None:
+        """Add one file's entries to those of the files loaded before it,
+        which may hold a key it holds only with the same vector."""
         if keys:  # an empty file is (0, 0) and has no width
             if self._width is None:
                 self._width = vectors.shape[1]
             elif vectors.shape[1] != self._width:
                 raise CorpusError(
                     f"malformed {what} {path}: vectors of width {vectors.shape[1]}, "
-                    f"earlier segments {self._width}"
+                    f"earlier files {self._width}"
                 )
         incoming = dict(zip(keys, vectors))
         for key in sorted(self._entries.keys() & incoming.keys()):
-            if what != "index":
-                raise CorpusError(f"malformed {what} {path}: key {key} is also in an earlier segment")
             if self._entries[key].tobytes() != incoming[key].tobytes():
-                raise CorpusError(
-                    f"malformed {what} {path}: key {key} holds another vector than the embedding cache"
-                )
+                raise CorpusError(f"malformed {what} {path}: key {key} holds another vector than an earlier file")
         self._entries.update(incoming)
 
     @property
@@ -299,45 +290,37 @@ class CachingEmbedder:
         return self._backend.backend_id
 
     def save(self) -> None:
-        """Write the entries that neither a live segment nor the index on
-        disk holds as one new segment.
+        """Write the entries that neither a segment nor the index on disk
+        holds as one new segment, numbered one past the highest.
 
-        With none, nothing is written. A cache with no segment 0 gets them
-        there; past :data:`MAX_CACHE_SEGMENTS` segments, every entry the
-        index does not hold is.
+        With none, nothing is written. Past :data:`MAX_CACHE_SEGMENTS`
+        segments, segment 0 is rewritten with every entry the index does not
+        hold instead, and the other segments are deleted.
         """
         if self._path is None:
             return
-        # segments absorbed by a compaction that was killed before it deleted them
-        for number in numbered_segments(self._path):
-            if number <= self._absorbed:
-                segment_path(self._path, number).unlink(missing_ok=True)
         index = self._path.with_name(INDEX_FILE)
         indexed = set(read_npz_keys(index, "index", self.backend_id, "keys")) if index.exists() else set()
         new = self._entries.keys() - self._held - indexed
         if not new:
             return
-        has_zero = self._path.exists()
-        if has_zero + len(self._live) + 1 > MAX_CACHE_SEGMENTS:
-            absorbed, kept = self._live[-1], self._entries.keys() - indexed
-            self._write(0, kept, absorbed=absorbed)
-            for number in self._live:
-                segment_path(self._path, number).unlink(missing_ok=True)
-            self._absorbed, self._live, self._held = absorbed, [], kept
-        elif not has_zero:
-            self._write(0, new)
+        if len(self._live) < MAX_CACHE_SEGMENTS:
+            self._write(max(self._live, default=-1) + 1, new)
+            self._held |= new
         else:
-            number = max([self._absorbed, *self._live]) + 1
-            self._write(number, new)
-            self._live.append(number)
-        self._held |= new
+            kept = self._entries.keys() - indexed
+            self._write(0, kept)
+            for number in sorted(self._live)[1:]:
+                self._live.pop(number).unlink(missing_ok=True)
+            self._held = kept
 
-    def _write(self, number: int, keys: set[str], **fields: int) -> None:
-        """Write ``keys``, sorted, as segment ``number``; a compaction passes ``absorbed``."""
+    def _write(self, number: int, keys: set[str]) -> None:
+        """Write ``keys``, sorted, as segment ``number``."""
+        segment = self._path.with_name(f"{self._path.name}.{number}") if number else self._path
         ordered = sorted(keys)
         vectors = np.asarray([self._entries[k] for k in ordered], dtype=np.float64)
-        keys_member = {"keys": np.asarray(ordered, dtype="S")}
-        write_npz(segment_path(self._path, number), self.backend_id, keys_member, vectors, **fields)
+        write_npz(segment, self.backend_id, {"keys": np.asarray(ordered, dtype="S")}, vectors)
+        self._live[number] = segment
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]

@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from tablescout.artifacts import (
     FORMAT_VERSION,
     append_journal,
-    numbered_segments,
     open_journal,
     read_journal,
     read_npz,
     replacing,
-    segment_path,
+    segments,
     write_npz,
 )
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
@@ -255,18 +254,21 @@ def test_dimension_other_than_the_vectors_width_is_an_input_error(built, capsys,
     assert str(path) in err and "'dimension'" in err and "width 256" in err
 
 
-@pytest.mark.parametrize("absorbed", [-1, "1", True, 1.5])
-def test_absorbed_that_is_not_a_count_is_an_input_error(built, capsys, absorbed):
-    out, queries = built
-    edit_header(out / CACHE, absorbed=absorbed)
-    assert next_command(CACHE, out, queries) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert str(out / CACHE) in err and "'absorbed'" in err
-
-
 def npz_header(path):
     with np.load(path, allow_pickle=False) as data:
         return json.loads(str(data["meta"]))
+
+
+def compact(path):
+    """Save one new text at a time, each save adding a segment, until a save
+    compacts the cache at ``path`` into segment 0; returns the number of saves."""
+    saves = 0
+    while len(segments(path)) > 1 and saves < 2 * MAX_CACHE_SEGMENTS:
+        cache = CachingEmbedder(HashingEmbedder(), path)
+        cache.embed(f"text {saves}")
+        cache.save()
+        saves += 1
+    return saves
 
 
 def json_header(path):
@@ -291,15 +293,9 @@ def test_every_artifact_carries_exactly_its_header(built):
         append_journal(handle, RECORD)
     assert json.loads(journal.read_text(encoding="utf-8").splitlines()[0]) == {"version": FORMAT_VERSION}
 
-    # one new segment a save, until a save compacts them all into segment 0
-    saves = 0
-    while numbered_segments(out / CACHE):
-        cache = CachingEmbedder(HashingEmbedder(), out / CACHE)
-        cache.embed(f"text {saves}")
-        cache.save()
-        saves += 1
-    assert saves == MAX_CACHE_SEGMENTS - 1
-    assert npz_header(out / CACHE) == {**vectors, "absorbed": MAX_CACHE_SEGMENTS - 1}
+    # a compacted segment 0 carries the header of any other segment
+    assert compact(out / CACHE) == MAX_CACHE_SEGMENTS - 1
+    assert npz_header(out / CACHE) == vectors
 
 
 @pytest.mark.parametrize(
@@ -450,8 +446,8 @@ vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)
 
 
 def cache_files(path):
-    """Segment 0 at ``path``, if written, and the numbered segments beside it."""
-    return [segment for segment in [path, *numbered_segments(path).values()] if segment.exists()]
+    """The segments of the cache at ``path`` that exist, in number order."""
+    return list(segments(path).values())
 
 
 def digest(text):
@@ -500,7 +496,7 @@ def test_embedding_cache_round_trips(tmp_path_factory, saves):
 
 
 def test_cache_with_str_keys_loads_without_calls(tmp_path):
-    # caches written before the keys were ASCII bytes hold them as <U64
+    # a key member may be stored as str, as the index's ids are
     path = tmp_path / "embedding_cache.npz"
     texts = ["Table name: cities", "museums per city", "漢字"]
     cache = CachingEmbedder(HashingEmbedder(), path)
@@ -524,20 +520,63 @@ def test_cache_keys_that_are_not_ascii_are_an_input_error(built, capsys):
     assert str(path) in err and "not ASCII" in err and "Traceback" not in err
 
 
-def test_key_in_two_segments_is_an_input_error_naming_the_later(built, capsys):
+def copy_rows(source, target, rows=slice(None)):
+    """Append the keys and vectors ``rows`` of segment ``source`` to segment ``target``."""
+    with np.load(source, allow_pickle=False) as data:
+        keys, vectors = data["keys"][rows], data["vectors"][rows]
+    edit_array(target, "keys", lambda held: np.concatenate([held, keys]))
+    edit_array(target, "vectors", lambda held: np.concatenate([held, vectors]))
+    return keys
+
+
+def forbid_embedding(monkeypatch):
+    """Make any embedding by the stub backend fail the test."""
+
+    def no_call(self, texts):
+        raise AssertionError(f"backend asked to embed {texts!r}")
+
+    monkeypatch.setattr(HashingEmbedder, "embed", no_call)
+    monkeypatch.setattr(HashingEmbedder, "embed_many", no_call)
+
+
+def test_key_in_two_segments_with_one_vector_loads_once(built, monkeypatch):
+    out, _ = built
+    # segment 1 repeats segment 0's first entry, as a killed compaction leaves it
+    (taken,) = copy_rows(out / CACHE, out / f"{CACHE}.1", slice(1))
+    before = {segment: segment.read_bytes() for segment in cache_files(out / CACHE)}
+    with monkeypatch.context() as patched:
+        forbid_embedding(patched)
+        assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
+    assert {segment: segment.read_bytes() for segment in cache_files(out / CACHE)} == before
+    saves = compact(out / CACHE)
+    _, keys, _ = read_npz(out / CACHE, "embedding cache", None, "keys")  # refuses a repeated key
+    # the two tables' two column headers each, and one text a save
+    assert taken.decode() in keys and len(keys) == 2 + 2 + saves
+
+
+def test_key_in_two_segments_with_another_vector_is_an_input_error_naming_the_later(built, capsys):
     out, queries = built
-    with np.load(out / CACHE, allow_pickle=False) as data:
-        taken = data["keys"][0]
-
-    def repeat_earlier(keys):
-        keys = keys.copy()
-        keys[0] = taken
-        return keys
-
-    edit_array(out / f"{CACHE}.1", "keys", repeat_earlier)
+    (taken,) = copy_rows(out / CACHE, out / f"{CACHE}.1", slice(1))
+    edit_array(out / f"{CACHE}.1", "vectors", with_value(2.0))  # no unit vector holds 2.0
     assert next_command(CACHE, out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert str(out / f"{CACHE}.1") in err and taken.decode() in err and "earlier segment" in err
+    assert str(out / f"{CACHE}.1") in err and taken.decode() in err and "another vector" in err
+
+
+def test_cache_whose_segment_0_records_absorbed_segments_loads_without_calls(built, monkeypatch, tmp_path):
+    # an earlier writer's compaction recorded in segment 0's header the highest
+    # segment it took in, and a kill before its deletes left that segment
+    out, _ = built
+    copy_rows(out / f"{CACHE}.1", out / CACHE)
+    (out / f"{CACHE}.1").rename(out / f"{CACHE}.3")
+    edit_header(out / CACHE, absorbed=3)
+    before = {segment: segment.read_bytes() for segment in cache_files(out / CACHE)}
+    with monkeypatch.context() as patched:
+        forbid_embedding(patched)
+        purposes = f"scripted:{tmp_path / 'purposes.json'}"
+        assert main(["enrich", "--out-dir", str(out), "--generator", purposes]) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
+    assert {segment: segment.read_bytes() for segment in cache_files(out / CACHE)} == before
 
 
 def test_segments_of_different_widths_are_an_input_error(built, capsys):
@@ -568,11 +607,11 @@ def test_stray_temp_file_is_not_a_segment(built):
     stray = out / f"{CACHE}.2.tmp"
     stray.write_bytes(b"torn")
     assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
-    assert numbered_segments(out / CACHE) == {1: out / f"{CACHE}.1"}
+    assert segments(out / CACHE) == {0: out / CACHE, 1: out / f"{CACHE}.1"}
     cache = CachingEmbedder(HashingEmbedder(), out / CACHE)
     cache.embed("a text no command embedded")
     cache.save()  # the stray's name is taken over by the segment it was to become
-    assert numbered_segments(out / CACHE) == {1: out / f"{CACHE}.1", 2: out / f"{CACHE}.2"}
+    assert segments(out / CACHE) == {0: out / CACHE, 1: out / f"{CACHE}.1", 2: out / f"{CACHE}.2"}
     assert not stray.exists()
 
 
@@ -623,25 +662,24 @@ def test_a_kill_at_any_step_of_a_save_leaves_a_cache_that_loads(built, tmp_path,
         monkeypatch.undo()
 
         # the cache loads and holds every entry saved before: no command asks the backend
-        def no_call(self, text):
-            raise AssertionError(f"backend asked to embed {text!r}")
-
-        monkeypatch.setattr(HashingEmbedder, "embed", no_call)
+        forbid_embedding(monkeypatch)
         assert main(["enrich", "--out-dir", str(out), "--generator", purposes]) == EXIT_OK
         assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
         reloaded = CachingEmbedder(HashingEmbedder(), path)
         for i in range(fillers):
             reloaded.embed(f"filler {i}")
         monkeypatch.undo()
-        # either the old segments, the old ones plus the new, or one compacted segment 0
         files = cache_files(path)
-        assert files in (list(before), list(before) + [segment_path(path, len(before))], [path])
+        if fillers:  # segment 0, rewritten or not, and the old segments not yet deleted
+            assert files[0] == path and set(files) <= set(before)
+        else:  # the old segments, or those and the new one
+            assert files in (list(before), [*before, out / f"{CACHE}.{len(before)}"])
         if finished:
             assert len(files) == (1 if fillers else len(before) + 1)
             break
         steps += 1
     # each file operation was a kill point: the rename, the removal of the
-    # temp file and, in a compaction, the deletion of each absorbed segment
+    # temp file and, in a compaction, the deletion of each other segment
     assert steps == 2 + (MAX_CACHE_SEGMENTS - 1 if fillers else 0)
 
 
