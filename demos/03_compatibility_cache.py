@@ -17,6 +17,7 @@ from tablescout import (
     build_cache,
     column_pair_score,
 )
+from tablescout.compatibility import profile_columns
 
 orders = Table.build(
     "orders",
@@ -44,15 +45,19 @@ payments = Table.build(
 
 embedder = HashingEmbedder(dimension=128)
 
+# Profile the columns of two tables: distinct values, key flag and the
+# embedded header, "orders.customer_id" and so on, named after each table.
+profiles = profile_columns([orders, customers], embedder)
+
 # Score one column pair directly. orders.customer_id values are a subset of
 # the unique customers.customer_id values, so the pair is valid and scores
 # 0.5 * value jaccard + 0.5 * (0.5 * header cosine + 0.5 * exact name match).
-fk = orders.columns[1]
-pk = customers.columns[0]
-print(f"customer_id <-> customer_id: {column_pair_score(fk, pk, embedder):.3f}")
+fk = profiles["orders"][1]
+pk = profiles["customers"][0]
+print(f"customer_id <-> customer_id: {column_pair_score(fk, pk):.3f}")
 
 # Totals column against the key. No containment, so it scores zero.
-print(f"total <-> customer_id: {column_pair_score(orders.columns[2], pk, embedder)}")
+print(f"total <-> customer_id: {column_pair_score(profiles['orders'][2], pk)}")
 
 corpus = TableCorpus(tables=(orders, customers, payments), provenance={})
 cache = build_cache(corpus, embedder)

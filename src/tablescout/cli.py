@@ -237,12 +237,18 @@ def _build_pipeline(
     args: argparse.Namespace, out: Path, generator: Generator | None
 ) -> tuple[OnlinePipeline, EnrichmentStore, TokenLedger]:
     """The pipeline over the built artifacts; it gets no generator, and so
-    answers with the dense top-k, under ``--fallback-only``."""
+    answers with the dense top-k, under ``--fallback-only``. An indexed
+    table that the enrichment store holds no text for is a :class:`CorpusError`."""
     # only the query is embedded, so the embedding cache is neither read nor written
     embedder = parse_embedder_spec(args.embedder)
     index = DenseIndex.load(_require_artifact(out / INDEX_FILE, "enrich"), embedder.backend_id)
     cache = CompatibilityCache.load(_require_artifact(out / "compat_cache.json", "cache"), embedder.backend_id)
     store = EnrichmentStore(_require_artifact(out / "enriched.json", "enrich"))
+    unstored = next((tid for tid in index.ids if tid not in store), None)
+    if unstored is not None:
+        raise CorpusError(
+            f"{out / 'enriched.json'} holds no text for indexed table {unstored!r} (run `enrich` again)"
+        )
     ledger = TokenLedger()
     pipeline = OnlinePipeline(
         index,
@@ -335,7 +341,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         if g.gold_tables:
             eval_pairs.append((record, g))
         if g.gold_sql:
-            tables = [(tid, store.get(tid).text) for tid in result.final if tid in store]
+            tables = [(tid, store.get(tid).text) for tid in result.final]
             try:
                 pred_sql = generate_sql(g.question, tables, sql_generator, ledger=ledger)
             except BackendError as exc:

@@ -19,7 +19,7 @@ import hashlib
 import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 from urllib.parse import quote
@@ -51,10 +51,10 @@ class Column:
 
     ``values`` holds one entry per table row; missing cells are ``NULL``
     (``None``), which is distinct from the empty string. A column's position
-    is its index in :attr:`Table.columns`.
+    is its index in :attr:`Table.columns`, and its table's name is held by
+    the :class:`Table` alone, so a renamed table shares its columns.
     """
 
-    table_name: str
     name: str
     values: tuple[str | None, ...]
 
@@ -122,7 +122,7 @@ class Table:
         row_count: int,
     ) -> Table:
         """Construct a table from column-major data, one value tuple per name."""
-        built = tuple(map(Column, repeat(name), column_names, columns))
+        built = tuple(map(Column, column_names, columns))
         return cls(id=table_id, name=name, columns=built, row_count=row_count)
 
     def column_names(self) -> tuple[str, ...]:
@@ -350,11 +350,6 @@ def _rename_with_suffix(base: str, taken: set[str]) -> str:
     return f"{base}__{k}"
 
 
-def _retitled(table: Table, new_name: str) -> Table:
-    columns = tuple(Column(table_name=new_name, name=c.name, values=c.values) for c in table.columns)
-    return Table(id=new_name, name=new_name, columns=columns, row_count=table.row_count)
-
-
 def pool_corpora(corpora: Iterable[tuple[str, Sequence[Table]]]) -> TableCorpus:
     """Merge per-source table lists into one open-book corpus.
 
@@ -373,7 +368,7 @@ def pool_corpora(corpora: Iterable[tuple[str, Sequence[Table]]]) -> TableCorpus:
             if name in taken:
                 name = _rename_with_suffix(name, taken)
             taken.add(name)
-            pooled = _retitled(table, name)
+            pooled = Table(id=name, name=name, columns=table.columns, row_count=table.row_count)
             tables.append(pooled)
             provenance[pooled.id] = label
     return TableCorpus(tables=tuple(tables), provenance=provenance)

@@ -54,7 +54,8 @@ def _name_key(name: str) -> str:
     return name.casefold().replace("-", "_").replace(" ", "_")
 
 
-def oracle_pair_score(col_a, col_b, embedder) -> float:
+def oracle_pair_score(table_a, col_a, table_b, col_b, embedder) -> float:
+    """Join score of ``col_a`` of ``table_a`` and ``col_b`` of ``table_b``."""
     va = [_norm(v) for v in col_a.values if v is not None]
     vb = [_norm(v) for v in col_b.values if v is not None]
     ua = 1 if va and len(set(va)) == len(va) else 0
@@ -70,8 +71,8 @@ def oracle_pair_score(col_a, col_b, embedder) -> float:
     sem = max(
         0.0,
         cosine(
-            embedder.embed(f"{col_a.table_name}.{col_a.name}"),
-            embedder.embed(f"{col_b.table_name}.{col_b.name}"),
+            embedder.embed(f"{table_a.name}.{col_a.name}"),
+            embedder.embed(f"{table_b.name}.{col_b.name}"),
         ),
     )
     name = 0.5 * sem + 0.5 * ex
@@ -84,7 +85,7 @@ def oracle_table_compatibility(ta: Table, tb: Table, embedder):
     best = None
     for pa, ca in enumerate(a.columns):
         for pb, cb in enumerate(b.columns):
-            s = oracle_pair_score(ca, cb, embedder)
+            s = oracle_pair_score(a, ca, b, cb, embedder)
             if s <= 0.0:
                 continue
             key = (-s, pa, pb)

@@ -546,7 +546,7 @@ class TestVectorsStoredOnce:
         stub = HashingEmbedder()
         entries = json.loads((out_dir / "enriched.json").read_text(encoding="utf-8"))["entries"]
         tables = [entry["text"] for entry in entries.values()]
-        headers = [header_text(column) for table in load_corpus(out_dir / "corpus.json") for column in table.columns]
+        headers = [header_text(table, column) for table in load_corpus(out_dir / "corpus.json") for column in table.columns]
         whole = {text_key(text): stub.embed(text).tobytes() for text in tables + headers}
         assert {**indexed, **segments} == whole
         assert set(indexed) == set(map(text_key, tables))
@@ -1186,6 +1186,36 @@ def test_eval_and_e2e_refuse_a_gold_line_alike(built, tmp_path, capsys, lines, l
     assert main([*argv, "--generator", spec]) == EXIT_INPUT
     assert capsys.readouterr().err == eval_err
     assert f"{gold}:{line}: " in eval_err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["retrieve"], ["retrieve", "--fallback-only"], ["e2e"], ["e2e", "--fallback-only"]],
+    ids=["retrieve", "retrieve-fallback-only", "e2e", "e2e-fallback-only"],
+)
+def test_indexed_table_without_enriched_text_is_input_error(built, tmp_path, capsys, argv):
+    out_dir, queries = built
+    store = out_dir / "enriched.json"
+    data = json.loads(store.read_text(encoding="utf-8"))
+    del data["entries"]["museums"]
+    store.write_text(json.dumps(data), encoding="utf-8")
+    gold_sql = "SELECT count(*) FROM museums"
+    gold = tmp_path / "gold.jsonl"
+    write_jsonl(gold, [{"query_id": "q1", "question": "how many museums", "gold_tables": ["museums"],
+                        "gold_sql": gold_sql}])
+    if argv[0] == "retrieve":
+        argv = [*argv, "--queries", str(queries)]
+    else:
+        argv = [*argv, "--gold", str(gold), "--db", str(world_db(tmp_path))]
+    if argv[0] == "e2e" or "--fallback-only" not in argv:
+        spec = scripted_file(tmp_path, [selection_json([0]), selection_json([0]), gold_sql])
+        argv = [*argv, "--generator", f"scripted:{spec}"]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{store} holds no text for indexed table 'museums' (run `enrich` again)" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "results.jsonl").exists()
 
 
 @pytest.mark.parametrize(

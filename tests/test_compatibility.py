@@ -21,6 +21,7 @@ from tablescout import (
     TableCorpus,
     build_cache,
     column_pair_score,
+    pool_corpora,
 )
 from tablescout.compatibility import (
     JOINABILITY_THRESHOLD,
@@ -38,21 +39,23 @@ from tablescout.compatibility import (
 )
 from tablescout import compatibility
 from tablescout.artifacts import FORMAT_VERSION
-from tablescout.corpus import NULL, Column, normalize_value
+from tablescout.corpus import NULL, normalize_value
 
 from synth import MappedEmbedder, oracle_pair_score, oracle_table_compatibility, random_corpus
 
 
 def col(values, name="c", table="t"):
-    return Column(table_name=table, name=name, values=tuple(values))
+    """A one-column table, its header text ``table.name``."""
+    return make_table(table, [name], [[value] for value in values])
 
 
 def make_table(table_id, column_names, rows):
     return Table.build(table_id, table_id, column_names, rows)
 
 
-def profile(column):
-    return profile_columns([column], HashingEmbedder(dimension=16))[0]
+def profile(table, embedder=None):
+    """The profile of the one column of a ``col`` table."""
+    return profile_columns([table], embedder or HashingEmbedder(dimension=16))[table.id][0]
 
 
 def is_key(column):
@@ -75,6 +78,7 @@ class CountingEmbedder(HashingEmbedder):
     def __init__(self, dimension=64):
         super().__init__(dimension=dimension)
         self.calls = 0
+        self.batched = []
 
     def embed(self, text):
         self.calls += 1
@@ -82,6 +86,7 @@ class CountingEmbedder(HashingEmbedder):
 
     def embed_many(self, texts):
         self.calls += len(texts)
+        self.batched.extend(texts)
         return super().embed_many(texts)
 
 
@@ -134,7 +139,7 @@ def test_profile_follows_normalize_value(values, vector):
     """The profile's one-pass normalization is :func:`normalize_value` per
     cell, and ``""`` is a value while NULL is none."""
     vec = np.array(vector, dtype=np.float64)
-    p = ColumnProfile.of(col(values), vec)
+    p = ColumnProfile.of(col(values).columns[0], vec)
     normalized = [normalize_value(v) for v in values if v is not None]
     assert p.values == set(normalized)
     assert p.is_key == (bool(normalized) and len(set(normalized)) == len(normalized))
@@ -186,7 +191,8 @@ class TestHeaderSignals:
         assert not same_name(col([], name="id"), col([], name="name"))
 
     def test_header_text(self):
-        assert header_text(col([], name="id", table="museums")) == "museums.id"
+        museums = col([], name="id", table="museums")
+        assert header_text(museums, museums.columns[0]) == "museums.id"
 
     # The header cases below score pairs that are valid with Jaccard 1.0, so
     # s = 0.5 + 0.5 * (0.5*sem + 0.5*ex) isolates the header blend.
@@ -196,26 +202,26 @@ class TestHeaderSignals:
         a = col(["1"], name="a", table="t1")
         b = col(["1"], name="b", table="t2")
         # sem 1.0, ex 0: s = 0.5 + 0.5 * 0.5
-        assert column_pair_score(a, b, emb) == pytest.approx(0.75, abs=1e-12)
+        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(0.75, abs=1e-12)
 
     def test_semantic_score_clamped_at_zero(self):
         emb = MappedEmbedder({"t1.a": [1.0, 0.0], "t2.b": [-1.0, 0.0]})
         a = col(["1"], name="a", table="t1")
         b = col(["1"], name="b", table="t2")
-        assert column_pair_score(a, b, emb) == pytest.approx(0.5, abs=1e-12)
+        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(0.5, abs=1e-12)
 
     def test_name_score_blend(self):
         emb = MappedEmbedder({"t1.a": [1.0, 0.0], "t2.b": [0.6, 0.8]})
         a = col(["1"], name="a", table="t1")
         b = col(["1"], name="b", table="t2")
         # ex 0, sem 0.6: name 0.3
-        assert column_pair_score(a, b, emb) == pytest.approx(0.5 + 0.5 * 0.3, abs=1e-12)
+        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(0.5 + 0.5 * 0.3, abs=1e-12)
 
     def test_name_score_full_agreement(self):
         emb = HashingEmbedder(dimension=64)
         a = col(["1"], name="id", table="m")
         b = col(["1"], name="id", table="m")
-        assert column_pair_score(a, b, emb) == pytest.approx(1.0)
+        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,32 +242,32 @@ class TestColumnPairScore:
         parent = col(["1", "2", "3", "4", "5"], name="museum_id", table="t1")
         child = col(["1", "2", "3", "4", "1"], name="museum_id", table="t2")
         assert jaccard(parent, child) == pytest.approx(0.8, abs=1e-12)
-        assert column_pair_score(parent, child, emb) == pytest.approx(0.875, abs=1e-12)
-        assert column_pair_score(child, parent, emb) == pytest.approx(0.875, abs=1e-12)
+        assert column_pair_score(profile(parent, emb), profile(child, emb)) == pytest.approx(0.875, abs=1e-12)
+        assert column_pair_score(profile(child, emb), profile(parent, emb)) == pytest.approx(0.875, abs=1e-12)
 
     def test_neither_side_unique_scores_zero(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "1", "2"], name="x", table="t1")
         b = col(["1", "2", "2"], name="x", table="t2")
         assert jaccard(a, b) == 1.0  # full overlap, yet no key side
-        assert column_pair_score(a, b, emb) == 0.0
+        assert column_pair_score(profile(a, emb), profile(b, emb)) == 0.0
         # " A " and "a" normalize to one value, so neither side is a key
         a = col([" A ", "a"], name="x", table="t1")
         b = col(["a", "A"], name="x", table="t2")
-        assert column_pair_score(a, b, emb) == 0.0
+        assert column_pair_score(profile(a, emb), profile(b, emb)) == 0.0
 
     def test_no_containment_scores_zero(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "4"], name="x", table="t1")
         b = col(["1", "2", "3"], name="x", table="t2")
-        assert column_pair_score(a, b, emb) == 0.0
-        assert column_pair_score(col([NULL], name="x", table="t1"), b, emb) == 0.0
+        assert column_pair_score(profile(a, emb), profile(b, emb)) == 0.0
+        assert column_pair_score(profile(col([NULL], name="x", table="t1"), emb), profile(b, emb)) == 0.0
 
     def test_valid_pair_scores_positive(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "2", "3"], name="a", table="t1")
         b = col(["2"], name="b", table="t2")
-        assert column_pair_score(a, b, emb) > 0.0
+        assert column_pair_score(profile(a, emb), profile(b, emb)) > 0.0
 
     @given(
         va=st.lists(st.sampled_from(["1", "2", "3", "b", " 1 ", NULL]), max_size=10),
@@ -272,12 +278,12 @@ class TestColumnPairScore:
         emb = HashingEmbedder(dimension=32)
         a = col(va, name="alpha", table="t1")
         b = col(vb, name="beta", table="t2")
-        s = column_pair_score(a, b, emb)
+        s = column_pair_score(profile(a, emb), profile(b, emb))
         assert 0.0 <= s <= 1.0
         # valid exactly when positive: a valid pair shares at least one value
         valid = contained(a, b) and (is_key(a) or is_key(b))
         assert (s > 0.0) == valid
-        assert s == pytest.approx(oracle_pair_score(a, b, emb), abs=1e-12)
+        assert s == pytest.approx(oracle_pair_score(a, a.columns[0], b, b.columns[0], emb), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +437,15 @@ class TestCompatibilityCache:
         build_cache(corpus, emb)
         total_columns = sum(len(t.columns) for t in corpus)
         assert emb.calls == total_columns
+
+    def test_renamed_table_headers_follow_its_pooled_name(self):
+        first = make_table("orders", ["order_id", "total"], [["1", "9.50"], ["2", "3.25"]])
+        second = make_table("orders", ["order_id", "total"], [["1", "8.00"]])
+        corpus = pool_corpora([("b", [second]), ("a", [first])])
+        assert corpus.get("orders__2").columns is second.columns
+        emb = CountingEmbedder(dimension=16)
+        build_cache(corpus, emb)
+        assert emb.batched == ["orders.order_id", "orders.total", "orders__2.order_id", "orders__2.total"]
 
     def test_round_trip_preserves_everything(self, tmp_path):
         emb = HashingEmbedder(dimension=64)
@@ -606,7 +621,7 @@ def test_blocking_matches_brute_force(corpus):
 def test_blocked_column_pairs_give_the_all_pairs_edge(corpus):
     emb = HashingEmbedder(dimension=32)
     tables = sorted(corpus, key=lambda t: t.id)
-    profiles = {t.id: profile_columns(t.columns, emb) for t in tables}
+    profiles = profile_columns(tables, emb)
     blocked = _blocked_pairs(profiles)
     for i, ti in enumerate(tables):
         for tj in tables[i + 1 :]:

@@ -486,7 +486,7 @@ def reference_sqlite_tables(path):
 def reference_table(name, header, rows):
     """A table whose columns are gathered one cell at a time."""
     columns = tuple(
-        Column(table_name=name, name=col, values=tuple(row[pos] for row in rows))
+        Column(name=col, values=tuple(row[pos] for row in rows))
         for pos, col in enumerate(header)
     )
     return Table(id=name, name=name, columns=columns, row_count=len(rows))
