@@ -21,6 +21,10 @@ into :class:`CorpusError` naming it. Every header is built here, by
 :func:`check_header` refuses a wrong ``version`` or another ``backend_id``,
 and :func:`read_npz` a ``dimension`` other than the vectors' width.
 
+JSON-lines files (queries, gold, results, the journal below) are read by one
+splitter, which ends a line at ``\n`` alone: JSON leaves U+0085, U+2028 and
+U+2029 raw, so any character in an id or a question round-trips.
+
 The one file that is appended to instead is a journal, ``<name>.journal``
 beside the artifact it updates (:func:`journal_of`): a header line, then one
 JSON line per change. Its owner opens it once (:func:`open_journal`) and
@@ -106,12 +110,19 @@ def _parse(text: str) -> object:
     return data
 
 
-def read_json(path: str | Path, what: str, error: type[Exception] = CorpusError) -> object:
-    """Parse a JSON file; ``what`` names it in the ``error`` raised on failure."""
+def _read(path: str | Path, what: str, error: type[Exception] = CorpusError) -> bytes:
+    """The bytes of the file at ``path``; an ``OSError`` raises ``error`` naming it as ``what``."""
     try:
-        return _parse(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_bytes()
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str, error: type[Exception] = CorpusError) -> object:
+    """Parse a JSON file; ``what`` names it in the ``error`` raised on failure."""
+    data = _read(path, what, error)
+    try:
+        return _parse(data.decode("utf-8"))
     except ValueError as exc:  # invalid UTF-8, invalid JSON or a lone surrogate
         raise error(f"malformed {what} {path}: {exc}") from exc
 
@@ -269,36 +280,30 @@ def read_npz_keys(path: str | Path, what: str, backend_id: str | None, field: st
     return _decoded(keys, field, path, what)
 
 
-def _json_object(line: str | bytes, path: str | Path, lineno: int) -> dict:
-    """One line of a JSON-lines file parsed; anything but a JSON object raises
-    :class:`CorpusError` naming ``path:lineno``."""
-    try:
-        record = _parse(line.decode("utf-8") if isinstance(line, bytes) else line)
-    except ValueError as exc:  # invalid UTF-8, invalid JSON or a lone surrogate
-        raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-    return record
+def _json_lines(data: bytes, path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each line of ``data`` that is not blank.
+
+    A line ends at ``\n`` alone, since JSON leaves U+0085, U+2028 and U+2029
+    raw in a string. A line of ASCII whitespace is skipped, and the ``\r``
+    of a CRLF ending is JSON whitespace. A line that is not a JSON object
+    raises :class:`CorpusError` naming ``path:lineno``.
+    """
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = _parse(line.decode("utf-8"))
+        except ValueError as exc:  # invalid UTF-8, invalid JSON or a lone surrogate
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, record
 
 
 def read_jsonl(path: str | Path, what: str) -> list[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON-lines file.
-
-    An unreadable file, a line that is not JSON or a line that is not a JSON
-    object raises :class:`CorpusError`; ``what`` names the file in the
-    message and each bad line is named as ``path:lineno``.
-    """
-    try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"malformed {what} {path}: {exc}") from exc
-    return [
-        (lineno, _json_object(line, path, lineno))
-        for lineno, line in enumerate(raw_lines, start=1)
-        if line.strip()
-    ]
+    """(line number, object) for each non-blank line of a JSON-lines file;
+    ``what`` names the file if it cannot be read (see :func:`_json_lines`)."""
+    return list(_json_lines(_read(path, what), path))
 
 
 def journal_of(path: str | Path) -> Path:
@@ -346,11 +351,10 @@ def read_journal(path: str | Path, what: str) -> list[tuple[int, dict]]:
     dropped. Any other line that is not a JSON object raises
     :class:`CorpusError` naming ``path:lineno``.
     """
-    try:
-        *lines, _torn = Path(path).read_bytes().split(b"\n")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
-    if not lines:
+    data = _read(path, what)
+    records = _json_lines(data[: data.rfind(b"\n") + 1], path)
+    first = next(records, None)
+    if first is None:
         return []
-    check_header(_json_object(lines[0], path, 1), path, what)
-    return [(lineno, _json_object(line, path, lineno)) for lineno, line in enumerate(lines[1:], start=2)]
+    check_header(first[1], path, what)
+    return list(records)

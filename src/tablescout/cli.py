@@ -331,15 +331,11 @@ def cmd_e2e(args: argparse.Namespace) -> int:
     gold = load_gold_queries(args.gold)
     check_database(args.db)
     pipeline, store, ledger = _build_pipeline(args, out, sql_generator)
-    lines = []
-    eval_pairs = []
+    records = []
     em_results = []
     for g in gold:
         result = pipeline.run_query(g.question)
-        record = result_record(g.query_id, result)
-        lines.append(record_line(record))
-        if g.gold_tables:
-            eval_pairs.append((record, g))
+        records.append(result_record(g.query_id, result))
         if g.gold_sql:
             tables = [(tid, store.get(tid).text) for tid in result.final]
             try:
@@ -350,10 +346,10 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             else:
                 outcome = execution_match(args.db, pred_sql, g.gold_sql)
             em_results.append((outcome, len(g.gold_tables)))
-    write_lines(out / "results.jsonl", lines)
+    write_lines(out / "results.jsonl", [record_line(record) for record in records])
     report: dict = {}
-    if eval_pairs:
-        _, summary = evaluate_selection([r for r, _ in eval_pairs], gold)
+    if any(g.gold_tables for g in gold):
+        _, summary = evaluate_selection(records, gold)
         report["selection"] = summary
         print(render_metrics_table(summary))
     if em_results:

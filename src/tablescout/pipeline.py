@@ -80,11 +80,7 @@ def build_selection_prompt(
     candidate pair with a positive cached score, using those same indices,
     its score and join columns read from one cache lookup.
     """
-    blocks = []
-    for i, tid in enumerate(topk):
-        if tid not in texts:
-            raise KeyError(f"no enriched text for candidate table {tid!r}")
-        blocks.append(f"Table {i}:\n{texts[tid]}")
+    blocks = [f"Table {i}:\n{texts[tid]}" for i, tid in enumerate(topk)]
     tables_content = "\n" + "\n\n".join(blocks) if blocks else ""
 
     lines = []
@@ -222,9 +218,9 @@ class OnlinePipeline:
 
     With no generator the pipeline is the dense-retrieval baseline: each
     query answers with its dense top-k, flagged as a fallback. With one,
-    ``texts`` maps table id to the enriched text shown in selection prompts
-    and must cover every table in the index. The ledger, when given,
-    accumulates selection-stage token usage.
+    ``texts`` maps table id to the enriched text shown in selection prompts,
+    and an indexed table it lacks raises ``ValueError``. The ledger, when
+    given, accumulates selection-stage token usage.
     """
 
     def __init__(
@@ -241,8 +237,10 @@ class OnlinePipeline:
     ):
         if k <= 0:
             raise ValueError("k must be positive")
-        if generator is not None and texts is None:
-            raise ValueError("enriched texts are required with a generator")
+        if generator is not None:
+            unstored = next((tid for tid in index.ids if tid not in (texts or {})), None)
+            if unstored is not None:
+                raise ValueError(f"no enriched text for indexed table {unstored!r}")
         self.index = index
         self.cache = cache
         self.embedder = embedder

@@ -329,6 +329,27 @@ class TestEnrich:
             assert (out_dir / name).read_bytes() == (whole / name).read_bytes()
         assert list(out_dir.glob("*.journal")) == []
 
+    def test_journal_record_holding_a_paragraph_separator_replays_after_a_kill(self, out_dir, sources, tmp_path):
+        a, b = sources
+        purposes = ("city\u2029list", "museum\x85list", "pairs", "more pairs")
+        whole = tmp_path / "whole"
+        assert ingest(whole, a, b) == EXIT_OK
+        assert enrich(whole, tmp_path, purposes=purposes) == EXIT_OK
+
+        assert ingest(out_dir, a, b) == EXIT_OK
+        # the script runs out on the third table, after two records reached the journal
+        assert enrich(out_dir, tmp_path, purposes=purposes[:2]) == EXIT_BACKEND
+        journal = out_dir / "enriched.json.journal"
+        held = journal.read_bytes()
+        assert held.count(b"\n") == 3 and "\u2029".encode("utf-8") in held  # written raw, not escaped
+        # a kill mid-way through a third record
+        journal.write_bytes(held + b'{"purpose": "pai')
+        # exactly the two remaining purposes; a third call would exit 4
+        assert enrich(out_dir, tmp_path, purposes=purposes[2:]) == EXIT_OK
+        for name in ("enriched.json", "index.npz"):
+            assert (out_dir / name).read_bytes() == (whole / name).read_bytes()
+        assert list(out_dir.glob("*.journal")) == []
+
     @pytest.mark.parametrize("store_kept", [False, True], ids=["before-compaction", "before-delete"])
     def test_leftover_journal_is_compacted_without_calls(self, out_dir, sources, tmp_path, store_kept):
         a, b = sources
@@ -634,8 +655,9 @@ def retrieve(out_dir, queries, tmp_path, responses, *extra):
 
 
 def read_results(out_dir):
-    lines = (out_dir / "results.jsonl").read_text().splitlines()
-    return [json.loads(line) for line in lines]
+    # a line ends at "\n" alone: str.splitlines() would also break at U+0085, U+2028 and U+2029
+    lines = (out_dir / "results.jsonl").read_text(encoding="utf-8").split("\n")
+    return [json.loads(line) for line in lines if line]
 
 
 class TestRetrieve:
@@ -817,6 +839,45 @@ class TestEval:
         report = json.loads((out_dir / "eval_report.json").read_text())
         assert report["summary"]["queries"] == 2.0
         assert {r["query_id"] for r in report["per_query"]} == {"q1", "q2"}
+
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+    def test_line_break_in_a_table_name_is_read_back_by_eval(self, out_dir, tmp_path, brk):
+        source = tmp_path / "shop"
+        source.mkdir()
+        name = f"shop{brk}orders"
+        (source / f"{name}.csv").write_text("order_id,total\n1,9.5\n2,12.0\n", encoding="utf-8")
+        (source / "customers.csv").write_text("customer_id,order_id\n7,1\n8,2\n", encoding="utf-8")
+        assert main(["ingest", "--out-dir", str(out_dir), f"shop={source}"]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("people", "orders")) == EXIT_OK
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        queries = tmp_path / "queries.jsonl"
+        write_jsonl(queries, [{"query_id": "q1", "question": "order totals"}])
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_OK
+        # the id is written raw, inside the one line of the one record
+        assert (out_dir / "results.jsonl").read_text(encoding="utf-8").count(brk) == 2
+        (record,) = read_results(out_dir)
+        assert sorted(record["final"]) == ["customers", name]
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"query_id": "q1", "question": "order totals", "gold_tables": [name]}])
+        assert main(["eval", "--out-dir", str(out_dir), "--gold", str(gold)]) == EXIT_OK
+        summary = json.loads((out_dir / "eval_report.json").read_text(encoding="utf-8"))["summary"]
+        assert (summary["recall"], summary["precision"]) == (100.0, 50.0)
+
+    def test_line_separator_in_a_question_is_one_line(self, built, tmp_path):
+        out_dir, _ = built
+        query = {"query_id": "q\u20291", "question": "museums\u2028per city"}
+        queries = tmp_path / "queries.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        queries.write_text(json.dumps(query, ensure_ascii=False) + "\n", encoding="utf-8")
+        gold.write_text(json.dumps({**query, "gold_tables": ["museums"]}, ensure_ascii=False) + "\n", encoding="utf-8")
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_OK
+        assert [r["query_id"] for r in read_results(out_dir)] == ["q\u20291"]
+        assert main(["eval", "--out-dir", str(out_dir), "--gold", str(gold)]) == EXIT_OK
+        report = json.loads((out_dir / "eval_report.json").read_text(encoding="utf-8"))
+        assert [r["query_id"] for r in report["per_query"]] == ["q\u20291"]
+        assert report["summary"]["recall"] == 100.0
 
     def test_gold_joins_report(self, built, tmp_path, capsys):
         out_dir, _ = built
@@ -1102,6 +1163,21 @@ class TestE2E:
         assert main([*argv, "--generator", spec, "--fallback-only"]) == EXIT_OK
         assert (out_dir / "results.jsonl").read_bytes() == retrieved
 
+    def test_selection_scores_only_gold_queries_with_tables(self, built, tmp_path):
+        out_dir, _ = built
+        gold = tmp_path / "gold.jsonl"
+        spec = f"scripted:{scripted_file(tmp_path, [])}"
+        argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
+        untabled = {"query_id": "q2", "question": "anything", "gold_tables": []}
+        write_jsonl(gold, [{"query_id": "q1", "question": "museums", "gold_tables": ["museums"]}, untabled])
+        assert main([*argv, "--generator", spec, "--fallback-only"]) == EXIT_OK
+        assert [r["query_id"] for r in read_results(out_dir)] == ["q1", "q2"]
+        report = json.loads((out_dir / "e2e_report.json").read_text())
+        assert report["selection"]["queries"] == 1.0
+        write_jsonl(gold, [untabled])
+        assert main([*argv, "--generator", spec, "--fallback-only"]) == EXIT_OK
+        assert "selection" not in json.loads((out_dir / "e2e_report.json").read_text())
+
     def test_default_rates_price_the_tokens(self, built, tmp_path):
         out_dir, _ = built
         gold = tmp_path / "gold.jsonl"
@@ -1140,13 +1216,13 @@ class TestE2E:
         write_jsonl(gold, [{"query_id": "q1", "question": "how many museums", "gold_tables": ["museums"],
                             "gold_sql": gold_sql}])
         reads = []
-        read_text = pathlib.Path.read_text
+        read_bytes = pathlib.Path.read_bytes
 
-        def counting(self, *args, **kwargs):
+        def counting(self):
             reads.append(self)
-            return read_text(self, *args, **kwargs)
+            return read_bytes(self)
 
-        monkeypatch.setattr(pathlib.Path, "read_text", counting)
+        monkeypatch.setattr(pathlib.Path, "read_bytes", counting)
         spec = f"scripted:{scripted_file(tmp_path, [selection_json([0]), gold_sql])}"
         argv = ["e2e", "--out-dir", str(out_dir), "--gold", str(gold), "--db", str(world_db(tmp_path))]
         assert main([*argv, "--generator", spec]) == EXIT_OK

@@ -173,6 +173,28 @@ class TestLoading:
         with pytest.raises(CorpusError):
             load_gold_queries(tmp_path / "absent.jsonl")
 
+    def test_line_breaks_other_than_newline_stay_in_their_line(self, tmp_path):
+        # JSON leaves U+0085, U+2028 and U+2029 raw, so only "\n" ends a line
+        path = tmp_path / "gold.jsonl"
+        record = {"query_id": "q\x851", "question": "how\u2028many?", "gold_tables": ["a\u2029b"]}
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_gold_queries(path) == [GoldQuery("q\x851", "how\u2028many?", frozenset({"a\u2029b"}))]
+        result = {"query_id": "q\u2028", "final": ["a\x85"]}
+        path.write_text(json.dumps(result, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_result_records(path) == [result]
+
+    def test_crlf_endings_and_blank_lines_load(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_bytes(
+            b'{"query_id": "q1", "question": "how many?", "gold_tables": ["a"]}\r\n'
+            b"\r\n \t\r\n"
+            b'{"query_id": "q2", "question": "which?", "gold_tables": []}\r\n'
+        )
+        assert [g.query_id for g in load_gold_queries(path)] == ["q1", "q2"]
+        path.write_bytes(b'{"query_id": "q1", "final": ["a"]}\r\n\r\n{"bro\r\n')
+        with pytest.raises(CorpusError, match=r":3: invalid JSON"):
+            load_result_records(path)
+
     def test_load_result_records(self, tmp_path):
         path = tmp_path / "results.jsonl"
         path.write_text(

@@ -540,6 +540,16 @@ class TestOnlinePipeline:
         with pytest.raises(ValueError):
             OnlinePipeline(index, edges_cache(), emb, generator, texts=None)
 
+    def test_texts_lacking_an_indexed_table_are_refused_with_a_generator(self):
+        emb = HashingEmbedder(dimension=16)
+        index = DenseIndex.build({"a": "alpha", "b": "beta"}, emb)
+        generator = ScriptedGenerator(responses=[selection_json([[0]])])
+        with pytest.raises(ValueError, match="'b'"):
+            OnlinePipeline(index, edges_cache(), emb, generator, texts={"a": "alpha"})
+        # the dense baseline shows no text, so it needs none
+        pipeline = OnlinePipeline(index, edges_cache(), emb, None, texts={})
+        assert sorted(pipeline.run_query("beta").final) == ["a", "b"]
+
     def test_additivity_and_subset_invariants(self):
         rng = np.random.default_rng(17)
         emb = HashingEmbedder(dimension=32)
