@@ -39,7 +39,7 @@ ledger = TokenLedger()
 
 workdir = Path(tempfile.mkdtemp())
 store = enrich_tables(tables, generator, store=None, ledger=ledger)
-for table_id in store.ids():
+for table_id in sorted(store.texts()):
     record = store.get(table_id)
     print(f"{table_id}: purpose={record.purpose!r}")
 print("\nindexed text for museums:")

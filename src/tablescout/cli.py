@@ -167,6 +167,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         label, sep, path = item.partition("=")
         if not sep:
             label, path = Path(item).stem, item
+        if not label.strip():
+            raise ConfigError(f"source {item!r}: source label {label!r} is blank (give one as label=path)")
         if label in seen_labels:
             raise ConfigError(f"duplicate source label {label!r}")
         try:
@@ -308,10 +310,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.gold_joins is not None:
         cache = CompatibilityCache.load(_require_artifact(out / "compat_cache.json", "cache"))
         raw = read_json(args.gold_joins, "gold joins")
-        corpus = None
-        if (out / "corpus.json").exists():
-            corpus = load_corpus(out / "corpus.json")
-        metrics = evaluate_cache(cache, gold_joins_from_records(raw, args.gold_joins), corpus=corpus)
+        corpus = load_corpus(_require_artifact(out / "corpus.json", "ingest"))
+        metrics = evaluate_cache(cache, gold_joins_from_records(raw, args.gold_joins), corpus)
         write_report(out / "compat_report.json", metrics)
         print(
             f"joinability_accuracy: {100 * metrics['joinability_accuracy']:.1f}\n"

@@ -1,16 +1,17 @@
 """Join-compatibility scoring between tables, and the pairwise score cache.
 
 A column pair is a plausible join only when at least one side is a key
-(unique non-NULL values) and one side's distinct values are contained in the
-other's. Qualifying pairs are scored by value overlap (Jaccard) blended with
-header-name agreement (exact match plus embedding similarity); a table pair's
-compatibility is the best score over its column pairs. Scores are symmetric
-by construction: every pair is computed with the tables in sorted-id order.
+(unique non-NULL values) and the smaller side's distinct values are a subset
+of the larger's. Such a pair scores its value overlap, the size ratio of the
+two sets, blended with header-name agreement (exact match plus embedding
+similarity); a table pair's compatibility is its best column pair's score.
+Scores are symmetric: every pair is scored with the tables in sorted-id order.
 
 Columns are profiled a table at a time (:func:`profile_columns`): each is
 read once into a :class:`ColumnProfile` (distinct normalized values, key
 flag, name key, and the vector and norm of its header, named after its
-table), and :func:`column_pair_score` scores two profiles.
+table); the scorer reads these profiles only, :func:`column_pair_score` two
+of them and :func:`table_compatibility` two tables' lists of them.
 :func:`build_cache` scores only the column pairs that value blocking can
 reach: a contained side's values all occur in the other side, its rarest
 value among them. One count of how many columns hold each value picks every
@@ -99,42 +100,23 @@ def profile_columns(tables: Sequence[Table], embedder: Embedder) -> dict[str, li
     return {t.id: [ColumnProfile.of(c, next(vectors)) for c in t.columns] for t in tables}
 
 
-def _contained(sa: frozenset[str], sb: frozenset[str]) -> bool:
-    """Whether either distinct value set contains the other.
-
-    Empty sets never qualify; containment of nothing is not evidence of a
-    foreign-key relationship.
-    """
-    if not sa or not sb:
-        return False
-    return sa <= sb if len(sa) <= len(sb) else sb <= sa
-
-
-def _jaccard(sa: frozenset[str], sb: frozenset[str]) -> float:
-    """Jaccard overlap of two distinct value sets; 0.0 on an empty union.
-
-    For a contained pair this is ``len(smaller) / len(larger)``: the same
-    two integers, so the same float.
-    """
-    shared = len(sa & sb)
-    union = len(sa) + len(sb) - shared
-    return shared / union if union else 0.0
-
-
 def column_pair_score(pa: ColumnProfile, pb: ColumnProfile) -> float:
     """Join score of two cross-table column profiles, in [0, 1].
 
-    The pair is valid only when one side's distinct values contain the
-    other's and at least one side is unique; an invalid pair scores 0.0.
-    A valid pair scores ``0.5*jac + 0.5*(0.5*sem + 0.5*ex)``: value-set
-    Jaccard, header-embedding cosine clamped at zero, and exact header-name
-    agreement.
+    The pair is valid only when a side is a key and the smaller distinct
+    value set is a non-empty subset of the larger; an invalid pair scores
+    0.0. A valid pair scores ``0.5*overlap + 0.5*(0.5*sem + 0.5*ex)``: the
+    size ratio ``len(smaller) / len(larger)`` (their Jaccard), the header-
+    embedding cosine clamped at zero, and exact header-name agreement.
     """
-    if not (pa.is_key or pb.is_key) or not _contained(pa.values, pb.values):
+    if not (pa.is_key or pb.is_key):
+        return 0.0
+    small, large = (pa.values, pb.values) if len(pa.values) <= len(pb.values) else (pb.values, pa.values)
+    if not small or not small <= large:
         return 0.0
     sem = max(0.0, cosine_of_norms(pa.vector, pb.vector, pa.norm, pb.norm))
     name = 0.5 * sem + 0.5 * (1.0 if pa.name_key == pb.name_key else 0.0)
-    return 0.5 * _jaccard(pa.values, pb.values) + 0.5 * name
+    return 0.5 * (len(small) / len(large)) + 0.5 * name
 
 
 # ---------------------------------------------------------------------------
@@ -168,43 +150,37 @@ _ROW_FIELDS = [field.name for field in fields(JoinEdge)]
 def table_compatibility(
     ti: Table,
     tj: Table,
-    embedder: Embedder,
-    *,
-    _profiles: Mapping[str, Sequence[ColumnProfile]] | None = None,
-    _column_pairs: Iterable[tuple[int, int]] | None = None,
+    profiles: Mapping[str, Sequence[ColumnProfile]],
+    column_pairs: Iterable[tuple[int, int]] | None = None,
 ) -> JoinEdge | None:
     """Best-scoring plausible join between two tables, or None.
 
-    The argument order never matters: scoring always runs with the tables
+    Only the tables' column profiles, ``profiles[table id]``, are read. The
+    argument order never matters: scoring always runs with the tables
     arranged by ascending id, and score ties resolve to the lowest column
-    position pair in that arrangement. ``_column_pairs``, position pairs in
+    position pair in that arrangement. ``column_pairs``, position pairs in
     that arrangement, limits scoring to those pairs; :func:`build_cache`
     passes every pair that can be valid, so the result is the same.
     """
     if ti.id == tj.id:
         raise ValueError("table compatibility requires two distinct tables")
     a, b = (ti, tj) if ti.id < tj.id else (tj, ti)
-    if _profiles is None:
-        _profiles = profile_columns((a, b), embedder)
-    profiles_a, profiles_b = _profiles[a.id], _profiles[b.id]
-    if _column_pairs is None:
-        _column_pairs = product(range(len(profiles_a)), range(len(profiles_b)))
-    best: tuple[float, int, int] | None = None
-    for pos_a, pos_b in sorted(_column_pairs):
+    profiles_a, profiles_b = profiles[a.id], profiles[b.id]
+    if column_pairs is None:
+        column_pairs = product(range(len(profiles_a)), range(len(profiles_b)))
+    best, best_a, best_b = 0.0, 0, 0
+    for pos_a, pos_b in sorted(column_pairs):
         s = column_pair_score(profiles_a[pos_a], profiles_b[pos_b])
-        if s <= 0.0:
-            continue
-        if best is None or s > best[0]:
-            best = (s, pos_a, pos_b)
-    if best is None:
+        if s > best:
+            best, best_a, best_b = s, pos_a, pos_b
+    if best == 0.0:
         return None
-    score, pos_a, pos_b = best
     return JoinEdge(
-        score=score,
+        score=best,
         left_table=a.id,
-        left_column=a.columns[pos_a].name,
+        left_column=a.columns[best_a].name,
         right_table=b.id,
-        right_column=b.columns[pos_b].name,
+        right_column=b.columns[best_b].name,
     )
 
 
@@ -330,9 +306,7 @@ def build_cache(corpus: TableCorpus, embedder: Embedder) -> CompatibilityCache:
     cache = CompatibilityCache(backend_id=embedder.backend_id)
     blocked = _blocked_pairs(profiles)
     for left, right in sorted(blocked):
-        edge = table_compatibility(
-            by_id[left], by_id[right], embedder, _profiles=profiles, _column_pairs=blocked[(left, right)]
-        )
+        edge = table_compatibility(by_id[left], by_id[right], profiles, blocked[(left, right)])
         if edge is not None:
             cache.add(edge)
     return cache

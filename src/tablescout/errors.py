@@ -12,11 +12,12 @@ class CorpusError(TablescoutError):
 
 
 class ConfigError(TablescoutError):
-    """Invalid configuration (flags, config file, parameter ranges)."""
+    """Invalid command-line input: a flag, backend spec or source label, or a parameter out of range."""
 
 
 class BackendError(TablescoutError):
-    """A model service call failed after the configured retries."""
+    """A model service call failed or replied malformed. Only an HTTP transport
+    error, 429 or 5xx status is retried, in three attempts at most."""
 
 
 class BackendMismatchError(TablescoutError):

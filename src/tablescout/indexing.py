@@ -185,9 +185,6 @@ class EnrichmentStore:
             self.pending = True
         self._entries[record.table_id] = record
 
-    def ids(self) -> list[str]:
-        return sorted(self._entries)
-
     def texts(self) -> dict[str, str]:
         return {e.table_id: e.text for e in self._entries.values()}
 

@@ -77,8 +77,8 @@ def build_selection_prompt(
 
     Candidates appear as ``Table 0`` .. ``Table k-1`` in rank order with
     their enriched text; the compatibility section carries one line per
-    candidate pair with a positive cached score, using those same indices,
-    its score and join columns read from one cache lookup.
+    candidate pair the cache holds (each with a positive score), using those
+    same indices, its score and join columns read from one cache lookup.
     """
     blocks = [f"Table {i}:\n{texts[tid]}" for i, tid in enumerate(topk)]
     tables_content = "\n" + "\n\n".join(blocks) if blocks else ""
@@ -87,7 +87,7 @@ def build_selection_prompt(
     for i in range(len(topk)):
         for j in range(i + 1, len(topk)):
             edge = cache.edge(topk[i], topk[j])
-            if edge is None or edge.score <= 0.0:
+            if edge is None:
                 continue
             col_i, col_j = edge.oriented(topk[i])
             lines.append(
@@ -201,7 +201,7 @@ def adjust(
         # the first strict maximum seen in rank order is the tie-break winner
         for u in unchosen:
             cs = cache.score(t, u)
-            if cs > 0.0 and cs > best_cs:
+            if cs > best_cs:
                 best_cs, best_id = cs, u
         if best_id is not None and best_cs >= tau:
             restored.add(best_id)

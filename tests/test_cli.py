@@ -168,6 +168,23 @@ class TestIngest:
         code = main(["ingest", "--out-dir", str(out_dir), f"x={a}", f"x={b}"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "items",
+        [["={a}"], [" ={a}", "  ={b}"], ["\u3000\t={a}"], ["{blank}"]],
+        ids=["empty", "spaces-only", "unicode-space", "blank-stem"],
+    )
+    def test_blank_label_is_config_error_naming_the_item(self, out_dir, sources, capsys, items):
+        # a blank label would be written as the "source" of a table with no provenance
+        a, b = sources
+        blank = a.parent / " "  # a source named by its path alone is labelled by its stem
+        blank.mkdir()
+        (blank / "t.csv").write_text("a\n1\n")
+        items = [item.format(a=a, b=b, blank=blank) for item in items]
+        assert main(["ingest", "--out-dir", str(out_dir), *items]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"source {items[0]!r}: source label" in err and "is blank" in err
+        assert not (out_dir / "corpus.json").exists()
+
     def test_csv_that_is_not_utf8_is_input_error(self, out_dir, tmp_path, capsys):
         src = tmp_path / "src"
         src.mkdir()
@@ -902,6 +919,17 @@ class TestEval:
         report = json.loads((out_dir / "compat_report.json").read_text())
         assert report["column_accuracy"] == 1.0
         assert report["pairs"] == 2.0
+
+    def test_gold_joins_without_corpus_json_is_input_error(self, built, tmp_path, capsys):
+        # without corpus.json no annotation could be checked against the tables
+        out_dir, _ = built
+        (out_dir / "corpus.json").unlink()
+        gold_joins = tmp_path / "gold_joins.json"
+        gold_joins.write_text(json.dumps([{"table_a": "nope", "table_b": "cities", "joinable": False}]))
+        assert main(["eval", "--out-dir", str(out_dir), "--gold-joins", str(gold_joins)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"missing corpus.json in {out_dir} (run `ingest` first)" in err and "Traceback" not in err
+        assert not (out_dir / "compat_report.json").exists()
 
     @pytest.mark.parametrize(
         "record, complaint",

@@ -155,7 +155,7 @@ class TestEnrichment:
     def test_enriches_all_tables_in_sorted_order(self):
         gen = ScriptedGenerator(responses=["pa", "pb", "pc"])
         store = enrich_tables(self.tables(), gen)
-        assert store.ids() == ["a", "b", "c"]
+        assert sorted(store.texts()) == ["a", "b", "c"]
         assert store.get("a").purpose == "pa"
         assert store.get("c").purpose == "pc"
 
@@ -169,7 +169,7 @@ class TestEnrichment:
         resumed = ScriptedGenerator(responses=["pc"])
         store = enrich_tables(tables, resumed, store=EnrichmentStore(path))
         assert len(resumed.calls) == 1
-        assert store.ids() == ["a", "b", "c"]
+        assert sorted(store.texts()) == ["a", "b", "c"]
 
     def test_rerun_is_idempotent(self, tmp_path):
         path = tmp_path / "enriched.json"
@@ -217,12 +217,12 @@ class TestEnrichment:
         with pytest.raises(BackendError):
             enrich_tables(self.tables(), failing, store=EnrichmentStore(path))
         assert not path.exists()
-        assert EnrichmentStore(path).ids() == ["a"]
+        assert sorted(EnrichmentStore(path).texts()) == ["a"]
 
         resumed = ScriptedGenerator(responses=["pb", "pc"])
         store = enrich_tables(self.tables(), resumed, store=EnrichmentStore(path))
         assert len(resumed.calls) == 2
-        assert [store.get(i).purpose for i in store.ids()] == ["pa", "pb", "pc"]
+        assert [store.get(i).purpose for i in sorted(store.texts())] == ["pa", "pb", "pc"]
         assert not journal_of(path).exists()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
