@@ -117,6 +117,9 @@ def parse_generator_spec(spec: str) -> Generator:
         responses = read_json(path, "scripted responses", ConfigError)
         if not isinstance(responses, list):
             raise ConfigError(f"scripted responses {path} must be a JSON list")
+        bad = next((i for i, item in enumerate(responses) if not isinstance(item, str)), None)
+        if bad is not None:
+            raise ConfigError(f"scripted responses {path}: item {bad} is not a string: {responses[bad]!r}")
         return ScriptedGenerator(responses=responses)
     if spec.startswith("http:"):
         return HttpGenerationClient(*_http_spec(spec, "generator"))
@@ -378,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tablescout",
         description="Join-aware multi-table retrieval over a pooled corpus.",
     )
-    parser.add_argument("--log-level", default="WARNING", help="stderr log level")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"], help="stderr log level (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each command takes only the flags it reads
@@ -427,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, str(args.log_level).upper(), logging.WARNING),
+        level=args.log_level,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -331,9 +331,10 @@ def gold_joins_from_records(records: object, path: str | Path | None = None) -> 
     """Parse gold annotations: a list of {table_a, table_b, joinable, gold_columns?}.
 
     ``table_a`` and ``table_b`` must be strings, ``joinable`` a bool and
-    ``gold_columns``, unless absent or null, a list of two strings. Anything
-    else, or no record at all, raises :class:`CorpusError` naming ``path``
-    and the record's index.
+    ``gold_columns``, unless absent or null, a list of two strings. A record
+    must name two tables, and a pair that an earlier record annotates, in
+    either order, is refused. Anything else, or no record at all, raises
+    :class:`CorpusError` naming ``path`` and the record's index.
     """
     what = "gold joins"
     source = "" if path is None else f"{path} "
@@ -342,6 +343,7 @@ def gold_joins_from_records(records: object, path: str | Path | None = None) -> 
     if not records:
         raise CorpusError(f"{what} {source}holds no records")
     gold = []
+    annotated: dict[frozenset[str], int] = {}
     for index, record in enumerate(records):
         where = f"{source}record {index}"
         table_a = require(record, "table_a", where, what, str)
@@ -352,6 +354,12 @@ def gold_joins_from_records(records: object, path: str | Path | None = None) -> 
             if not isinstance(columns, list) or len(columns) != 2 or not all(isinstance(c, str) for c in columns):
                 raise CorpusError(f"malformed {what} {where}: gold_columns must list two column names")
             columns = (columns[0], columns[1])
+        if table_a == table_b:
+            raise CorpusError(f"malformed {what} {where}: table {table_a!r} is named twice")
+        pair = frozenset((table_a, table_b))
+        if pair in annotated:
+            raise CorpusError(f"malformed {what} {where}: pair {table_a!r}, {table_b!r} repeats record {annotated[pair]}")
+        annotated[pair] = index
         gold.append(GoldJoin(table_a, table_b, joinable, columns))
     return gold
 

@@ -6,8 +6,10 @@ the generator declined), and a Markdown sample of the contents. The dense
 index ranks those embeddings by cosine exactly: one matrix-vector product
 scores every row, and the rows near the k-th score are scored again with the
 scalar ``cosine``, so ranks and scores equal a row-by-row scan. It is
-persisted to ``.npz`` together with the backend id so a stale index cannot be
-queried silently.
+persisted to ``.npz`` together with the backend id, which refuses only an
+index that another embedder built: the index does not record the corpus it
+was built from, so after a re-ingest it answers from the old tables until
+``enrich`` runs again.
 """
 
 from __future__ import annotations

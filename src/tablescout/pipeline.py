@@ -6,7 +6,9 @@ their cached compatibility evidence, picks a joinable subset. Restoration
 then adds back, for each chosen table, its most compatible unchosen candidate
 when that score clears a threshold, so the final set can only gain recall
 over the model's choice. Any generation or parsing failure, an empty pick
-included, falls back to the full top-k set rather than guessing.
+included, leaves the query with no pick, and its answer is the full top-k
+rather than a guess. A result holds the top-k, the pick and the restored
+tables; its final set and fallback flag are derived from those.
 """
 
 from __future__ import annotations
@@ -32,18 +34,29 @@ class SelectionResult:
     """Everything the pipeline decided for one query.
 
     ``topk`` is the dense top-k in rank order. ``selected`` is the model's
-    choice, ``restored`` what restoration added, and ``final`` their union;
-    all three are in rank order and are subsets of ``topk``. When
-    ``fallback_used`` is set, ``final`` is the whole of ``topk``.
+    pick, empty when there was none, and ``restored`` is what restoration
+    added; both are in rank order and subsets of ``topk``. ``final`` and
+    ``fallback_used`` derive from them: with no pick, ``final`` is ``topk``,
+    a fallback unless ``topk`` is empty; with one, it is the pick plus the
+    restored tables, in rank order.
     """
 
     topk: tuple[str, ...]
     selected: tuple[str, ...]
     restored: tuple[str, ...]
-    final: tuple[str, ...]
-    fallback_used: bool
     input_tokens: int
     output_tokens: int
+
+    @property
+    def final(self) -> tuple[str, ...]:
+        if not self.selected:
+            return self.topk
+        answer = {*self.selected, *self.restored}
+        return tuple(tid for tid in self.topk if tid in answer)
+
+    @property
+    def fallback_used(self) -> bool:
+        return not self.selected and bool(self.topk)
 
 
 def retrieve_topk(
@@ -254,41 +267,26 @@ class OnlinePipeline:
         """Run all stages for one query.
 
         Embedding failures propagate (the query cannot be answered at all);
-        generation and parsing failures degrade to the fallback result, the
-        whole top-k. An empty index gives an empty result that is not a
-        fallback.
+        a generation or parsing failure leaves the query with no pick, so it
+        falls back to the whole top-k. An empty index gives an empty result
+        that is not a fallback.
         """
         topk = retrieve_topk(query, self.index, self.embedder, self.k)
-        response = picked = None
+        response, selected = None, ()
         if topk and self.generator is not None:
-            request = build_selection_prompt(query, topk, self.cache, self.texts)
             try:
-                response = self.generator.generate(request)
-            except BackendError:
-                pass
-            else:
+                response = self.generator.generate(
+                    build_selection_prompt(query, topk, self.cache, self.texts)
+                )
                 if self.ledger is not None:
                     self.ledger.record(SELECTION_STAGE, response.input_tokens, response.output_tokens)
-                try:
-                    picked = parse_selection(response.text, topk)
-                except SelectionParseError:
-                    pass
-
-        if picked is None:
-            selected = restored = ()
-            final = topk
-        else:
-            selected_set = {topk[i] for i in picked}
-            selected = tuple(tid for tid in topk if tid in selected_set)
-            restored = adjust(selected, topk, self.cache, self.tau)
-            final_set = selected_set | set(restored)
-            final = tuple(tid for tid in topk if tid in final_set)
+                selected = tuple(topk[i] for i in sorted(parse_selection(response.text, topk)))
+            except (BackendError, SelectionParseError):
+                pass
         return SelectionResult(
             topk=topk,
             selected=selected,
-            restored=restored,
-            final=final,
-            fallback_used=picked is None and len(topk) > 0,
+            restored=adjust(selected, topk, self.cache, self.tau) if selected else (),
             input_tokens=response.input_tokens if response is not None else 0,
             output_tokens=response.output_tokens if response is not None else 0,
         )

@@ -42,10 +42,10 @@ _RETRIES = 3
 _BACKOFF_SECONDS = 1.0
 # every generation call is greedy, so a rerun sends the same request
 _TEMPERATURE = 0.0
-#: The most bytes of one chunk's count matrix in ``HashingEmbedder.embed_many``,
-#: which holds 2d int64 counts per text: 64 texts at d = 256. It keeps a wide
-#: stub from allocating n x 2d counts for a whole build step at once.
-_CHUNK_BYTES = 256 * 1024
+#: The most bytes of one chunk's sum matrix in ``HashingEmbedder.embed_many``,
+#: which holds d float64 sums per text: 64 texts at d = 256. It keeps a wide
+#: stub from allocating n x d sums for a whole build step at once.
+_CHUNK_BYTES = 128 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +99,10 @@ class HashingEmbedder:
     the build's batches with the kernel, chunk by chunk
     (:data:`_CHUNK_BYTES`): each chunk's trigrams are packed into
     integers, each distinct one is looked up once, and ``np.bincount`` sums
-    the occurrences per row; 1808 build texts took 18 ms that way and 68 ms
-    through the loop. Every bucket sum and its square is a small integer, so
-    both paths give the same floats in any summation order.
+    the occurrences' signs per row and bucket; 1808 build texts took 18 ms
+    that way and 68 ms through the loop. Every bucket sum and its square is
+    a small integer, so both paths give the same floats in any summation
+    order.
     """
 
     def __init__(self, dimension: int = DEFAULT_STUB_DIMENSION):
@@ -146,7 +147,7 @@ class HashingEmbedder:
         if "" in texts:
             raise ValueError("cannot embed an empty string")
         out = np.empty((len(texts), self.dimension), dtype=np.float64)
-        rows = max(1, _CHUNK_BYTES // (2 * self.dimension * 8))
+        rows = max(1, _CHUNK_BYTES // (self.dimension * 8))
         for start in range(0, len(texts), rows):
             out[start : start + rows] = self._embed_chunk(texts[start : start + rows])
         return out
@@ -173,12 +174,11 @@ class HashingEmbedder:
         spelled = [joined[i : i + 3] for i in range(0, len(joined), 3)]
         buckets = self._buckets
         found = np.array([buckets.get(gram) or self._hash(gram) for gram in spelled], dtype=np.float64)
-        # slots [0, d) count a row's +1 occurrences per bucket, [d, 2d) its -1 ones
-        slot = found[:, 0].astype(np.int64) + d * (found[:, 1] < 0)
+        # each row's bucket sums of its occurrences' signs: sums of +-1.0, exact in any order
+        bucket = found[:, 0].astype(np.int64)[occurrence]
         row = np.repeat(np.arange(len(texts)), lengths - 2)
-        counts = np.bincount(row * 2 * d + slot[occurrence], minlength=len(texts) * 2 * d)
-        counts = counts.reshape(len(texts), 2, d)
-        vec = (counts[:, 0] - counts[:, 1]).astype(np.float64)
+        vec = np.bincount(row * d + bucket, weights=found[occurrence, 1], minlength=len(texts) * d)
+        vec = vec.reshape(len(texts), d)
         norm = np.sqrt(np.einsum("ij,ij->i", vec, vec))
         zero = norm == 0.0
         vec[zero, 0] = norm[zero] = 1.0  # a zero-norm row becomes the first axis

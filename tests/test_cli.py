@@ -124,6 +124,19 @@ class TestBackendSpecs:
         with pytest.raises(ConfigError):
             parse_generator_spec(f"scripted:{not_list}")
 
+    @pytest.mark.parametrize(
+        "item", [{"purpose": "x"}, None, 3, ["a"], True], ids=["object", "null", "number", "list", "bool"]
+    )
+    def test_scripted_item_that_is_not_a_string_is_config_error(self, out_dir, sources, tmp_path, capsys, item):
+        path = scripted_file(tmp_path, ["city list", item])
+        with pytest.raises(ConfigError, match=r"item 1 is not a string"):
+            parse_generator_spec(f"scripted:{path}")
+        assert ingest(out_dir, *sources) == EXIT_OK
+        assert main(["enrich", "--out-dir", str(out_dir), "--generator", f"scripted:{path}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and "item 1" in err
+        assert not (out_dir / "enriched.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # ingest
@@ -729,6 +742,55 @@ class TestRetrieve:
         assert main(argv) == EXIT_OK
         assert [segment.read_bytes() for segment in segments] == [b"torn"] * len(segments)
 
+    def test_results_file_is_pinned(self, built, tmp_path):
+        # one pick that restores a neighbour ranked above it, a reply with no
+        # JSON object, an empty pick, and a script that runs out (a
+        # BackendError); then the dense baseline. The expected bytes are the
+        # program's own output, kept so that a refactor shows any byte it moves.
+        out_dir, _ = built
+        queries = tmp_path / "pinned.jsonl"
+        write_jsonl(
+            queries,
+            [
+                {"query_id": "pick", "question": "city names"},
+                {"query_id": "no-json", "question": "shared codes"},
+                {"query_id": "empty", "question": "museums per city"},
+                {"query_id": "exhausted", "question": "museum names"},
+            ],
+        )
+        topks = {
+            "pick": '["cities", "museums", "shared", "shared__2"]',
+            "no-json": '["shared__2", "shared", "cities", "museums"]',
+            "empty": '["museums", "cities", "shared__2", "shared"]',
+            "exhausted": '["museums", "cities", "shared", "shared__2"]',
+        }
+
+        def line(qid, selected, restored, final, fallback, tokens):
+            return (
+                f'{{"query_id": "{qid}", "topk": {topks[qid]}, "selected": {selected}, '
+                f'"restored": {restored}, "final": {final}, "fallback_used": {fallback}, '
+                f'"input_tokens": {tokens[0]}, "output_tokens": {tokens[1]}}}\n'
+            )
+
+        def fallback(qid, tokens=(0, 0)):
+            return line(qid, "[]", "[]", topks[qid], "true", tokens)
+
+        replies = [selection_json([1]), "no object here", selection_json([])]
+        assert retrieve(out_dir, queries, tmp_path, replies) == EXIT_OK
+        assert (out_dir / "results.jsonl").read_text(encoding="utf-8") == "".join(
+            [
+                line("pick", '["museums"]', '["cities"]', '["cities", "museums"]', "false", (1091, 9)),
+                fallback("no-json", (1091, 3)),
+                fallback("empty", (1092, 9)),
+                fallback("exhausted"),
+            ]
+        )
+        argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+        assert main(argv) == EXIT_OK
+        assert (out_dir / "results.jsonl").read_text(encoding="utf-8") == "".join(
+            fallback(qid) for qid in topks
+        )
+
     def test_k_limits_candidates(self, built, tmp_path):
         out_dir, queries = built
         code = retrieve(
@@ -938,8 +1000,11 @@ class TestEval:
             ({"joinable": None}, "record 1: field 'joinable' holds NoneType"),
             ({"table_b": 5}, "record 1: field 'table_b' holds int"),
             ({"gold_columns": ["city_id", 1]}, "record 1: gold_columns must list two column names"),
+            ({"table_b": "cities"}, "record 1: table 'cities' is named twice"),
+            ({}, "record 1: pair 'cities', 'museums' repeats record 0"),
+            ({"table_a": "museums", "table_b": "cities"}, "record 1: pair 'museums', 'cities' repeats record 0"),
         ],
-        ids=["joinable-string", "joinable-null", "numeric-table", "numeric-column"],
+        ids=["joinable-string", "joinable-null", "numeric-table", "numeric-column", "self-pair", "repeated", "reversed"],
     )
     def test_bad_gold_join_record_is_input_error_naming_it(self, built, tmp_path, capsys, record, complaint):
         out_dir, _ = built
@@ -1359,6 +1424,23 @@ def test_config_file_flag_is_refused(built, tmp_path, capsys):
     assert exc.value.code == EXIT_CONFIG
     assert "invalid choice" in capsys.readouterr().err
     assert not (out_dir / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("level", ["debgu", "BASIC_FORMAT", "warn", "10", ""])
+def test_unknown_log_level_is_refused(built, capsys, level):
+    out_dir, queries = built
+    argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", level, *argv])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--log-level: invalid choice" in capsys.readouterr().err
+    assert not (out_dir / "results.jsonl").exists()
+
+
+def test_log_level_is_read_in_any_case(built):
+    out_dir, queries = built
+    argv = ["retrieve", "--out-dir", str(out_dir), "--queries", str(queries), "--fallback-only"]
+    assert main(["--log-level", "debug", *argv]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["retrieve", "e2e"])

@@ -832,6 +832,24 @@ class TestEvaluateCache:
         with pytest.raises(CorpusError, match=f"gold.json record 1: {complaint}"):
             gold_joins_from_records([good, {**good, **change}], "gold.json")
 
+    @pytest.mark.parametrize(
+        "third, complaint",
+        [
+            (("c", "c"), "table 'c' is named twice"),
+            (("a", "b"), "pair 'a', 'b' repeats record 0"),
+            (("b", "a"), "pair 'b', 'a' repeats record 0"),
+        ],
+        ids=["self-pair", "same-order", "reversed"],
+    )
+    def test_gold_join_self_pair_or_repeated_pair_is_refused(self, third, complaint):
+        records = [
+            {"table_a": "a", "table_b": "b", "joinable": True},
+            {"table_a": "a", "table_b": "c", "joinable": False},
+            {"table_a": third[0], "table_b": third[1], "joinable": False},
+        ]
+        with pytest.raises(CorpusError, match=f"gold.json record 2: {complaint}"):
+            gold_joins_from_records(records, "gold.json")
+
     def test_gold_join_without_joinable_is_refused(self):
         with pytest.raises(CorpusError, match="record 0: missing field 'joinable'"):
             gold_joins_from_records([{"table_a": "a", "table_b": "b"}])

@@ -1,5 +1,6 @@
 """Tests for the online retrieve-select-restore pipeline."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from tablescout.pipeline import (
     DEFAULT_RESTORE_THRESHOLD,
     DEFAULT_TOP_K,
     SELECTION_MAX_TOKENS,
+    SelectionResult,
     _extract_json_object,
     adjust,
     build_selection_prompt,
@@ -30,7 +32,7 @@ from tablescout.pipeline import (
     retrieve_topk,
 )
 from tablescout.prompts import SELECTION_PROMPT_TEMPLATE
-from tablescout.services import HttpGenerationClient, cosine
+from tablescout.services import GenerationResponse, HttpGenerationClient, cosine
 
 from synth import MappedEmbedder
 
@@ -522,6 +524,50 @@ class TestOnlinePipeline:
         assert result.final == ("t0", "t1", "t2", "t3", "t4")
         assert result.input_tokens > 0  # the reply was received and metered
         assert ledger.stage_totals()["selection"] == (result.input_tokens, result.output_tokens)
+
+    def test_final_and_fallback_follow_from_the_pick(self):
+        assert [f.name for f in dataclasses.fields(SelectionResult)] == [
+            "topk",
+            "selected",
+            "restored",
+            "input_tokens",
+            "output_tokens",
+        ]
+        topk = ("t0", "t1", "t2", "t3")
+        picked = SelectionResult(topk, ("t2",), ("t0",), 5, 1)
+        assert picked.final == ("t0", "t2")
+        assert not picked.fallback_used
+        no_pick = SelectionResult(topk, (), (), 0, 0)
+        assert no_pick.final == topk
+        assert no_pick.fallback_used
+        empty = SelectionResult((), (), (), 0, 0)
+        assert empty.final == ()
+        assert not empty.fallback_used
+        with pytest.raises(AttributeError):
+            picked.final = topk
+
+    def test_pick_is_held_in_rank_order(self):
+        pipeline, _ = pipeline_fixture([selection_json([[4, 0, 4]])], tau=1.01)
+        result = pipeline.run_query("the alpha question")
+        assert result.selected == result.final == ("t0", "t4")
+
+    def test_missing_text_propagates(self):
+        pipeline, generator = pipeline_fixture([selection_json([[0]])])
+        pipeline.texts = {}
+        with pytest.raises(KeyError):
+            pipeline.run_query("the alpha question")
+        assert generator.calls == []
+
+    def test_ledger_refusal_propagates(self):
+        class NegativeTokens:
+            def generate(self, request):
+                return GenerationResponse(text=selection_json([[0]]), input_tokens=-1, output_tokens=1)
+
+        ledger = TokenLedger()
+        pipeline, _ = pipeline_fixture([], ledger=ledger)
+        pipeline.generator = NegativeTokens()
+        with pytest.raises(ValueError, match="nonnegative"):
+            pipeline.run_query("the alpha question")
 
     def test_repeated_runs_are_identical(self):
         records = []
