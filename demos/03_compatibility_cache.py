@@ -45,8 +45,10 @@ payments = Table.build(
 
 embedder = HashingEmbedder(dimension=128)
 
-# Profile the columns of two tables: distinct values, key flag and the
-# embedded header, "orders.customer_id" and so on, named after each table.
+# Profile the columns of two tables: distinct values and key flag of each,
+# then the embedded header, "orders.customer_id" and so on, named after each
+# table, of just the columns value blocking pairs: here the two customer_id
+# columns. The other headers are never embedded.
 profiles = profile_columns([orders, customers], embedder)
 
 # Score one column pair directly. orders.customer_id values are a subset of
@@ -56,7 +58,8 @@ fk = profiles["orders"][1]
 pk = profiles["customers"][0]
 print(f"customer_id <-> customer_id: {column_pair_score(fk, pk):.3f}")
 
-# Totals column against the key. No containment, so it scores zero.
+# Totals column against the key. No containment, so it scores zero, before
+# any header vector is read: orders.total has none.
 print(f"total <-> customer_id: {column_pair_score(profiles['orders'][2], pk)}")
 
 corpus = TableCorpus(tables=(orders, customers, payments), provenance={})

@@ -82,10 +82,14 @@ def header(backend_id: str | None = None, **fields: object) -> dict:
     return {"version": FORMAT_VERSION, **fields}
 
 
+#: the separators of compact JSON: no space after a comma or a colon
+_COMPACT = (",", ":")
+
+
 def write_artifact(path: str | Path, body: dict, backend_id: str | None = None) -> None:
     """``body`` and its :func:`header` as compact, key-sorted JSON: the
     layout of every JSON artifact, read back by :func:`read_artifact`."""
-    _write(path, json.dumps({**body, **header(backend_id)}, sort_keys=True, ensure_ascii=False))
+    _write(path, json.dumps({**body, **header(backend_id)}, sort_keys=True, ensure_ascii=False, separators=_COMPACT))
 
 
 def write_report(path: str | Path, payload: object) -> None:
@@ -339,7 +343,7 @@ def open_journal(path: str | Path) -> BinaryIO:
 def append_journal(handle: BinaryIO, record: dict) -> None:
     """Append ``record`` as one compact JSON line through a handle from
     :func:`open_journal`: one write, flushed before it returns."""
-    handle.write((json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8"))
+    handle.write((json.dumps(record, sort_keys=True, ensure_ascii=False, separators=_COMPACT) + "\n").encode("utf-8"))
     handle.flush()
 
 

@@ -7,28 +7,34 @@ two sets, blended with header-name agreement (exact match plus embedding
 similarity); a table pair's compatibility is its best column pair's score.
 Scores are symmetric: every pair is scored with the tables in sorted-id order.
 
-Columns are profiled a table at a time (:func:`profile_columns`): each is
-read once into a :class:`ColumnProfile` (distinct normalized values, key
-flag, name key, and the vector and norm of its header, named after its
-table); the scorer reads these profiles only, :func:`column_pair_score` two
-of them and :func:`table_compatibility` two tables' lists of them.
-:func:`build_cache` scores only the column pairs that value blocking can
-reach: a contained side's values all occur in the other side, its rarest
-value among them. One count of how many columns hold each value picks every
-column's rarest value, an index from just those values to the columns
-holding them is built, and for each column the columns holding its rarest
-value that have at least as many distinct values and make the pair have a
-key side are its blocked partners. This is exact, unary inclusion-dependency
-blocking (De Marchi, Lopes & Petit, J. Intell. Inf. Syst. 32(1), 2009); the
-worst case, a value present in every column, blocks every pair.
+Columns are profiled together (:func:`profile_columns`), in two steps. Each
+is read once into a :class:`ColumnProfile` (its header text ``table.column``,
+distinct normalized values, key flag and name key). Value blocking then
+finds every column pair that can be valid: a contained side's values all
+occur in the other side, its rarest value among them. One count of how many
+columns hold each value picks every column's rarest value, an index from
+just those values to the columns holding them is built, and for each column
+the columns holding its rarest value that have at least as many distinct
+values and make the pair have a key side are its blocked partners. This is
+exact, unary inclusion-dependency blocking (De Marchi, Lopes & Petit, J.
+Intell. Inf. Syst. 32(1), 2009); the worst case, a value present in every
+column, blocks every pair. Last, only the headers of the columns that a
+blocked pair names are embedded, in one batch, and their profiles take the
+vector and its norm. Every other column's header is never embedded: a pair
+it is part of is invalid, and an invalid pair scores 0.0 before the cosine.
+
+The scorer reads these profiles only, :func:`column_pair_score` two of them
+and :func:`table_compatibility` two tables' lists of them. :func:`build_cache`
+scores only the blocked column pairs.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter, defaultdict
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import chain, product
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -60,44 +66,76 @@ def header_text(table: Table, column: Column) -> str:
 class ColumnProfile:
     """Everything the scorer reads of one column, computed once.
 
-    ``values`` is the set of distinct normalized non-NULL values. ``is_key``
-    holds when there is at least one non-NULL value and no two are equal
-    after normalization: an all-NULL column gives no evidence of being a key.
-    ``name_key`` is the header name up to case and -/space vs underscore,
-    ``vector`` the embedding of :func:`header_text` and ``norm`` its norm, as
-    ``cosine`` computes it.
+    ``header`` is the column's :func:`header_text`. ``values`` is the set of
+    distinct normalized non-NULL values. ``is_key`` holds when there is at
+    least one non-NULL value and no two are equal after normalization: an
+    all-NULL column gives no evidence of being a key. ``name_key`` is the
+    header name up to case and -/space vs underscore. ``vector`` is the
+    embedding of ``header`` and ``norm`` its norm, as ``cosine`` computes
+    it; :func:`profile_columns` sets them (:meth:`with_vector`) only for a
+    column that some blocked pair names, and leaves every other column at
+    None and 0.0.
     """
 
+    header: str
     values: frozenset[str]
     is_key: bool
     name_key: str
-    vector: np.ndarray
-    norm: float
+    vector: np.ndarray | None = None
+    norm: float = 0.0
 
     @classmethod
-    def of(cls, column: Column, vector: np.ndarray) -> "ColumnProfile":
+    def of(cls, table: Table, column: Column) -> "ColumnProfile":
+        """The profile of ``column`` of ``table``, without a header vector."""
         cells = column.values
         nulls = cells.count(None)
         non_null = [v for v in cells if v is not None] if nulls else cells
         # normalize_value over every cell in one pass: strip, then casefold
         values = frozenset(map(str.casefold, map(str.strip, non_null)))
         return cls(
+            header=header_text(table, column),
             values=values,
             is_key=bool(values) and len(values) == len(cells) - nulls,
             name_key=_name_key(column.name),
-            vector=vector,
-            norm=float(np.linalg.norm(vector)),
         )
+
+    def with_vector(self, vector: np.ndarray) -> "ColumnProfile":
+        """This profile holding ``vector`` as its header's embedding."""
+        return replace(self, vector=vector, norm=float(np.linalg.norm(vector)))
+
+
+def _profiled(
+    tables: Sequence[Table], embedder: Embedder
+) -> tuple[dict[str, list[ColumnProfile]], dict[tuple[str, str], set[tuple[int, int]]]]:
+    """The column profiles of :func:`profile_columns` and the blocked pairs
+    (:func:`_blocked_pairs`) found on their values."""
+    profiles = {t.id: [ColumnProfile.of(t, c) for c in t.columns] for t in tables}
+    blocked = _blocked_pairs(profiles)
+    paired = set()
+    for (left, right), pairs in blocked.items():
+        for pos_left, pos_right in pairs:
+            paired.add((left, pos_left))
+            paired.add((right, pos_right))
+    wanted = [(t.id, pos) for t in tables for pos in range(len(t.columns)) if (t.id, pos) in paired]
+    if wanted:
+        vectors = embedder.embed_many([profiles[tid][pos].header for tid, pos in wanted])
+        for (tid, pos), vector in zip(wanted, vectors):
+            profiles[tid][pos] = profiles[tid][pos].with_vector(vector)
+    return profiles, blocked
 
 
 def profile_columns(tables: Sequence[Table], embedder: Embedder) -> dict[str, list[ColumnProfile]]:
     """The column profiles of each table, by table id, in column order.
 
-    Every header, ``table.column`` with the table's name, is embedded in one
-    batch, in table then column order.
+    Every column's values are profiled first; then the headers, ``table.column``
+    with the table's name, of just the columns that a blocked pair among
+    ``tables`` names are embedded in one batch, in table then column order,
+    and no call is made when there are none. A valid pair of these columns
+    is always blocked, so both its profiles hold a vector; profiles from
+    separate calls may not, and :func:`column_pair_score` refuses such a
+    valid pair.
     """
-    vectors = iter(embedder.embed_many([header_text(t, c) for t in tables for c in t.columns]))
-    return {t.id: [ColumnProfile.of(c, next(vectors)) for c in t.columns] for t in tables}
+    return _profiled(tables, embedder)[0]
 
 
 def column_pair_score(pa: ColumnProfile, pb: ColumnProfile) -> float:
@@ -107,13 +145,21 @@ def column_pair_score(pa: ColumnProfile, pb: ColumnProfile) -> float:
     value set is a non-empty subset of the larger; an invalid pair scores
     0.0. A valid pair scores ``0.5*overlap + 0.5*(0.5*sem + 0.5*ex)``: the
     size ratio ``len(smaller) / len(larger)`` (their Jaccard), the header-
-    embedding cosine clamped at zero, and exact header-name agreement.
+    embedding cosine clamped at zero, and exact header-name agreement. A
+    valid pair with a side that holds no header vector raises ``ValueError``
+    naming both columns.
     """
     if not (pa.is_key or pb.is_key):
         return 0.0
     small, large = (pa.values, pb.values) if len(pa.values) <= len(pb.values) else (pb.values, pa.values)
     if not small or not small <= large:
         return 0.0
+    if pa.vector is None or pb.vector is None:
+        missing = pa.header if pa.vector is None else pb.header
+        raise ValueError(
+            f"valid column pair {pa.header!r}, {pb.header!r}: {missing!r} holds no header vector; "
+            "profile both tables in one profile_columns call"
+        )
     sem = max(0.0, cosine_of_norms(pa.vector, pb.vector, pa.norm, pb.norm))
     name = 0.5 * sem + 0.5 * (1.0 if pa.name_key == pb.name_key else 0.0)
     return 0.5 * (len(small) / len(large)) + 0.5 * name
@@ -145,6 +191,7 @@ class JoinEdge:
 
 #: the fields of a :class:`JoinEdge`, in the order a saved cache's rows hold them
 _ROW_FIELDS = [field.name for field in fields(JoinEdge)]
+_row = attrgetter(*_ROW_FIELDS)
 
 
 def table_compatibility(
@@ -228,7 +275,7 @@ class CompatibilityCache:
 
     def save(self, path: str | Path) -> None:
         """One row per edge, its fields in declaration order, sorted by table pair."""
-        edges = [list(astuple(edge)) for _, edge in sorted(self._pairs.items())]
+        edges = [list(_row(edge)) for _, edge in sorted(self._pairs.items())]
         write_artifact(path, {"edges": edges}, self.backend_id)
 
     @classmethod
@@ -292,19 +339,19 @@ def _blocked_pairs(
 def build_cache(corpus: TableCorpus, embedder: Embedder) -> CompatibilityCache:
     """Score every table pair that value blocking can reach.
 
-    Each column is profiled once, and every header is embedded in one batch.
-    One count of how many columns hold each value gives each column its
-    rarest value, and only the columns holding one of those are looked up
-    (:func:`_blocked_pairs`): every valid column pair is among the pairs
-    found. Each table pair with such a column pair is scored by
-    :func:`table_compatibility` over those column pairs alone; every other
-    pair has no valid column pair and scores zero.
+    Each column is profiled once (:func:`profile_columns`), and value
+    blocking runs once on the profiles' values: one count of how many
+    columns hold each value gives each column its rarest value, and only
+    the columns holding one of those are looked up (:func:`_blocked_pairs`).
+    Every valid column pair is among the pairs found, and only their
+    columns' headers are embedded, in one batch. Each table pair with such
+    a column pair is scored by :func:`table_compatibility` over those column
+    pairs alone; every other pair has no valid column pair and scores zero.
     """
     tables = sorted(corpus, key=lambda t: t.id)
-    profiles = profile_columns(tables, embedder)
+    profiles, blocked = _profiled(tables, embedder)
     by_id = {t.id: t for t in tables}
     cache = CompatibilityCache(backend_id=embedder.backend_id)
-    blocked = _blocked_pairs(profiles)
     for left, right in sorted(blocked):
         edge = table_compatibility(by_id[left], by_id[right], profiles, blocked[(left, right)])
         if edge is not None:

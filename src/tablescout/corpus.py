@@ -428,15 +428,18 @@ def markdown_grid(table: Table, sample: Sequence[int]) -> str:
     return "\n".join(lines)
 
 
-def serialize_markdown(table: Table, sample: Sequence[int]) -> str:
+def serialize_markdown(table: Table, sample: Sequence[int], *, grid: str | None = None) -> str:
     """Serialize a table to its Markdown snapshot.
 
     Layout: a ``Table name:`` line, an ``Example table content:`` line, then
     the pipe table with one row per sampled index. NULL cells render as empty,
     cell-internal pipes are escaped as ``\\|`` and line breaks as ``\\n``,
-    ``\\r`` and so on.
+    ``\\r`` and so on. ``grid``, when given, is ``markdown_grid(table,
+    sample)`` already rendered, and is used as it is.
     """
-    return f"Table name: {table.name}\nExample table content:\n{markdown_grid(table, sample)}"
+    if grid is None:
+        grid = markdown_grid(table, sample)
+    return f"Table name: {table.name}\nExample table content:\n{grid}"
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,16 @@ def generate_purpose(
     *,
     max_tokens: int = PURPOSE_MAX_TOKENS,
     ledger: TokenLedger | None = None,
+    grid: str | None = None,
 ) -> str:
     """Ask the generator for the table's purpose; '' when it answers None.
 
     The prompt embeds the Markdown serialization of the rows ``sample``
     indexes; given the same sample, repeated calls send identical bytes.
+    ``grid``, when given, is ``markdown_grid(table, sample)`` already
+    rendered.
     """
-    rendered = serialize_markdown(table, sample)
+    rendered = serialize_markdown(table, sample, grid=grid)
     prompt = PURPOSE_PROMPT.replace("{table}", rendered)
     response = generator.generate(GenerationRequest(prompt=prompt, max_tokens=max_tokens))
     if ledger is not None:
@@ -88,13 +91,15 @@ def generate_purpose(
     return "" if purpose == "None" else purpose
 
 
-def enriched_text(table: Table, purpose: str, sample: tuple[int, ...]) -> str:
+def enriched_text(table: Table, purpose: str, sample: tuple[int, ...], *, grid: str | None = None) -> str:
     """Compose the text that represents a table in the dense index.
 
     Three labeled sections: name, purpose (omitted when empty), content. The
-    content is the sampled Markdown grid without a repeated name line.
+    content is the sampled Markdown grid without a repeated name line;
+    ``grid``, when given, is that grid already rendered.
     """
-    grid = markdown_grid(table, sample)
+    if grid is None:
+        grid = markdown_grid(table, sample)
     lines = [f"Table name: {table.name}"]
     if purpose:
         lines.append(f"Table purpose: {purpose}")
@@ -216,11 +221,12 @@ def enrich_tables(
     try:
         for table in sorted(tables, key=lambda t: t.id):
             sample = sample_rows(table, n=n_rows, seed=seed)
+            grid = markdown_grid(table, sample)  # rendered once, for the prompt and the text
             if table.id in store:
                 purpose = store.get(table.id).purpose
             else:
-                purpose = generate_purpose(table, generator, sample, max_tokens=max_tokens, ledger=ledger)
-            store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample)))
+                purpose = generate_purpose(table, generator, sample, max_tokens=max_tokens, ledger=ledger, grid=grid)
+            store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample, grid=grid)))
         if store.pending:
             store.save()
     finally:

@@ -9,7 +9,8 @@ replays canned responses with exact token accounting.
 
 An embedder serves two kinds of traffic. The offline build embeds a whole
 step's texts at once through ``embed_many``: every enriched table text for
-the dense index, every column header for the compatibility cache. The online
+the dense index, and the headers of the columns that value blocking pairs
+for the compatibility cache. The online
 path embeds one query text at a time through ``embed``. The hashing
 embedder answers a batch with a numpy kernel (the 1808 build texts of a
 602-table pool in 18 ms, against 68 ms one by one) and a single text with a

@@ -40,23 +40,31 @@ WITH_BACKEND = [CACHE, f"{CACHE}.1", "index.npz", "compat_cache.json"]
 @pytest.fixture
 def built(tmp_path):
     """A source built twice, the second time grown by one table, so each
-    ``cache`` wrote one segment of column-header vectors."""
+    ``cache`` wrote one segment of column-header vectors: each build adds a
+    table whose city_id is contained in cities.city_id, and only the headers
+    of columns that can join are embedded."""
     source = tmp_path / "source"
     source.mkdir()
     purposes = tmp_path / "purposes.json"
     out = tmp_path / "out"
-    tables = {
-        "cities": ("city_id,city\n1,Bern\n2,Oslo\n3,Rome\n", "city list"),
-        "museums": ("museum,city_id\nKunst,1\nMunch,2\n", "museum list"),
-    }
-    for name, (rows, purpose) in tables.items():
-        (source / f"{name}.csv").write_text(rows, encoding="utf-8")
-        purposes.write_text(json.dumps([purpose]), encoding="utf-8")  # only the new table is asked for
+    builds = [
+        {
+            "cities": ("city_id,city\n1,Bern\n2,Oslo\n3,Rome\n", "city list"),
+            "mayors": ("mayor,city_id\nAnna,1\nBo,3\n", "mayor list"),
+        },
+        {"museums": ("museum,city_id\nKunst,1\nMunch,2\n", "museum list")},
+    ]
+    for tables in builds:
+        for name, (rows, _) in tables.items():
+            (source / f"{name}.csv").write_text(rows, encoding="utf-8")
+        # only the new tables are asked for, in id order
+        purposes.write_text(json.dumps([purpose for _, purpose in tables.values()]), encoding="utf-8")
         assert main(["ingest", "--out-dir", str(out), str(source)]) == EXIT_OK
         assert main(["enrich", "--out-dir", str(out), "--generator", f"scripted:{purposes}"]) == EXIT_OK
         assert main(["cache", "--out-dir", str(out)]) == EXIT_OK
-    for segment in (CACHE, f"{CACHE}.1"):  # each holds its table's two headers
-        assert len(read_npz(out / segment, "embedding cache", None, "keys")[1]) == 2
+    # cities.city_id and mayors.city_id, then museums.city_id
+    for segment, size in ((CACHE, 2), (f"{CACHE}.1", 1)):
+        assert len(read_npz(out / segment, "embedding cache", None, "keys")[1]) == size
     queries = tmp_path / "queries.jsonl"
     query = {"query_id": "q1", "question": "museums per city"}
     queries.write_text(json.dumps(query) + "\n", encoding="utf-8")
@@ -367,7 +375,7 @@ def not_ascii(keys):
 
 @pytest.mark.parametrize(
     "change, complaint",
-    [(lambda keys: keys.reshape(-1, 1), "keys (2, 1)"), (not_ascii, "not ASCII")],
+    [(lambda keys: keys.reshape(-1, 1), "keys (3, 1)"), (not_ascii, "not ASCII")],
     ids=["two-dimensional", "not-ascii"],
 )
 def test_index_keys_other_than_one_ascii_key_per_row_are_an_input_error(built, capsys, change, complaint):
@@ -550,8 +558,8 @@ def test_key_in_two_segments_with_one_vector_loads_once(built, monkeypatch):
     assert {segment: segment.read_bytes() for segment in cache_files(out / CACHE)} == before
     saves = compact(out / CACHE)
     _, keys, _ = read_npz(out / CACHE, "embedding cache", None, "keys")  # refuses a repeated key
-    # the two tables' two column headers each, and one text a save
-    assert taken.decode() in keys and len(keys) == 2 + 2 + saves
+    # the three headers that can join, two then one, and one text a save
+    assert taken.decode() in keys and len(keys) == 2 + 1 + saves
 
 
 def test_key_in_two_segments_with_another_vector_is_an_input_error_naming_the_later(built, capsys):
@@ -708,7 +716,9 @@ RECORD = {"purpose": "p", "table_id": "cities", "text": "Table name: cities"}
 
 
 def journal_bytes(*records, version=FORMAT_VERSION):
-    lines = [json.dumps({"version": version})] + [json.dumps(r, sort_keys=True) for r in records]
+    # records are compact, as append_journal writes them
+    records = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    lines = [json.dumps({"version": version})] + records
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 

@@ -20,8 +20,6 @@ from tablescout.cli import (
     parse_embedder_spec,
     parse_generator_spec,
 )
-from tablescout.compatibility import header_text
-from tablescout.corpus import load_corpus
 from tablescout.errors import ConfigError
 from tablescout.evaluation import INPUT_RATE_PER_MILLION, OUTPUT_RATE_PER_MILLION
 from tablescout.pipeline import DEFAULT_RESTORE_THRESHOLD, DEFAULT_TOP_K
@@ -593,11 +591,13 @@ class TestVectorsStoredOnce:
         indexed, segments = stored_vectors(out_dir)
         assert not indexed.keys() & segments.keys()
         # the cache that a build kept whole in its segments before: every
-        # table text and every column header, each embedded once
+        # table text and the header of every column that a blocked pair
+        # names, each embedded once; museums.name, cities.city, both code
+        # columns and shared__2.v pair with nothing
         stub = HashingEmbedder()
         entries = json.loads((out_dir / "enriched.json").read_text(encoding="utf-8"))["entries"]
         tables = [entry["text"] for entry in entries.values()]
-        headers = [header_text(table, column) for table in load_corpus(out_dir / "corpus.json") for column in table.columns]
+        headers = ["cities.city_id", "museums.museum_id", "museums.city_id", "shared.v"]
         whole = {text_key(text): stub.embed(text).tobytes() for text in tables + headers}
         assert {**indexed, **segments} == whole
         assert set(indexed) == set(map(text_key, tables))
@@ -653,7 +653,49 @@ class TestVectorsStoredOnce:
         assert enrich(out_dir, tmp_path, purposes=()) == EXIT_OK
         assert embedded == []
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
-        assert embedded == [["parks.park", "parks.city_id"]]
+        assert embedded == [["parks.city_id"]]  # parks.park pairs with nothing
+
+    def test_no_joinable_column_writes_no_segment(self, out_dir, tmp_path, embedded):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.csv").write_text("n,label\n1,one\n2,two\n")
+        (src / "b.csv").write_text("city\nBern\nOslo\n")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("numbers", "city names")) == EXIT_OK
+        embedded.clear()
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert embedded == []
+        assert sorted(out_dir.glob("embedding_cache.npz*")) == []
+
+    def test_grown_pool_embeds_an_old_header_a_new_table_pairs(self, out_dir, tmp_path, embedded):
+        """customers.customer_id pairs with nothing until orders arrives: the
+        next cache embeds it then, once, and writes the cold build's cache."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "customers.csv").write_text("customer_id,name\n1,Ada\n2,Bo\n3,Cy\n")
+        (src / "notes.csv").write_text("note\nfirst\nsecond\n")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("customers", "notes")) == EXIT_OK
+        embedded.clear()
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert embedded == []
+
+        (src / "orders.csv").write_text("order_id,customer_id\n100,1\n101,2\n102,1\n")
+        assert main(["ingest", "--out-dir", str(out_dir), str(src)]) == EXIT_OK
+        assert enrich(out_dir, tmp_path, purposes=("orders",)) == EXIT_OK
+        embedded.clear()
+        assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert embedded == [["customers.customer_id", "orders.customer_id"]]
+        _, segments = stored_vectors(out_dir)
+        assert set(segments) == {text_key("customers.customer_id"), text_key("orders.customer_id")}
+
+        cold = tmp_path / "cold"
+        assert main(["ingest", "--out-dir", str(cold), str(src)]) == EXIT_OK
+        assert enrich(cold, tmp_path, purposes=("customers", "notes", "orders")) == EXIT_OK
+        assert main(["cache", "--out-dir", str(cold)]) == EXIT_OK
+        cached = (out_dir / "compat_cache.json").read_bytes()
+        assert cached == (cold / "compat_cache.json").read_bytes()
+        assert json.loads(cached)["edges"][0][1:] == ["customers", "customer_id", "orders", "customer_id"]
 
 
 # ---------------------------------------------------------------------------

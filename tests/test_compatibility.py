@@ -57,9 +57,17 @@ def make_table(table_id, column_names, rows):
     return Table.build(table_id, table_id, column_names, rows)
 
 
-def profile(table, embedder=None):
-    """The profile of the one column of a ``col`` table."""
-    return profile_columns([table], embedder or HashingEmbedder(dimension=16))[table.id][0]
+def profile(table):
+    """The profile of the one column of a ``col`` table, profiled alone: no
+    blocked pair names it, so it holds no header vector."""
+    return profile_columns([table], HashingEmbedder(dimension=16))[table.id][0]
+
+
+def pair_score(a, b, embedder):
+    """:func:`column_pair_score` of the one columns of two ``col`` tables,
+    profiled together, so a valid pair's two headers are embedded."""
+    profiles = profile_columns([a, b], embedder)
+    return column_pair_score(profiles[a.id][0], profiles[b.id][0])
 
 
 def is_key(column):
@@ -73,7 +81,7 @@ def overlap(va, vb):
     a = col(va, name="a", table="t1")
     b = col(vb, name="b", table="t2")
     emb = MappedEmbedder({"t1.a": [1.0, 0.0], "t2.b": [0.0, 1.0]})
-    return 2 * column_pair_score(profile(a, emb), profile(b, emb))
+    return 2 * pair_score(a, b, emb)
 
 
 def compat(ti, tj, embedder):
@@ -150,7 +158,9 @@ def test_profile_follows_normalize_value(values, vector):
     """The profile's one-pass normalization is :func:`normalize_value` per
     cell, and ``""`` is a value while NULL is none."""
     vec = np.array(vector, dtype=np.float64)
-    p = ColumnProfile.of(col(values).columns[0], vec)
+    table = col(values)
+    p = ColumnProfile.of(table, table.columns[0]).with_vector(vec)
+    assert p.header == "t.c"
     normalized = [normalize_value(v) for v in values if v is not None]
     assert p.values == set(normalized)
     assert p.is_key == (bool(normalized) and len(set(normalized)) == len(normalized))
@@ -224,26 +234,27 @@ class TestHeaderSignals:
         a = col(["1"], name="a", table="t1")
         b = col(["1"], name="b", table="t2")
         # sem 1.0, ex 0: s = 0.5 + 0.5 * 0.5
-        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(0.75, abs=1e-12)
+        assert pair_score(a, b, emb) == pytest.approx(0.75, abs=1e-12)
 
     def test_semantic_score_clamped_at_zero(self):
         emb = MappedEmbedder({"t1.a": [1.0, 0.0], "t2.b": [-1.0, 0.0]})
         a = col(["1"], name="a", table="t1")
         b = col(["1"], name="b", table="t2")
-        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(0.5, abs=1e-12)
+        assert pair_score(a, b, emb) == pytest.approx(0.5, abs=1e-12)
 
     def test_name_score_blend(self):
         emb = MappedEmbedder({"t1.a": [1.0, 0.0], "t2.b": [0.6, 0.8]})
         a = col(["1"], name="a", table="t1")
         b = col(["1"], name="b", table="t2")
         # ex 0, sem 0.6: name 0.3
-        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(0.5 + 0.5 * 0.3, abs=1e-12)
+        assert pair_score(a, b, emb) == pytest.approx(0.5 + 0.5 * 0.3, abs=1e-12)
 
     def test_name_score_full_agreement(self):
         emb = HashingEmbedder(dimension=64)
-        a = col(["1"], name="id", table="m")
-        b = col(["1"], name="id", table="m")
-        assert column_pair_score(profile(a, emb), profile(b, emb)) == pytest.approx(1.0)
+        # two tables named m, so both headers are m.id
+        a = Table.build("m1", "m", ["id"], [["1"]])
+        b = Table.build("m2", "m", ["id"], [["1"]])
+        assert pair_score(a, b, emb) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,32 +275,32 @@ class TestColumnPairScore:
         parent = col(["1", "2", "3", "4", "5"], name="museum_id", table="t1")
         child = col(["1", "2", "3", "4", "1"], name="museum_id", table="t2")
         assert overlap(parent.columns[0].values, child.columns[0].values) == 0.8
-        assert column_pair_score(profile(parent, emb), profile(child, emb)) == pytest.approx(0.875, abs=1e-12)
-        assert column_pair_score(profile(child, emb), profile(parent, emb)) == pytest.approx(0.875, abs=1e-12)
+        assert pair_score(parent, child, emb) == pytest.approx(0.875, abs=1e-12)
+        assert pair_score(child, parent, emb) == pytest.approx(0.875, abs=1e-12)
 
     def test_neither_side_unique_scores_zero(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "1", "2"], name="x", table="t1")
         b = col(["1", "2", "2"], name="x", table="t2")
         assert profile(a).values == profile(b).values  # full overlap, yet no key side
-        assert column_pair_score(profile(a, emb), profile(b, emb)) == 0.0
+        assert pair_score(a, b, emb) == 0.0
         # " A " and "a" normalize to one value, so neither side is a key
         a = col([" A ", "a"], name="x", table="t1")
         b = col(["a", "A"], name="x", table="t2")
-        assert column_pair_score(profile(a, emb), profile(b, emb)) == 0.0
+        assert pair_score(a, b, emb) == 0.0
 
     def test_no_containment_scores_zero(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "4"], name="x", table="t1")
         b = col(["1", "2", "3"], name="x", table="t2")
-        assert column_pair_score(profile(a, emb), profile(b, emb)) == 0.0
-        assert column_pair_score(profile(col([NULL], name="x", table="t1"), emb), profile(b, emb)) == 0.0
+        assert pair_score(a, b, emb) == 0.0
+        assert pair_score(col([NULL], name="x", table="t1"), b, emb) == 0.0
 
     def test_valid_pair_scores_positive(self):
         emb = HashingEmbedder(dimension=16)
         a = col(["1", "2", "3"], name="a", table="t1")
         b = col(["2"], name="b", table="t2")
-        assert column_pair_score(profile(a, emb), profile(b, emb)) > 0.0
+        assert pair_score(a, b, emb) > 0.0
 
     @given(
         va=st.lists(st.sampled_from(["1", "2", "3", "b", " 1 ", NULL]), max_size=10),
@@ -300,7 +311,7 @@ class TestColumnPairScore:
         emb = HashingEmbedder(dimension=32)
         a = col(va, name="alpha", table="t1")
         b = col(vb, name="beta", table="t2")
-        s = column_pair_score(profile(a, emb), profile(b, emb))
+        s = pair_score(a, b, emb)
         assert 0.0 <= s <= 1.0
         # valid exactly when positive: a valid pair shares at least one value
         assert (s > 0.0) == oracle_has_valid_pair(a, b)
@@ -454,10 +465,11 @@ class TestCompatibilityCache:
 
     def test_each_header_embedded_once(self):
         emb = CountingEmbedder(dimension=64)
-        corpus = small_corpus()
-        build_cache(corpus, emb)
-        total_columns = sum(len(t.columns) for t in corpus)
-        assert emb.calls == total_columns
+        build_cache(small_corpus(), emb)
+        # the blocked pairs are t1.id - t2.id and t1.city - t4.city; t2.pop
+        # and t3.code have no partner, so their headers are never embedded
+        assert emb.batched == ["t1.id", "t1.city", "t2.id", "t4.city"]
+        assert emb.calls == 4
 
     def test_renamed_table_headers_follow_its_pooled_name(self):
         first = make_table("orders", ["order_id", "total"], [["1", "9.50"], ["2", "3.25"]])
@@ -466,7 +478,8 @@ class TestCompatibilityCache:
         assert corpus.get("orders__2").columns is second.columns
         emb = CountingEmbedder(dimension=16)
         build_cache(corpus, emb)
-        assert emb.batched == ["orders.order_id", "orders.total", "orders__2.order_id", "orders__2.total"]
+        # the order_id columns are the one blocked pair; totals are not contained
+        assert emb.batched == ["orders.order_id", "orders__2.order_id"]
 
     def test_round_trip_preserves_everything(self, tmp_path):
         emb = HashingEmbedder(dimension=64)
@@ -649,6 +662,64 @@ def test_blocked_column_pairs_give_the_all_pairs_edge(corpus):
             everything = table_compatibility(ti, tj, profiles)
             pairs = blocked.get((ti.id, tj.id), ())
             assert table_compatibility(tj, ti, profiles, pairs) == everything
+
+
+@given(corpus=blocking_corpora())
+@settings(max_examples=300, deadline=None)
+def test_embedded_headers_are_those_of_the_blocked_columns(corpus):
+    """The embedder sees each header of a column that a blocked pair names
+    once, in table then column order, and no other; every column of a valid
+    pair is among them, and only their profiles hold a vector."""
+    emb = CountingEmbedder(dimension=32)
+    tables = sorted(corpus, key=lambda t: t.id)
+    profiles = profile_columns(tables, emb)
+    named = set()
+    for (left, right), pairs in _blocked_pairs(profiles).items():
+        for pos_left, pos_right in pairs:
+            named |= {(left, pos_left), (right, pos_right)}
+    headers = [header_text(t, c) for t in tables for pos, c in enumerate(t.columns) if (t.id, pos) in named]
+    assert emb.batched == headers
+    for t in tables:
+        for pos, p in enumerate(profiles[t.id]):
+            assert (p.vector is not None) == ((t.id, pos) in named)
+            assert p.norm == (float(np.linalg.norm(p.vector)) if p.vector is not None else 0.0)
+    for i, ti in enumerate(tables):
+        for tj in tables[i + 1 :]:
+            for pa, ca in enumerate(ti.columns):
+                for pb, cb in enumerate(tj.columns):
+                    if oracle_pair_score(ti, ca, tj, cb, emb) > 0.0:
+                        assert {(ti.id, pa), (tj.id, pb)} <= named
+
+
+def test_no_joinable_column_makes_no_embedding_call():
+    corpus = TableCorpus(
+        tables=(
+            make_table("t1", ["a", "b"], [["1", "x"], ["2", "y"]]),
+            make_table("t2", ["c"], [["3"], ["4"]]),
+        ),
+        provenance={},
+    )
+    emb = CountingEmbedder(dimension=16)
+    assert len(build_cache(corpus, emb)) == 0
+    assert emb.calls == 0 and emb.batched == []
+
+
+def test_valid_pair_of_separate_profile_calls_is_refused_naming_both_columns():
+    """A valid pair whose side was profiled where nothing paired it holds no
+    header vector: the score names both columns, and the one without it."""
+    emb = HashingEmbedder(dimension=16)
+    t1 = make_table("t1", ["a"], [["1"], ["2"]])
+    t2 = make_table("t2", ["b"], [["1"], ["2"], ["3"]])
+    t3 = make_table("t3", ["c"], [["2"], ["1"]])
+    # t1.a is paired with t3.c, so it holds a vector; t2.b, profiled alone, does not
+    profiles = {**profile_columns([t1, t3], emb), **profile_columns([t2], emb)}
+    message = r"valid column pair 't1\.a', 't2\.b': 't2\.b' holds no header vector"
+    with pytest.raises(ValueError, match=message):
+        column_pair_score(profiles["t1"][0], profiles["t2"][0])
+    with pytest.raises(ValueError, match=message):
+        table_compatibility(t2, t1, profiles)
+    # an invalid pair still scores 0.0 without a vector
+    assert column_pair_score(profile(make_table("t4", ["d"], [["9"]])), profiles["t2"][0]) == 0.0
 
 
 # writes the cache of six synthetic corpora into the directory argv[1]

@@ -636,10 +636,13 @@ def write_awkward_pool(base):
     return [("one", one, "csv-dir"), ("two", two, "csv-dir"), ("three", base / "three.sqlite", "sqlite-file")]
 
 
-#: sha256 of the corpus.json the awkward pool ingests to, taken from the
+#: sha256 of the corpus.json the awkward pool ingests to, in compact JSON
+AWKWARD_POOL_SHA256 = "0a564762681579a55b8009c6570c9e3cf383cea04f8db8dd14eeeac3ee754169"
+#: sha256 of the same content written with json's default ", " and ": "
+#: separators, as corpus.json was before it was compact, taken from the
 #: row-by-row ingest this module's reference loader reproduces; format
-#: version 1 wrote the same bytes with ``"version": 1`` (810493b6...)
-AWKWARD_POOL_SHA256 = "dccb1e2422852d831fbabd39652af696126de9a7704e68313fedbd490ee870ee"
+#: version 1 wrote those bytes with ``"version": 1`` (810493b6...)
+AWKWARD_POOL_SPACED_SHA256 = "dccb1e2422852d831fbabd39652af696126de9a7704e68313fedbd490ee870ee"
 
 
 def test_awkward_pool_corpus_bytes_are_pinned(tmp_path):
@@ -648,4 +651,7 @@ def test_awkward_pool_corpus_bytes_are_pinned(tmp_path):
     save_corpus(pooled, tmp_path / "corpus.json")
     digest = hashlib.sha256((tmp_path / "corpus.json").read_bytes()).hexdigest()
     assert digest == AWKWARD_POOL_SHA256
-    assert json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))["version"] == FORMAT_VERSION
+    content = json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
+    assert content["version"] == FORMAT_VERSION
+    spaced = json.dumps(content, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    assert hashlib.sha256(spaced).hexdigest() == AWKWARD_POOL_SPACED_SHA256

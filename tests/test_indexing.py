@@ -24,6 +24,8 @@ from tablescout import (
     sample_rows,
     serialize_markdown,
 )
+import tablescout.corpus
+import tablescout.indexing
 from tablescout.artifacts import journal_of, read_journal
 from tablescout.indexing import (
     PURPOSE_MAX_TOKENS,
@@ -158,6 +160,20 @@ class TestEnrichment:
         assert sorted(store.texts()) == ["a", "b", "c"]
         assert store.get("a").purpose == "pa"
         assert store.get("c").purpose == "pc"
+
+    def test_each_grid_is_rendered_once(self, monkeypatch):
+        """The purpose prompt and the indexed text share one rendered grid."""
+        rendered = []
+        real = tablescout.corpus.markdown_grid
+
+        def counting(table, sample):
+            rendered.append(table.id)
+            return real(table, sample)
+
+        monkeypatch.setattr(tablescout.corpus, "markdown_grid", counting)
+        monkeypatch.setattr(tablescout.indexing, "markdown_grid", counting)
+        enrich_tables(self.tables(), ScriptedGenerator(responses=["pa", "pb", "pc"]))
+        assert rendered == ["a", "b", "c"]
 
     def test_resume_skips_already_enriched(self, tmp_path):
         path = tmp_path / "enriched.json"
