@@ -33,7 +33,7 @@ from .artifacts import (
 )
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
 from .errors import BackendMismatchError
-from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine_of_norms, text_key
+from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine_of_norms, embed_keyed
 
 PURPOSE_PROMPT = (
     "Given the following table, describe the purpose of this table in "
@@ -278,8 +278,8 @@ class DenseIndex:
             return cls(ids=[], vectors=np.zeros((0, 0)), backend_id=embedder.backend_id, keys=[])
         ids = sorted(texts)
         ordered = [texts[i] for i in ids]
-        vectors = embedder.embed_many(ordered)
-        return cls(ids=ids, vectors=vectors, backend_id=embedder.backend_id, keys=list(map(text_key, ordered)))
+        keys, vectors = embed_keyed(embedder, ordered)
+        return cls(ids=ids, vectors=vectors, backend_id=embedder.backend_id, keys=keys)
 
     def search(self, query_vector: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Top-k (table_id, cosine) pairs; k is clipped to the index size. A

@@ -200,8 +200,10 @@ INDEX_FILE = "index.npz"
 
 def text_key(text: str) -> str:
     """The key of an embedded text in the embedding cache and the index: the
-    SHA-256 hex digest of its UTF-8 bytes."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    first 32 hex digits (128 bits) of the SHA-256 of its UTF-8 bytes, far
+    past any collision a cache of texts can meet, at half the bytes of the
+    whole digest."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
 class CachingEmbedder:
@@ -217,7 +219,7 @@ class CachingEmbedder:
     loads it as a read-only source of entries; it never writes it. The rest
     sits in a log of segments (:func:`segments`): segment 0 at ``path``,
     then ``<name>.1``, ``<name>.2``, ... beside it. Each holds sorted keys,
-    each a 64-character hex digest stored as ASCII bytes, and one float64
+    each a 32-digit hex :func:`text_key` stored as ASCII bytes, and one float64
     vector row per key, whatever its suffix. :meth:`save` reads the keys of
     the index on disk then, and writes, as one new segment, only the entries
     that neither it nor a segment holds: so a cold ``enrich``, whose every
@@ -333,6 +335,10 @@ class CachingEmbedder:
         leaves the cache as it was. Its width must be that of the vectors the
         cache holds; the first vectors of an empty cache set it.
         """
+        return self._embed_keyed(texts)[1]
+
+    def _embed_keyed(self, texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
+        """(the :func:`text_key` of each text, :meth:`embed_many`'s vectors)."""
         keys = [text_key(text) for text in texts]
         misses: dict[str, str] = {}
         for key, text in zip(keys, texts):
@@ -350,9 +356,18 @@ class CachingEmbedder:
             self._entries.update(zip(misses, vectors))
             self.backend_calls += len(misses)
             if len(misses) == len(keys):  # every text new and distinct: the reply, in order
-                return vectors
+                return keys, vectors
         rows = [self._entries[key] for key in keys]
-        return np.array(rows, dtype=np.float64).reshape(len(keys), self._width or 0)
+        return keys, np.array(rows, dtype=np.float64).reshape(len(keys), self._width or 0)
+
+
+def embed_keyed(embedder: Embedder, texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """(the :func:`text_key` of each of ``texts``, ``embedder.embed_many(texts)``),
+    each key computed once: a :class:`CachingEmbedder` hands back the keys
+    its lookup computed, and any other embedder's are computed here."""
+    if isinstance(embedder, CachingEmbedder):
+        return embedder._embed_keyed(texts)
+    return [text_key(text) for text in texts], embedder.embed_many(texts)
 
 
 # ---------------------------------------------------------------------------

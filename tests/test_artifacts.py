@@ -4,8 +4,10 @@ with a clean exit naming the file, and a failed write leaves the old file."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from tablescout.artifacts import (
     FORMAT_VERSION,
+    NPZ_LEVEL,
     append_journal,
     open_journal,
     read_journal,
@@ -416,6 +419,55 @@ def test_index_of_format_version_1_is_refused_by_retrieve_and_enrich(built, caps
     assert err.count(f"unsupported index format version 1 in {path}") == 2
 
 
+def test_text_keys_are_32_ascii_hex_digits_of_each_text(built):
+    out, _ = built
+    entries = json.loads((out / "enriched.json").read_text(encoding="utf-8"))["entries"]
+    texts = {
+        "index.npz": [entries[tid]["text"] for tid in sorted(entries)],  # one row per id, in id order
+        CACHE: ["cities.city_id", "mayors.city_id"],
+        f"{CACHE}.1": ["museums.city_id"],
+    }
+    for name, held in texts.items():
+        with np.load(out / name, allow_pickle=False) as data:
+            keys = data["keys"]
+        assert keys.dtype == np.dtype("S32"), name
+        expected = [digest(text).encode() for text in held]
+        assert keys.tolist() == (expected if name == "index.npz" else sorted(expected)), name
+
+
+def as_version_2(path, texts):
+    """Rewrite the ``.npz`` at ``path`` as format version 2 wrote it, each
+    text key the whole 64-digit SHA-256 of its text, one of ``texts``."""
+    whole = {digest(text).encode(): hashlib.sha256(text.encode("utf-8")).hexdigest().encode() for text in texts}
+    edit_array(path, "keys", lambda keys: np.asarray([whole[key] for key in keys.tolist()], dtype="S"))
+    edit_header(path, version=2)
+
+
+@pytest.mark.parametrize("name, what", [("index.npz", "index"), (CACHE, "embedding cache")], ids=["index", "segment"])
+def test_file_of_format_version_2_is_refused_by_retrieve_enrich_and_cache(built, capsys, name, what):
+    # read, a version-2 file's 64-digit keys would miss every lookup and
+    # its entries would be embedded and saved again under 32-digit keys
+    out, queries = built
+    entries = json.loads((out / "enriched.json").read_text(encoding="utf-8"))["entries"]
+    headers = ["cities.city_id", "mayors.city_id", "museums.city_id"]
+    path = out / name
+    as_version_2(path, [entry["text"] for entry in entries.values()] + headers)
+    before = {file.name: file.read_bytes() for file in out.iterdir()}
+    purposes = f"scripted:{out.parent / 'purposes.json'}"
+    retrieved = next_command("index.npz", out, queries)
+    assert main(["enrich", "--out-dir", str(out), "--generator", purposes]) == EXIT_INPUT
+    assert main(["cache", "--out-dir", str(out)]) == EXIT_INPUT
+    refusal = f"unsupported {what} format version 2 in {path}"
+    if name == "index.npz":
+        assert retrieved == EXIT_INPUT
+        assert capsys.readouterr().err.count(refusal) == 3
+    else:  # retrieve embeds only the query and reads no segment
+        assert retrieved == EXIT_OK
+        assert capsys.readouterr().err.count(refusal) == 2
+        before["results.jsonl"] = (out / "results.jsonl").read_bytes()
+    assert {file.name: file.read_bytes() for file in out.iterdir()} == before
+
+
 def test_corpus_row_of_the_wrong_width_is_an_input_error(built, capsys):
     out, queries = built
     path = out / "corpus.json"
@@ -459,7 +511,8 @@ def cache_files(path):
 
 
 def digest(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """The text key of ``text``: the first 128 bits of its SHA-256, in hex."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
 @given(saves=st.lists(st.dictionaries(st.text(min_size=1), vectors, max_size=4), min_size=1, max_size=12))
@@ -487,7 +540,7 @@ def test_embedding_cache_round_trips(tmp_path_factory, saves):
         assert not union.keys() & keys
         union.update(zip(keys, vectors))
         with np.load(segment, allow_pickle=False) as data:
-            assert data["keys"].dtype.kind == "S"  # ASCII bytes, not 4-byte unicode
+            assert data["keys"].dtype == np.dtype("S32")  # 32 ASCII bytes, not 4-byte unicode
     assert sorted(union) == sorted(digest(text) for text in entries)
     for text, vector in entries.items():
         assert union[digest(text)].tobytes() == vector.tobytes()  # bit-identical, -0.0 too
@@ -691,6 +744,13 @@ def test_a_kill_at_any_step_of_a_save_leaves_a_cache_that_loads(built, tmp_path,
     assert steps == 2 + (MAX_CACHE_SEGMENTS - 1 if fillers else 0)
 
 
+def npy_bytes(array):
+    """The bytes ``np.save`` writes for ``array``."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
+
+
 @pytest.mark.parametrize("rows, width", [(0, 0), (1, 3), (3000, 64)])
 def test_npz_bytes_are_those_numpy_writes(tmp_path, rows, width):
     # 3000 rows span several chunks of every array; the index's two key
@@ -699,13 +759,23 @@ def test_npz_bytes_are_those_numpy_writes(tmp_path, rows, width):
     ids = np.asarray([f"key{i}" * 9 for i in range(rows)], dtype=str)
     keys = np.asarray([digest(str(i)) for i in range(rows)], dtype="S")
     vectors = rng.standard_normal((rows, width))
-    write_npz(tmp_path / "chunked.npz", "stub", {"ids": ids, "keys": keys}, vectors)
+    chunked = tmp_path / "chunked.npz"
+    write_npz(chunked, "stub", {"ids": ids, "keys": keys}, vectors)
     meta = {"version": FORMAT_VERSION, "backend_id": "stub", "dimension": width}
+    arrays = {"ids": ids, "keys": keys, "vectors": vectors, "meta": np.asarray(json.dumps(meta, sort_keys=True))}
+    # the layout of np.savez_compressed, each whole array written at once,
+    # but at write_npz's zlib level, where numpy always deflates at level 6
     reference = tmp_path / "reference.npz"
-    np.savez_compressed(
-        reference, ids=ids, keys=keys, vectors=vectors, meta=np.asarray(json.dumps(meta, sort_keys=True))
-    )
-    assert (tmp_path / "chunked.npz").read_bytes() == reference.read_bytes()
+    with zipfile.ZipFile(reference, "w", zipfile.ZIP_DEFLATED, allowZip64=True, compresslevel=NPZ_LEVEL) as npz:
+        for name, array in arrays.items():
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                member.write(npy_bytes(array))
+    assert chunked.read_bytes() == reference.read_bytes()
+    with zipfile.ZipFile(chunked) as npz:
+        assert [info.filename for info in npz.infolist()] == [f"{name}.npy" for name in arrays]
+        for name, array in arrays.items():
+            assert npz.getinfo(f"{name}.npy").compress_type == zipfile.ZIP_DEFLATED
+            assert npz.read(f"{name}.npy") == npy_bytes(array), name
 
 
 # ---------------------------------------------------------------------------

@@ -636,13 +636,15 @@ def write_awkward_pool(base):
     return [("one", one, "csv-dir"), ("two", two, "csv-dir"), ("three", base / "three.sqlite", "sqlite-file")]
 
 
-#: sha256 of the corpus.json the awkward pool ingests to, in compact JSON
-AWKWARD_POOL_SHA256 = "0a564762681579a55b8009c6570c9e3cf383cea04f8db8dd14eeeac3ee754169"
+#: sha256 of the corpus.json the awkward pool ingests to, in compact JSON;
+#: format version 2 wrote those bytes with ``"version":2`` (0a564762...)
+AWKWARD_POOL_SHA256 = "afb08097b83e4ae777472191fa0a060a05b3062e77b3a58e104b861f9601294f"
 #: sha256 of the same content written with json's default ", " and ": "
 #: separators, as corpus.json was before it was compact, taken from the
 #: row-by-row ingest this module's reference loader reproduces; format
-#: version 1 wrote those bytes with ``"version": 1`` (810493b6...)
-AWKWARD_POOL_SPACED_SHA256 = "dccb1e2422852d831fbabd39652af696126de9a7704e68313fedbd490ee870ee"
+#: versions 1 and 2 wrote those bytes with their own ``"version"``
+#: (810493b6... and dccb1e24...)
+AWKWARD_POOL_SPACED_SHA256 = "56098ed531bce1282e77d9524dfae2ed0bdd124595bf5cd2e283bc0451c3f365"
 
 
 def test_awkward_pool_corpus_bytes_are_pinned(tmp_path):

@@ -26,6 +26,7 @@ from tablescout import (
 )
 import tablescout.corpus
 import tablescout.indexing
+import tablescout.services
 from tablescout.artifacts import journal_of, read_journal
 from tablescout.indexing import (
     PURPOSE_MAX_TOKENS,
@@ -34,7 +35,7 @@ from tablescout.indexing import (
     EnrichmentStore,
     generate_purpose,
 )
-from tablescout.services import GenerationResponse, cosine
+from tablescout.services import CachingEmbedder, GenerationResponse, cosine
 
 
 class RecordingGenerator:
@@ -352,6 +353,26 @@ class TestDenseIndex:
         index.save(path)
         with pytest.raises(BackendMismatchError):
             DenseIndex.load(path, HashingEmbedder(32).backend_id)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["plain", "caching"])
+    def test_each_text_is_hashed_once(self, monkeypatch, cached):
+        """The keys a caching embedder computed for its lookups are the
+        index's keys; any other embedder's are computed once by the build."""
+        hashed = []
+        real = tablescout.services.text_key
+
+        def counting(text):
+            hashed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(tablescout.services, "text_key", counting)
+        # counted too if the build hashed through a name of its own module
+        monkeypatch.setattr(tablescout.indexing, "text_key", counting, raising=False)
+        texts = self.texts(5)
+        embedder = HashingEmbedder(32)
+        index = DenseIndex.build(texts, CachingEmbedder(embedder) if cached else embedder)
+        assert hashed == [texts[tid] for tid in sorted(texts)]
+        assert index.keys == tuple(real(texts[tid]) for tid in index.ids)
 
     def test_empty_corpus_empty_results(self):
         index = DenseIndex.build({}, HashingEmbedder(16))

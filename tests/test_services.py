@@ -26,6 +26,7 @@ from tablescout.services import (
     HttpEmbeddingClient,
     HttpGenerationClient,
     cosine,
+    text_key,
 )
 
 
@@ -387,6 +388,11 @@ class TestHttpGenerationClient:
 
 
 class TestCachingEmbedder:
+    def test_text_key_is_the_first_128_bits_of_the_sha256_of_the_utf8_bytes(self):
+        assert text_key("customers.customer_id") == "0daffcf13c1a52c3a2edb484e6e27287"
+        text = "naïve 漢字 \u2028 text"
+        assert text_key(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+
     def test_caches_and_persists(self, tmp_path):
         path = tmp_path / "cache.json"
         backend = HashingEmbedder(dimension=16)
