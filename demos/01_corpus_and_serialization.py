@@ -41,11 +41,13 @@ sample = sample_rows(people, n=3)
 print("\nsampled row indices:", sample)
 assert sample == sample_rows(people, n=3)
 
-# The grid alone, and the full serialization with the name line.
+# The grid alone, and the full serialization, which puts the name line above
+# that same rendered grid.
+grid = markdown_grid(people, sample)
 print("\n--- markdown_grid ---")
-print(markdown_grid(people, sample))
+print(grid)
 print("\n--- serialize_markdown ---")
-print(serialize_markdown(people, sample))
+print(serialize_markdown(people, grid))
 
 # Missing values render as empty cells and pipe characters inside cells get a
 # backslash so the grid stays one row per line. The hr notes table lost the

@@ -11,6 +11,7 @@ from tablescout import (
     TableCorpus,
     build_cache,
     enriched_text,
+    markdown_grid,
     record_line,
     result_record,
     sample_rows,
@@ -35,7 +36,7 @@ tables = [
 corpus = TableCorpus(tables=tuple(tables), provenance={})
 
 embedder = HashingEmbedder(dimension=128)
-texts = {t.id: enriched_text(t, "", sample_rows(t)) for t in tables}
+texts = {t.id: enriched_text(t, "", markdown_grid(t, sample_rows(t))) for t in tables}
 index = DenseIndex.build(texts, embedder)
 cache = build_cache(corpus, embedder)
 

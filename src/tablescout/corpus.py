@@ -3,8 +3,9 @@
 Tables from heterogeneous sources (CSV directories, SQLite files) are pooled
 into a single corpus with no source identifiers in any retrieval-facing text.
 Name conflicts are resolved deterministically with ``__k`` suffixes, and each
-table can be serialized to the 5-row Markdown snapshot used by the dense index
-and the selection prompt.
+table can be serialized to the 5-row Markdown snapshot that the purpose prompt
+shows; the dense index and the selection prompt show the same grid inside each
+table's enriched text.
 
 Tables are held column-major, and ingest and persistence work a whole column
 at a time: rows are transposed with ``zip(*rows)`` and each column is
@@ -428,17 +429,15 @@ def markdown_grid(table: Table, sample: Sequence[int]) -> str:
     return "\n".join(lines)
 
 
-def serialize_markdown(table: Table, sample: Sequence[int], *, grid: str | None = None) -> str:
+def serialize_markdown(table: Table, grid: str) -> str:
     """Serialize a table to its Markdown snapshot.
 
     Layout: a ``Table name:`` line, an ``Example table content:`` line, then
-    the pipe table with one row per sampled index. NULL cells render as empty,
-    cell-internal pipes are escaped as ``\\|`` and line breaks as ``\\n``,
-    ``\\r`` and so on. ``grid``, when given, is ``markdown_grid(table,
-    sample)`` already rendered, and is used as it is.
+    ``grid``, which is ``markdown_grid(table, sample)``: the pipe table with
+    one row per sampled index. NULL cells render as empty, cell-internal
+    pipes are escaped as ``\\|`` and line breaks as ``\\n``, ``\\r`` and
+    so on.
     """
-    if grid is None:
-        grid = markdown_grid(table, sample)
     return f"Table name: {table.name}\nExample table content:\n{grid}"
 
 

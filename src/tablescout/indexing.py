@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
@@ -69,21 +69,18 @@ SAFE_NORMS = (1e-100, 1e100)
 def generate_purpose(
     table: Table,
     generator: Generator,
-    sample: Sequence[int],
+    grid: str,
     *,
     max_tokens: int = PURPOSE_MAX_TOKENS,
     ledger: TokenLedger | None = None,
-    grid: str | None = None,
 ) -> str:
     """Ask the generator for the table's purpose; '' when it answers None.
 
-    The prompt embeds the Markdown serialization of the rows ``sample``
-    indexes; given the same sample, repeated calls send identical bytes.
-    ``grid``, when given, is ``markdown_grid(table, sample)`` already
-    rendered.
+    ``grid`` is ``markdown_grid(table, sample)``; the prompt embeds the
+    table's :func:`serialize_markdown` snapshot around it, so the same grid
+    sends identical bytes.
     """
-    rendered = serialize_markdown(table, sample, grid=grid)
-    prompt = PURPOSE_PROMPT.replace("{table}", rendered)
+    prompt = PURPOSE_PROMPT.replace("{table}", serialize_markdown(table, grid))
     response = generator.generate(GenerationRequest(prompt=prompt, max_tokens=max_tokens))
     if ledger is not None:
         ledger.record(PURPOSE_STAGE, response.input_tokens, response.output_tokens)
@@ -91,15 +88,13 @@ def generate_purpose(
     return "" if purpose == "None" else purpose
 
 
-def enriched_text(table: Table, purpose: str, sample: tuple[int, ...], *, grid: str | None = None) -> str:
+def enriched_text(table: Table, purpose: str, grid: str) -> str:
     """Compose the text that represents a table in the dense index.
 
     Three labeled sections: name, purpose (omitted when empty), content. The
-    content is the sampled Markdown grid without a repeated name line;
-    ``grid``, when given, is that grid already rendered.
+    content is ``grid``, which is ``markdown_grid(table, sample)``: the
+    sampled pipe table without a repeated name line.
     """
-    if grid is None:
-        grid = markdown_grid(table, sample)
     lines = [f"Table name: {table.name}"]
     if purpose:
         lines.append(f"Table purpose: {purpose}")
@@ -220,13 +215,13 @@ def enrich_tables(
         store = EnrichmentStore()
     try:
         for table in sorted(tables, key=lambda t: t.id):
-            sample = sample_rows(table, n=n_rows, seed=seed)
-            grid = markdown_grid(table, sample)  # rendered once, for the prompt and the text
+            # rendered once, for the prompt and the text
+            grid = markdown_grid(table, sample_rows(table, n=n_rows, seed=seed))
             if table.id in store:
                 purpose = store.get(table.id).purpose
             else:
-                purpose = generate_purpose(table, generator, sample, max_tokens=max_tokens, ledger=ledger, grid=grid)
-            store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, sample, grid=grid)))
+                purpose = generate_purpose(table, generator, grid, max_tokens=max_tokens, ledger=ledger)
+            store.put(EnrichedTable(table.id, purpose, enriched_text(table, purpose, grid)))
         if store.pending:
             store.save()
     finally:

@@ -21,6 +21,7 @@ from tablescout import (
     TableCorpus,
     build_cache,
     enriched_text,
+    markdown_grid,
     record_line,
     result_record,
     sample_rows,
@@ -140,7 +141,7 @@ def fixture_20_tables():
     rng = np.random.default_rng(303)
     tables = [random_table(rng, f"t{i:02d}", max_cols=5, max_rows=30) for i in range(20)]
     emb = HashingEmbedder(dimension=64)
-    texts = {t.id: enriched_text(t, "", sample_rows(t)) for t in tables}
+    texts = {t.id: enriched_text(t, "", markdown_grid(t, sample_rows(t))) for t in tables}
     index = DenseIndex.build(texts, emb)
     cache = build_cache(TableCorpus(tables=tuple(tables), provenance={}), emb)
     queries = [f"query {w} listing" for w in (

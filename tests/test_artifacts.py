@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import zipfile
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from tablescout.artifacts import (
     open_journal,
     read_journal,
     read_npz,
+    read_npz_keys,
     replacing,
     segments,
     write_npz,
@@ -29,7 +31,7 @@ from tablescout.artifacts import (
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
 from tablescout.compatibility import CompatibilityCache
 from tablescout.corpus import load_corpus, save_corpus
-from tablescout.errors import BackendError
+from tablescout.errors import BackendError, CorpusError
 from tablescout.indexing import DenseIndex, EnrichmentStore
 from tablescout.services import MAX_CACHE_SEGMENTS, CachingEmbedder, HashingEmbedder
 
@@ -390,6 +392,15 @@ def test_index_keys_other_than_one_ascii_key_per_row_are_an_input_error(built, c
     assert next_command(CACHE, out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count(str(path)) == 2 and err.count(complaint) == 2 and "Traceback" not in err
+
+
+def test_read_npz_keys_refuses_a_key_member_of_two_dimensions(tmp_path):
+    path = tmp_path / "index.npz"
+    write_npz(path, "b", {"keys": np.asarray([b"k0", b"k1"])}, np.ones((2, 3)))
+    assert read_npz_keys(path, "index", "b", "keys") == ["k0", "k1"]
+    write_npz(path, "b", {"keys": np.asarray([[b"k0"], [b"k1"]])}, np.ones((2, 3)))
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: keys (2, 1) is not one key per row")):
+        read_npz_keys(path, "index", "b", "keys")
 
 
 def test_key_in_the_index_and_a_segment_with_another_vector_is_an_input_error(built, capsys):

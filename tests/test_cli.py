@@ -543,6 +543,20 @@ class TestCache:
         assert str(path) in err and "lone surrogate" in err and "Traceback" not in err
         assert not (out_dir / "enriched.json.journal").exists()
 
+    @pytest.mark.parametrize("row", ["1,2", {"a": "1"}, None], ids=["string", "object", "null"])
+    def test_row_that_is_not_a_list_is_input_error(self, out_dir, sources, tmp_path, capsys, row):
+        a, b = sources
+        assert ingest(out_dir, a, b) == EXIT_OK
+        path = out_dir / "corpus.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        table = data["tables"][0]
+        table["rows"][0] = row
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert enrich(out_dir, tmp_path) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and f"table {table['id']!r} row 1 is not a list" in err
+        assert "Traceback" not in err and not (out_dir / "enriched.json").exists()
+
     def test_column_name_that_is_not_text_is_input_error(self, out_dir, sources, capsys):
         a, b = sources
         assert ingest(out_dir, a, b) == EXIT_OK
@@ -888,6 +902,15 @@ class TestRetrieve:
         out_dir, _ = built
         code = retrieve(out_dir, tmp_path / "absent.jsonl", tmp_path, [])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_queries_file_without_a_query_is_input_error(self, built, tmp_path, capsys, content):
+        out_dir, _ = built
+        queries = tmp_path / "empty.jsonl"
+        queries.write_text(content, encoding="utf-8")
+        assert retrieve(out_dir, queries, tmp_path, []) == EXIT_INPUT
+        assert f"queries file {queries} holds no queries" in capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
 
     def test_invalid_tau_and_k(self, built, tmp_path):
         out_dir, queries = built
@@ -1381,8 +1404,9 @@ class TestE2E:
         ([{"query_id": "q1", "question": "  ", "gold_tables": ["museums"]}], 1),
         ([{"query_id": "q1", "gold_tables": ["museums"]}], 1),
         ([{"query_id": "q1", "question": "how many museums", "gold_tables": ["museums"]}] * 2, 2),
+        ([{"query_id": "q1", "question": "how many museums", "gold_tables": ["museums", 5]}], 1),
     ],
-    ids=["blank-question", "no-question", "repeated-query-id"],
+    ids=["blank-question", "no-question", "repeated-query-id", "gold-table-not-a-string"],
 )
 def test_eval_and_e2e_refuse_a_gold_line_alike(built, tmp_path, capsys, lines, line):
     out_dir, _ = built

@@ -458,6 +458,12 @@ class TestCompatibilityCache:
         assert ab == ("id", "id")
         assert ba == (ab[1], ab[0])
 
+    def test_orienting_an_edge_on_a_table_off_it_raises(self):
+        edge = JoinEdge(0.5, "t1", "a", "t2", "b")
+        assert (edge.oriented("t1"), edge.oriented("t2")) == (("a", "b"), ("b", "a"))
+        with pytest.raises(KeyError, match="'t3' is not part of this edge"):
+            edge.oriented("t3")
+
     def test_single_table_corpus_gives_empty_cache(self):
         corpus = TableCorpus(tables=(make_table("t1", ["a"], [["1"]]),), provenance={})
         cache = build_cache(corpus, HashingEmbedder(dimension=16))

@@ -156,6 +156,17 @@ class TestLoadSqlite:
         assert txt == ("a", "", "", "padded", "x", "y", "z", "w")
         assert num == ("1", "-2", "0", "1000000000000000000", "3", "4", "5", "6")
 
+    @pytest.mark.parametrize(
+        "kind, complaint",
+        [("csv-dir", "csv-dir source is not a directory"), ("sqlite-file", "sqlite-file source is not a file")],
+    )
+    def test_source_of_the_other_kind_rejected(self, tmp_path, kind, complaint):
+        db = tmp_path / "shop.sqlite"
+        sqlite3.connect(db).close()
+        path = db if kind == "csv-dir" else tmp_path
+        with pytest.raises(CorpusError, match=complaint):
+            load_tables(path, kind)
+
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "x").write_text("", encoding="utf-8")
         with pytest.raises(CorpusError, match="unknown source format"):
@@ -209,7 +220,8 @@ class TestPooling:
         a = make_table("t", ["c"], [["v"]])
         corpus = pool_corpora([("secret_source", [a])])
         assert corpus.provenance["t"] == "secret_source"
-        text = serialize_markdown(corpus.get("t"), sample_rows(corpus.get("t")))
+        t = corpus.get("t")
+        text = serialize_markdown(t, markdown_grid(t, sample_rows(t)))
         assert "secret_source" not in text
 
     def test_pooled_names_pairwise_distinct_property(self):
@@ -308,7 +320,7 @@ class TestSerializeMarkdown:
             ["cds", "rtype"],
             [["1100170000000", "D"], ["1100170109835", "S"]],
         )
-        text = serialize_markdown(t, [0, 1])
+        text = serialize_markdown(t, markdown_grid(t, [0, 1]))
         lines = text.split("\n")
         assert lines[0] == "Table name: satscores"
         assert lines[1] == "Example table content:"
@@ -319,21 +331,21 @@ class TestSerializeMarkdown:
 
     def test_zero_row_table_renders_header_and_alignment_only(self):
         t = make_table("t", ["a", "b"], [])
-        text = serialize_markdown(t, [])
+        text = serialize_markdown(t, markdown_grid(t, []))
         after = text.split("Example table content:\n", 1)[1]
         assert after.split("\n") == ["| a | b |", "|-------:|-------:|"]
 
     def test_single_sampled_row_line_count(self):
         # after the content marker: header, alignment, one data row
         t = make_table("t", ["a", "b"], [["1", "2"]])
-        text = serialize_markdown(t, [0])
+        text = serialize_markdown(t, markdown_grid(t, [0]))
         after = text.split("Example table content:\n", 1)[1]
         non_empty = [line for line in after.split("\n") if line]
         assert len(non_empty) == 3
 
     def test_null_renders_empty_and_pipes_escaped(self):
         t = make_table("t", ["a", "b"], [[NULL, "x|y"]])
-        text = serialize_markdown(t, [0])
+        text = serialize_markdown(t, markdown_grid(t, [0]))
         assert "|  | x\\|y |" in text
 
     def test_column_order_preserved_on_reparse(self):
@@ -379,6 +391,12 @@ class TestValuesAndPersistence:
     def test_table_invariants_enforced(self):
         with pytest.raises(CorpusError, match="duplicate column"):
             make_table("t", ["a", "a"], [["1", "2"]])
+
+    @pytest.mark.parametrize("row_count", [1, 3])
+    def test_column_of_another_length_than_row_count_rejected(self, row_count):
+        columns = (Column("a", ("1", "2")), Column("b", ("x", "y")))
+        with pytest.raises(CorpusError, match=f"column 'a' has 2 values, expected {row_count}"):
+            Table(id="t", name="t", columns=columns, row_count=row_count)
 
     @pytest.mark.parametrize("row", [["1"], ["1", "2", "3"]], ids=["short", "long"])
     def test_build_rejects_a_row_of_the_wrong_width(self, row):

@@ -21,6 +21,7 @@ from tablescout import (
     TokenLedger,
     enrich_tables,
     enriched_text,
+    markdown_grid,
     sample_rows,
     serialize_markdown,
 )
@@ -55,6 +56,7 @@ def make_table(name, column_names, rows):
 
 
 SIMPLE = make_table("songs", ["id", "title"], [["1", "Blue"], ["2", "Gold"]])
+SIMPLE_GRID = markdown_grid(SIMPLE, sample_rows(SIMPLE))
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +67,9 @@ SIMPLE = make_table("songs", ["id", "title"], [["1", "Blue"], ["2", "Gold"]])
 class TestGeneratePurpose:
     def test_prompt_embeds_instruction_and_serialized_table(self):
         gen = RecordingGenerator()
-        generate_purpose(SIMPLE, gen, sample_rows(SIMPLE))
+        generate_purpose(SIMPLE, gen, SIMPLE_GRID)
         prompt = gen.requests[0].prompt
-        rendered = serialize_markdown(SIMPLE, sample_rows(SIMPLE))
+        rendered = serialize_markdown(SIMPLE, SIMPLE_GRID)
         assert prompt == PURPOSE_PROMPT.replace("{table}", rendered)
         assert prompt.startswith("Given the following table, describe the purpose")
         assert "output None." in prompt
@@ -78,67 +80,65 @@ class TestGeneratePurpose:
         store = enrich_tables([table], gen)
         sample = sample_rows(table)
         assert len(sample) < table.row_count
-        assert gen.requests[0].prompt == PURPOSE_PROMPT.replace("{table}", serialize_markdown(table, sample))
-        assert store.get("runs").text == enriched_text(table, gen.text, sample)
+        grid = markdown_grid(table, sample)
+        assert gen.requests[0].prompt == PURPOSE_PROMPT.replace("{table}", serialize_markdown(table, grid))
+        assert store.get("runs").text == enriched_text(table, gen.text, grid)
 
     def test_request_uses_token_cap(self):
         gen = RecordingGenerator()
-        generate_purpose(SIMPLE, gen, sample_rows(SIMPLE))
+        generate_purpose(SIMPLE, gen, SIMPLE_GRID)
         request = gen.requests[0]
         assert request.max_tokens == PURPOSE_MAX_TOKENS == 256
 
     def test_none_sentinel_stored_as_empty(self):
         gen = ScriptedGenerator(responses=["None"])
-        assert generate_purpose(SIMPLE, gen, sample_rows(SIMPLE)) == ""
+        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID) == ""
 
     def test_none_with_whitespace_counts_as_sentinel(self):
         gen = ScriptedGenerator(responses=["  None\n"])
-        assert generate_purpose(SIMPLE, gen, sample_rows(SIMPLE)) == ""
+        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID) == ""
 
     def test_regular_purpose_returned_stripped(self):
         gen = ScriptedGenerator(responses=["  P. \n"])
-        assert generate_purpose(SIMPLE, gen, sample_rows(SIMPLE)) == "P."
+        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID) == "P."
 
     def test_tokens_recorded_to_ledger(self):
         ledger = TokenLedger()
-        generate_purpose(SIMPLE, RecordingGenerator(), sample_rows(SIMPLE), ledger=ledger)
+        generate_purpose(SIMPLE, RecordingGenerator(), SIMPLE_GRID, ledger=ledger)
         assert ledger.stage_totals() == {"purpose": (11, 7)}
 
     def test_generation_failure_propagates(self):
         gen = ScriptedGenerator(responses=[ScriptedGenerator.FAIL])
         with pytest.raises(BackendError):
-            generate_purpose(SIMPLE, gen, sample_rows(SIMPLE))
+            generate_purpose(SIMPLE, gen, SIMPLE_GRID)
 
 
 class TestEnrichedText:
     def test_purpose_line_present(self):
-        sample = sample_rows(SIMPLE)
-        text = enriched_text(SIMPLE, "P.", sample)
+        text = enriched_text(SIMPLE, "P.", SIMPLE_GRID)
         lines = text.split("\n")
         assert lines[0] == "Table name: songs"
         assert lines[1] == "Table purpose: P."
         assert lines[2].startswith("Table content: | id | title |")
 
     def test_empty_purpose_omits_the_line(self):
-        sample = sample_rows(SIMPLE)
-        text = enriched_text(SIMPLE, "", sample)
+        text = enriched_text(SIMPLE, "", SIMPLE_GRID)
         assert "Table purpose:" not in text
         assert text.split("\n")[1].startswith("Table content: ")
 
     def test_begins_with_table_name(self):
-        assert enriched_text(SIMPLE, "x", sample_rows(SIMPLE)).startswith("Table name:")
+        assert enriched_text(SIMPLE, "x", SIMPLE_GRID).startswith("Table name:")
 
     def test_purpose_changes_the_embedded_text_and_vector(self):
         e = HashingEmbedder(64)
-        sample = sample_rows(SIMPLE)
-        t1 = enriched_text(SIMPLE, "about songs", sample)
-        t2 = enriched_text(SIMPLE, "about paintings", sample)
+        t1 = enriched_text(SIMPLE, "about songs", SIMPLE_GRID)
+        t2 = enriched_text(SIMPLE, "about paintings", SIMPLE_GRID)
         assert t1 != t2
         assert not np.array_equal(e.embed(t1), e.embed(t2))
 
     def test_same_enriched_text_same_vector(self):
         e = HashingEmbedder(64)
-        text = enriched_text(SIMPLE, "P.", sample_rows(SIMPLE))
+        text = enriched_text(SIMPLE, "P.", SIMPLE_GRID)
         assert np.array_equal(e.embed(text), e.embed(text))
 
 
@@ -209,7 +209,7 @@ class TestEnrichment:
         no_calls = ScriptedGenerator(responses=[])
         enrich_tables([a, replaced, c], no_calls, store=EnrichmentStore(path))
         assert no_calls.calls == []
-        text = enriched_text(replaced, "pb", sample_rows(replaced))
+        text = enriched_text(replaced, "pb", markdown_grid(replaced, sample_rows(replaced)))
         assert EnrichmentStore(path).get("b") == EnrichedTable("b", "pb", text)
         assert "| w |" in text
 
@@ -390,6 +390,26 @@ class TestDenseIndex:
         index = DenseIndex.build(self.texts(2), HashingEmbedder(16))
         with pytest.raises(BackendMismatchError, match="width 8, but the index holds vectors of width 16"):
             index.search(np.ones(8), k=1)
+
+    @pytest.mark.parametrize(
+        "ids, keys, complaint",
+        [
+            (["a", "b", "c"], None, "one vector"),
+            (["a", "b"], ["ka"], "one vector"),
+            (["a", "a"], None, "unique"),
+        ],
+        ids=["more-ids-than-vectors", "fewer-keys-than-ids", "repeated-id"],
+    )
+    def test_rejects_ids_that_are_not_one_per_vector(self, ids, keys, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            DenseIndex(ids=ids, vectors=np.ones((2, 4)), backend_id="b", keys=keys)
+
+    def test_index_without_text_keys_searches_but_cannot_be_saved(self, tmp_path):
+        index = DenseIndex(ids=["a", "b"], vectors=np.eye(2), backend_id="b")
+        assert [t for t, _ in index.search(np.array([0.0, 1.0]), k=1)] == ["b"]
+        with pytest.raises(ValueError, match="without text keys"):
+            index.save(tmp_path / "index.npz")
+        assert not (tmp_path / "index.npz").exists()
 
     def test_rejects_nonpositive_k(self):
         index = DenseIndex.build(self.texts(2), HashingEmbedder(16))

@@ -296,6 +296,17 @@ class TestParseSelection:
         # only the selected group must pick tables
         assert parse_selection(selection_json([[], [1]], selected=1), self.topk) == (1,)
 
+    def test_missing_selected_group_index_rejected(self):
+        text = json.dumps({"groups_formed": [{"group_index": 0, "table_indices": [0]}]})
+        with pytest.raises(SelectionParseError, match="lacks selected_group_index"):
+            parse_selection(text, self.topk)
+
+    @pytest.mark.parametrize("group", [[0, 1], 0, None], ids=["list", "number", "null"])
+    def test_group_that_is_not_an_object_rejected(self, group):
+        text = json.dumps({"groups_formed": [group], "selected_group_index": 0})
+        with pytest.raises(SelectionParseError, match="group entry is not an object"):
+            parse_selection(text, self.topk)
+
     def test_missing_table_indices_rejected(self):
         text = json.dumps(
             {"groups_formed": [{"group_index": 0}], "selected_group_index": 0}
@@ -467,6 +478,21 @@ class TestOnlinePipeline:
         assert result.final == ("t0", "t1", "t2", "t3", "t4")
         assert result.output_tokens == len("I cannot answer in JSON, sorry.".split())
         assert ledger.output_tokens == result.output_tokens  # usage still accounted
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            json.dumps({"groups_formed": [{"group_index": 0, "table_indices": [0]}]}),
+            json.dumps({"groups_formed": [[0, 1]], "selected_group_index": 0}),
+        ],
+        ids=["no-selected-group-index", "group-not-an-object"],
+    )
+    def test_reply_of_the_wrong_shape_falls_back_to_topk(self, reply):
+        pipeline, _ = pipeline_fixture([reply])
+        result = pipeline.run_query("the alpha question")
+        assert result.fallback_used
+        assert (result.selected, result.restored) == ((), ())
+        assert result.final == ("t0", "t1", "t2", "t3", "t4")
 
     def test_generation_failure_falls_back_without_tokens(self):
         ledger = TokenLedger()

@@ -310,9 +310,11 @@ class TestHttpEmbeddingClient:
             {"embedding": [True, 0.5]},
             {"embedding": [[1, 2], [3, 4]]},
             {"embedding": [1.0, None]},
+            {"embedding": [1.0, float("nan")]},
+            {"embedding": [float("-inf"), 0.5]},
             [1.0, 2.0],
         ],
-        ids=["missing", "empty", "strings", "bool", "nested", "null", "list-body"],
+        ids=["missing", "empty", "strings", "bool", "nested", "null", "nan", "infinity", "list-body"],
     )
     def test_malformed_reply_rejected(self, body):
         transport, _ = make_transport([(200, body)])
