@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -50,8 +51,9 @@ from .errors import BackendMismatchError, CorpusError
 
 #: Format version written into, and required of, every persisted artifact.
 #: Version 2 added the index's text keys, which the embedding cache reads;
-#: version 3 cut each text key to 128 bits, so a version-2 key matches none.
-FORMAT_VERSION = 3
+#: version 3 cut each text key to 128 bits, so a version-2 key matches none;
+#: version 4 stores ``corpus.json`` one value list per column, not by row.
+FORMAT_VERSION = 4
 #: The zlib level of every ``.npz`` member. On ``serve``'s cold build, level 4
 #: deflated the index vectors in 10.9 ms against 21.8 ms at zlib's default 6,
 #: for 152.8 KB against 140.2 KB; the halved text keys more than pay for those
@@ -109,11 +111,17 @@ def write_lines(path: str | Path, lines: list[str]) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+#: a ``\u`` escape of a surrogate, U+D800 to U+DFFF, in either case
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _parse(text: str) -> object:
     """``json.loads(text)``; a lone surrogate, which is not UTF-8 text, raises ``ValueError``."""
     data = json.loads(text)
-    # text decoded from UTF-8 holds no surrogate, so only a \u escape can put one in data
-    if "\\u" in text:
+    # text decoded from UTF-8 holds no surrogate, so only a surrogate's \u
+    # escape can put one in data; the escapes of control characters, which
+    # write_artifact writes, cannot, and cost no second serialization
+    if _SURROGATE_ESCAPE.search(text):
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:

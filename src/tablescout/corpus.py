@@ -8,9 +8,12 @@ shows; the dense index and the selection prompt show the same grid inside each
 table's enriched text.
 
 Tables are held column-major, and ingest and persistence work a whole column
-at a time: rows are transposed with ``zip(*rows)`` and each column is
-converted with one ``map`` over its values. Only a SQLite column that is not
-all text is converted by a Python function per cell.
+at a time. Ingest transposes a source's rows with ``zip(*rows)`` and converts
+each column with one ``map`` over its values; only a SQLite column that is
+not all text is converted by a Python function per cell. ``corpus.json``
+stores each column's values as one list, so a save writes them as they are
+held and a load builds each column from its list, with no transpose either
+way.
 """
 
 from __future__ import annotations
@@ -445,71 +448,80 @@ def serialize_markdown(table: Table, grid: str) -> str:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _rows(table: Table) -> list:
-    """The table's rows, each a tuple of cells (JSON writes it as a list)."""
-    if not table.columns:
-        # zip() of no columns would drop the rows of a zero-column table
-        return [()] * table.row_count
-    return list(zip(*(c.values for c in table.columns)))
-
-
 def save_corpus(corpus: TableCorpus, path: str | Path) -> None:
-    payload = {
-        "tables": [
-            {
-                "id": t.id,
-                "name": t.name,
-                "columns": list(t.column_names()),
-                "rows": _rows(t),
-                "source": corpus.provenance.get(t.id, ""),
-            }
-            for t in corpus.tables
-        ],
-    }
-    write_artifact(path, payload)
+    """Write ``corpus`` to ``path`` as it is held, column-major.
+
+    Each table entry holds its ``id``, ``name``, ``source`` label,
+    ``columns`` (the names) and ``values``, one list of cells per column,
+    written straight from :attr:`Column.values`. The row count is the length
+    of those lists; a table with no columns has none to measure, so only it
+    also holds ``rows``, its row count.
+    """
+    tables = []
+    for t in corpus.tables:
+        entry = {
+            "id": t.id,
+            "name": t.name,
+            "columns": [c.name for c in t.columns],
+            "values": [c.values for c in t.columns],
+            "source": corpus.provenance.get(t.id, ""),
+        }
+        if not t.columns:
+            entry["rows"] = t.row_count
+        tables.append(entry)
+    write_artifact(path, {"tables": tables})
 
 
 #: The types a ``corpus.json`` cell may hold: text, or null for NULL.
 _CELL_TYPES = {str, type(NULL)}
 
 
-def load_corpus(path: str | Path) -> TableCorpus:
-    """The corpus saved at ``path`` by :func:`save_corpus`.
+def _load_table(entry: object, path: str | Path, what: str) -> Table:
+    """The table of one ``corpus.json`` entry, built from its value lists."""
+    table_id = require(entry, "id", path, what, str)
+    name = require(entry, "name", path, what, str)
+    columns = require(entry, "columns", path, what, list)
+    values = require(entry, "values", path, what, list)
 
-    A row that is not a list as wide as its table's columns, a column name
-    that is not a string or a cell that is neither a string nor null raises
-    :class:`CorpusError` naming the file and the table.
+    def refuse(problem: str) -> CorpusError:
+        return CorpusError(f"malformed {what} {path}: table {table_id!r} {problem}")
+
+    if set(map(type, columns)) - {str}:
+        raise refuse("has a column name that is not a string")
+    if len(values) != len(columns) or set(map(type, values)) - {list}:
+        raise refuse(f"values are not one list for each of its {len(columns)} columns")
+    # a table with no columns has no value list to hold its row count; Table
+    # refuses a column of another length than the first
+    row_count = len(values[0]) if values else entry.get("rows")
+    if type(row_count) is not int or row_count < 0:
+        raise refuse(f"has no columns and field 'rows' holds {row_count!r}, not a row count")
+    for column, cells in zip(columns, values):
+        # one type scan per column; the cell is looked for only to name it
+        if set(map(type, cells)) - _CELL_TYPES:
+            number, cell = next((i, v) for i, v in enumerate(cells, start=1) if type(v) not in _CELL_TYPES)
+            raise refuse(f"column {column!r} row {number} holds {type(cell).__name__}, not a string or null")
+    try:
+        return Table._from_columns(table_id, name, columns, map(tuple, values), row_count)
+    except CorpusError as exc:
+        raise CorpusError(f"malformed {what} {path}: {exc}") from None
+
+
+def load_corpus(path: str | Path) -> TableCorpus:
+    """The corpus saved at ``path`` by :func:`save_corpus`, each table built
+    from its value lists with no transpose.
+
+    A column name that is not a string, ``values`` that are not one list per
+    column, a column of another length than the others, a table with no
+    columns whose ``rows`` is not a count, or a cell that is neither a string
+    nor null raises :class:`CorpusError` naming the file and the table, and
+    for a cell also its column and its row, counted from 1.
     """
     what = "corpus file"
     data = read_artifact(path, what)
     tables = []
     provenance = {}
     for entry in require(data, "tables", path, what, list):
-        table_id = require(entry, "id", path, what, str)
-        columns = require(entry, "columns", path, what, list)
-        rows = require(entry, "rows", path, what, list)
-        name = require(entry, "name", path, what, str)
-        if set(map(type, columns)) - {str}:
-            raise CorpusError(
-                f"malformed {what} {path}: table {table_id!r} has a column name that is not a string"
-            )
-        if set(map(type, rows)) - {list}:
-            number = next(i for i, row in enumerate(rows, start=1) if type(row) is not list)
-            raise CorpusError(f"malformed {what} {path}: table {table_id!r} row {number} is not a list")
-        try:
-            table = Table.build(table_id, name, columns, rows)
-        except CorpusError as exc:
-            raise CorpusError(f"malformed {what} {path}: {exc}") from None
-        for column in table.columns:
-            # one type scan per column; the cell is looked for only to name it
-            if set(map(type, column.values)) - _CELL_TYPES:
-                number, cell = next(
-                    (i, v) for i, v in enumerate(column.values, start=1) if type(v) not in _CELL_TYPES
-                )
-                raise CorpusError(
-                    f"malformed {what} {path}: table {table_id!r} column {column.name!r} "
-                    f"row {number} holds {type(cell).__name__}, not a string or null"
-                )
+        table = _load_table(entry, path, what)
         tables.append(table)
-        provenance[table_id] = entry.get("source", "")
+        provenance[table.id] = entry.get("source", "")
     return TableCorpus(tables=tuple(tables), provenance=provenance)

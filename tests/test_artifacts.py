@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import types
 import zipfile
 from pathlib import Path
 
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tablescout import artifacts
 from tablescout.artifacts import (
     FORMAT_VERSION,
     NPZ_LEVEL,
     append_journal,
     open_journal,
     read_journal,
+    read_jsonl,
     read_npz,
     read_npz_keys,
     replacing,
@@ -30,7 +33,7 @@ from tablescout.artifacts import (
 )
 from tablescout.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, main
 from tablescout.compatibility import CompatibilityCache
-from tablescout.corpus import load_corpus, save_corpus
+from tablescout.corpus import Table, TableCorpus, load_corpus, save_corpus
 from tablescout.errors import BackendError, CorpusError
 from tablescout.indexing import DenseIndex, EnrichmentStore
 from tablescout.services import MAX_CACHE_SEGMENTS, CachingEmbedder, HashingEmbedder
@@ -480,20 +483,44 @@ def test_file_of_format_version_2_is_refused_by_retrieve_enrich_and_cache(built,
 
 
 def test_corpus_row_of_the_wrong_width_is_an_input_error(built, capsys):
+    # corpus.json holds a table by column: a row a cell short or over is a
+    # column of another length than the others
     out, queries = built
     path = out / "corpus.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     table = data["tables"][-1]
-    table["rows"][1] = table["rows"][1][:-1]
+    second = table["columns"][1]
+    rows = len(table["values"][0])
+    table["values"][1] = table["values"][1][:-1]
     path.write_text(json.dumps(data), encoding="utf-8")
     assert next_command("corpus.json", out, queries) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert str(path) in err and repr(table["id"]) in err and "row 2" in err
+    assert str(path) in err and repr(table["id"]) in err
+    assert f"column {second!r} has {rows - 1} values, expected {rows}" in err
 
-    table["rows"][1] += ["extra", "cells"]
+    table["values"][1] += ["extra", "cells"]
     path.write_text(json.dumps(data), encoding="utf-8")
     assert next_command("corpus.json", out, queries) == EXIT_INPUT
-    assert "row 2" in capsys.readouterr().err
+    assert f"column {second!r} has {rows + 1} values" in capsys.readouterr().err
+
+
+def test_corpus_of_format_version_3_is_refused_by_enrich_cache_and_eval(built, capsys, tmp_path):
+    # version 3 held each table by row; there is no reader for that layout
+    out, _ = built
+    path = out / "corpus.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for table in data["tables"]:
+        table["rows"] = [list(row) for row in zip(*table.pop("values"))]
+    path.write_text(json.dumps({**data, "version": 3}), encoding="utf-8")
+    gold = tmp_path / "gold_joins.json"
+    gold.write_text(json.dumps([{"table_a": "cities", "table_b": "mayors", "joinable": True}]), encoding="utf-8")
+    before = {file.name: file.read_bytes() for file in out.iterdir()}
+    purposes = f"scripted:{out.parent / 'purposes.json'}"
+    assert main(["enrich", "--out-dir", str(out), "--generator", purposes]) == EXIT_INPUT
+    assert main(["cache", "--out-dir", str(out)]) == EXIT_INPUT
+    assert main(["eval", "--out-dir", str(out), "--gold-joins", str(gold)]) == EXIT_INPUT
+    assert capsys.readouterr().err.count(f"unsupported corpus file format version 3 in {path}") == 3
+    assert {file.name: file.read_bytes() for file in out.iterdir()} == before
 
 
 class Fixed:
@@ -849,3 +876,53 @@ def test_bad_journal_line_is_an_input_error_naming_it(built, capsys, content, co
     err = capsys.readouterr().err
     assert str(journal) in err and complaint in err
     assert next_command("enriched.json", out, queries) == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# Surrogate and control-character escapes, in every JSON reader
+# ---------------------------------------------------------------------------
+
+
+def write_with_cell(path, escape):
+    """Write a ``corpus.json``, a ``queries.jsonl`` and an enrichment journal
+    into ``path``, each holding ``escape`` as written in a string of its
+    second record. By reader: what its refusal names, and a call that reads
+    that string back."""
+    corpus = path / "corpus.json"
+    save_corpus(TableCorpus(tables=(Table.build("t", "t", ["a"], [["x"], ["CELL"]]),)), corpus)
+    corpus.write_text(corpus.read_text(encoding="utf-8").replace("CELL", escape), encoding="utf-8")
+    queries = path / "queries.jsonl"
+    queries.write_text('{"query_id": "q1"}\n{"query_id": "%s"}\n' % escape, encoding="utf-8")
+    journal = path / "enriched.json.journal"
+    journal.write_bytes(journal_bytes(RECORD) + b'{"table_id": "%s"}\n' % escape.encode("ascii"))
+    return {
+        "corpus": (corpus, lambda: load_corpus(corpus).get("t").columns[0].values[1]),
+        "queries": (f"{queries}:2", lambda: read_jsonl(queries, "queries")[1][1]["query_id"]),
+        "journal": (f"{journal}:3", lambda: read_journal(journal, "journal")[1][1]["table_id"]),
+    }
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\uDfFf", "\\ud83d x", "\\ude00\\ud83d"])
+def test_a_lone_surrogate_escape_is_refused_by_every_json_reader(tmp_path, escape):
+    for name, (where, read) in write_with_cell(tmp_path, escape).items():
+        with pytest.raises(CorpusError, match="lone surrogate") as refused:
+            read()
+        assert str(where) in str(refused.value), name
+
+
+@pytest.mark.parametrize("escape", ["\\ud83d\\ude00", "\\uD83D\\uDE00"], ids=["lower", "upper"])
+def test_an_escaped_surrogate_pair_loads_as_its_one_character(tmp_path, escape):
+    for name, (_, read) in write_with_cell(tmp_path, escape).items():
+        assert read() == "\U0001f600", name
+
+
+def test_a_control_character_cell_round_trips_with_one_serialization(tmp_path, monkeypatch):
+    cells = [["\x01"], ["a\x1fb\x7f"], ["\x00"], ["tab\there"]]
+    corpus = TableCorpus(tables=(Table.build("t", "t", ["a"], cells),))
+    path = tmp_path / "corpus.json"
+    save_corpus(corpus, path)
+    assert "\\u0001" in path.read_text(encoding="utf-8")
+    # only a surrogate's escape makes a reader serialize what it parsed again
+    serialize_nothing = types.SimpleNamespace(loads=json.loads, dumps=None)
+    monkeypatch.setattr(artifacts, "json", serialize_nothing)
+    assert load_corpus(path).tables == corpus.tables

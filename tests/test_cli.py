@@ -524,7 +524,7 @@ class TestCache:
         path = out_dir / "corpus.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         table = data["tables"][0]
-        table["rows"][1][1] = cell
+        table["values"][1][1] = cell  # column 2, row 2
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["cache", "--out-dir", str(out_dir)]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -536,7 +536,7 @@ class TestCache:
         assert ingest(out_dir, a, b) == EXIT_OK
         path = out_dir / "corpus.json"
         data = json.loads(path.read_text(encoding="utf-8"))
-        data["tables"][0]["rows"][1][1] = "\ud800"
+        data["tables"][0]["values"][1][1] = "\ud800"
         path.write_text(json.dumps(data), encoding="utf-8")  # ASCII, with the escape "\\ud800"
         assert enrich(out_dir, tmp_path) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -545,16 +545,18 @@ class TestCache:
 
     @pytest.mark.parametrize("row", ["1,2", {"a": "1"}, None], ids=["string", "object", "null"])
     def test_row_that_is_not_a_list_is_input_error(self, out_dir, sources, tmp_path, capsys, row):
+        # corpus.json holds a table by column, so the list that is not one is a column's values
         a, b = sources
         assert ingest(out_dir, a, b) == EXIT_OK
         path = out_dir / "corpus.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         table = data["tables"][0]
-        table["rows"][0] = row
+        table["values"][0] = row
         path.write_text(json.dumps(data), encoding="utf-8")
         assert enrich(out_dir, tmp_path) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert str(path) in err and f"table {table['id']!r} row 1 is not a list" in err
+        columns = len(table["columns"])
+        assert str(path) in err and f"table {table['id']!r} values are not one list for each of its {columns}" in err
         assert "Traceback" not in err and not (out_dir / "enriched.json").exists()
 
     def test_column_name_that_is_not_text_is_input_error(self, out_dir, sources, capsys):

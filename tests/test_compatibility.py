@@ -39,6 +39,7 @@ from tablescout import compatibility
 from tablescout.artifacts import FORMAT_VERSION
 from tablescout.corpus import NULL, normalize_value
 
+from interpreter import interpreter_flags
 from synth import (
     MappedEmbedder,
     oracle_has_valid_pair,
@@ -740,16 +741,17 @@ for seed in range(6):
 """
 
 
-def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path, pytestconfig):
     """String hashes, and with them set and Counter order, change with
     ``PYTHONHASHSEED``; the saved cache must not."""
     here = Path(__file__).resolve().parent
     pythonpath = os.pathsep.join([str(here.parent / "src"), str(here)])
+    flags = interpreter_flags(pytestconfig)
     for hash_seed in ("0", "1"):
         out = tmp_path / hash_seed
         out.mkdir()
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
-        subprocess.run([sys.executable, "-c", HASH_SEED_RUN, str(out)], env=env, check=True)
+        subprocess.run([sys.executable, *flags, "-c", HASH_SEED_RUN, str(out)], env=env, check=True)
     saved = sorted((tmp_path / "0").iterdir())
     assert len(saved) == 6
     assert sum(len(json.loads(f.read_text(encoding="utf-8"))["edges"]) for f in saved) > 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import sqlite3
 
 import numpy as np
@@ -443,6 +444,35 @@ class TestValuesAndPersistence:
         save_corpus(TableCorpus(tables=(t,)), path)
         assert load_corpus(path).get("t").row_count == 2
 
+    @pytest.mark.parametrize(
+        "fields, complaint",
+        [
+            ({"values": [["1", "2"]]}, "values are not one list for each of its 2 columns"),
+            ({"values": [["1", "2"], [None, "3"], []]}, "values are not one list for each of its 2 columns"),
+            ({"values": [["1", "2"], "3"]}, "values are not one list for each of its 2 columns"),
+            ({"values": [["1", "2"], ["3"]]}, "column 'b' has 1 values, expected 2"),
+            ({"values": [["1", "2"], [None, "3", "4"]]}, "column 'b' has 3 values, expected 2"),
+            ({"values": [["1", 2], [None, "3"]]}, "column 'a' row 2 holds int, not a string or null"),
+            ({"columns": ["a", 5]}, "has a column name that is not a string"),
+            ({"columns": ["a", "a"]}, "duplicate column 'a'"),
+            ({"columns": [], "values": []}, "has no columns and field 'rows' holds None, not a row count"),
+            ({"columns": [], "values": [], "rows": -1}, "field 'rows' holds -1, not a row count"),
+            ({"columns": [], "values": [], "rows": True}, "field 'rows' holds True, not a row count"),
+            ({"columns": [], "values": [], "rows": "2"}, "field 'rows' holds '2', not a row count"),
+        ],
+        ids=["one-list-short", "one-list-over", "not-a-list", "short-column", "long-column", "int-cell",
+             "int-name", "repeated-name", "no-rows", "negative-rows", "bool-rows", "string-rows"],
+    )
+    def test_load_refuses_a_malformed_table(self, tmp_path, fields, complaint):
+        path = tmp_path / "corpus.json"
+        save_corpus(pool_corpora([("src", [make_table("x", ["a", "b"], [["1", NULL], ["2", "3"]])])]), path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["tables"][0].update(fields)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(complaint)) as refused:
+            load_corpus(path)
+        assert f"malformed corpus file {path}: table 'x'" in str(refused.value)
+
     def test_load_rejects_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -511,22 +541,45 @@ def reference_table(name, header, rows):
 
 
 def reference_save(corpus, path):
-    """``save_corpus`` writing each row by indexing every column."""
-    write_artifact(
-        path,
+    """``save_corpus`` gathering each column's value list a cell at a time,
+    by indexing every row; ``rows`` only for a table with no columns."""
+    tables = []
+    for t in corpus.tables:
+        entry = {
+            "id": t.id,
+            "name": t.name,
+            "columns": list(t.column_names()),
+            "values": [[t.row(i)[pos] for i in range(t.row_count)] for pos in range(len(t.columns))],
+            "source": corpus.provenance.get(t.id, ""),
+        }
+        if not t.columns:
+            entry["rows"] = t.row_count
+        tables.append(entry)
+    write_artifact(path, {"tables": tables})
+
+
+def reference_row_save(corpus, path):
+    """The ``corpus.json`` of format version 3, which held each table by row."""
+    tables = [
         {
-            "tables": [
-                {
-                    "id": t.id,
-                    "name": t.name,
-                    "columns": list(t.column_names()),
-                    "rows": [[c.values[i] for c in t.columns] for i in range(t.row_count)],
-                    "source": corpus.provenance.get(t.id, ""),
-                }
-                for t in corpus.tables
-            ],
-        },
-    )
+            "id": t.id,
+            "name": t.name,
+            "columns": list(t.column_names()),
+            "rows": [[c.values[i] for c in t.columns] for i in range(t.row_count)],
+            "source": corpus.provenance.get(t.id, ""),
+        }
+        for t in corpus.tables
+    ]
+    text = json.dumps({"tables": tables, "version": 3}, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    path.write_text(text, encoding="utf-8")
+
+
+def reference_row_load(path):
+    """The corpus of a version-3 ``corpus.json``, its tables built row by row."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["version"] == 3
+    tables = tuple(Table.build(t["id"], t["name"], t["columns"], t["rows"]) for t in data["tables"])
+    return TableCorpus(tables=tables, provenance={t["id"]: t["source"] for t in data["tables"]})
 
 
 def write_csv(path, header, rows):
@@ -654,10 +707,15 @@ def write_awkward_pool(base):
     return [("one", one, "csv-dir"), ("two", two, "csv-dir"), ("three", base / "three.sqlite", "sqlite-file")]
 
 
-#: sha256 of the corpus.json the awkward pool ingests to, in compact JSON;
-#: format version 2 wrote those bytes with ``"version":2`` (0a564762...)
-AWKWARD_POOL_SHA256 = "afb08097b83e4ae777472191fa0a060a05b3062e77b3a58e104b861f9601294f"
-#: sha256 of the same content written with json's default ", " and ": "
+#: sha256 of the corpus.json the awkward pool ingests to, in compact JSON,
+#: one value list per column as format version 4 writes it, taken from this
+#: module's cell-by-cell reference writer
+AWKWARD_POOL_SHA256 = "85f8293b23148eee2985aac4a603c0964d2006059c883e63b0e6494fce8212ce"
+#: sha256 of the same tables held by row, as format version 3 wrote them
+#: (its reference row writer reproduces those bytes); version 2 wrote the
+#: same rows with ``"version":2`` (0a564762...)
+AWKWARD_POOL_V3_SHA256 = "afb08097b83e4ae777472191fa0a060a05b3062e77b3a58e104b861f9601294f"
+#: sha256 of the version-3 content written with json's default ", " and ": "
 #: separators, as corpus.json was before it was compact, taken from the
 #: row-by-row ingest this module's reference loader reproduces; format
 #: versions 1 and 2 wrote those bytes with their own ``"version"``
@@ -665,13 +723,50 @@ AWKWARD_POOL_SHA256 = "afb08097b83e4ae777472191fa0a060a05b3062e77b3a58e104b861f9
 AWKWARD_POOL_SPACED_SHA256 = "56098ed531bce1282e77d9524dfae2ed0bdd124595bf5cd2e283bc0451c3f365"
 
 
+def awkward_pool(base):
+    sources = write_awkward_pool(base)
+    return pool_corpora([(label, load_tables(path, kind)) for label, path, kind in sources])
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_awkward_pool_corpus_bytes_are_pinned(tmp_path):
-    sources = write_awkward_pool(tmp_path)
-    pooled = pool_corpora([(label, load_tables(path, kind)) for label, path, kind in sources])
+    pooled = awkward_pool(tmp_path)
     save_corpus(pooled, tmp_path / "corpus.json")
-    digest = hashlib.sha256((tmp_path / "corpus.json").read_bytes()).hexdigest()
-    assert digest == AWKWARD_POOL_SHA256
+    reference_save(pooled, tmp_path / "reference.json")
+    assert sha256_of(tmp_path / "reference.json") == AWKWARD_POOL_SHA256
+    assert (tmp_path / "corpus.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
     content = json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
     assert content["version"] == FORMAT_VERSION
+    # a table's row count is the length of its value lists; only the table
+    # with no columns, blank.csv, has none and holds ``rows``
+    assert {t["id"]: t["rows"] for t in content["tables"] if "rows" in t} == {"blank": 1}
+
+
+def test_awkward_pool_round_trips_table_for_table(tmp_path):
+    pooled = awkward_pool(tmp_path)
+    shapes = {t.id: (len(t.columns), t.row_count) for t in pooled}
+    # the pool holds a table with no columns and one with no rows
+    assert shapes["blank"] == (0, 1) and shapes["empty"] == (2, 0)
+    save_corpus(pooled, tmp_path / "corpus.json")
+    loaded = load_corpus(tmp_path / "corpus.json")
+    assert loaded.tables == pooled.tables
+    assert loaded.provenance == pooled.provenance
+
+
+def test_awkward_pool_held_by_row_at_version_3_loads_to_the_same_tables(tmp_path):
+    pooled = awkward_pool(tmp_path)
+    reference_row_save(pooled, tmp_path / "rows.json")
+    assert sha256_of(tmp_path / "rows.json") == AWKWARD_POOL_V3_SHA256
+    content = json.loads((tmp_path / "rows.json").read_text(encoding="utf-8"))
     spaced = json.dumps(content, sort_keys=True, ensure_ascii=False).encode("utf-8")
     assert hashlib.sha256(spaced).hexdigest() == AWKWARD_POOL_SPACED_SHA256
+    save_corpus(pooled, tmp_path / "corpus.json")
+    by_row = reference_row_load(tmp_path / "rows.json")
+    by_column = load_corpus(tmp_path / "corpus.json")
+    assert by_column.tables == by_row.tables
+    assert by_column.provenance == by_row.provenance
+    with pytest.raises(CorpusError, match="unsupported corpus file format version 3"):
+        load_corpus(tmp_path / "rows.json")

@@ -8,26 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from interpreter import interpreter_flags
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-
-
-def interpreter_flags(config) -> list[str]:
-    """This run's ``-X dev`` and warning filters as interpreter flags, so a
-    warning a demo raises fails it as it would fail a test.
-
-    The filters are the interpreter's own (``sys.warnoptions``) and pytest's
-    ``-W`` options. A filter naming a category by module path, such as
-    ``pytest.PytestUnraisableExceptionWarning``, is left out: an interpreter
-    resolves ``-W`` before its site packages are importable, and only pytest
-    raises that warning.
-    """
-    flags = ["-X", "dev"] if sys.flags.dev_mode else []
-    for option in [*sys.warnoptions, *(config.getoption("pythonwarnings") or [])]:
-        category = (option.split(":") + ["", "", ""])[2]
-        if "." not in category:
-            flags.append(f"-W{option}")
-    return flags
 
 
 def run_script(path, flags, tmp_path):
