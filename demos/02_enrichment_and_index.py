@@ -11,6 +11,7 @@ from tablescout import (
     TokenLedger,
     enrich_tables,
 )
+from tablescout.indexing import EnrichmentStore
 
 tables = [
     Table.build(
@@ -37,8 +38,12 @@ generator = ScriptedGenerator(
 )
 ledger = TokenLedger()
 
+# The store lives in a file: each new purpose is journaled as it arrives and
+# the journal is compacted into enriched.json at the end, so a rerun pays for
+# no purpose twice. The ledger records the tokens of every purpose call.
 workdir = Path(tempfile.mkdtemp())
-store = enrich_tables(tables, generator, store=None, ledger=ledger)
+store = EnrichmentStore(workdir / "enriched.json")
+enrich_tables(tables, generator, store=store, ledger=ledger)
 for table_id in sorted(store.texts()):
     record = store.get(table_id)
     print(f"{table_id}: purpose={record.purpose!r}")

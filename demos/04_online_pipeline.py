@@ -9,6 +9,7 @@ from tablescout import (
     ScriptedGenerator,
     Table,
     TableCorpus,
+    TokenLedger,
     build_cache,
     enriched_text,
     markdown_grid,
@@ -50,7 +51,8 @@ good_answer = json.dumps(
 )
 generator = ScriptedGenerator(responses=[good_answer, "sorry, no JSON today"])
 
-pipeline = OnlinePipeline(index, cache, embedder, generator, texts=texts, k=4)
+ledger = TokenLedger()
+pipeline = OnlinePipeline(index, cache, embedder, generator, texts=texts, k=4, ledger=ledger)
 
 result = pipeline.run_query("flights leaving from each airport")
 print("top-k:    ", result.topk)
@@ -64,6 +66,9 @@ print("fallback: ", result.fallback_used)
 result2 = pipeline.run_query("crew schedules")
 print("\nfallback: ", result2.fallback_used)
 print("final == top-k:", result2.final == result2.topk)
+
+# Both selection calls are in the ledger, the one that fell back too.
+print("selection tokens in/out:", ledger.stage_totals()["selection"])
 
 # One JSONL line per query is what the CLI writes to results.jsonl.
 print("\n" + record_line(result_record("q0", result)))

@@ -15,7 +15,6 @@ from .compatibility import CompatibilityCache, build_cache, column_pair_score
 from .corpus import Table, TableCorpus, markdown_grid, pool_corpora, sample_rows, serialize_markdown
 from .errors import (
     BackendError,
-    BackendMismatchError,
     ConfigError,
     CorpusError,
     SelectionParseError,

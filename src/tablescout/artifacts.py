@@ -47,7 +47,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .errors import BackendMismatchError, CorpusError
+from .errors import BackendError, CorpusError
 
 #: Format version written into, and required of, every persisted artifact.
 #: Version 2 added the index's text keys, which the embedding cache reads;
@@ -151,13 +151,13 @@ def check_header(data: object, path: str | Path, what: str, backend_id: str | No
 
     A wrong or missing version raises :class:`CorpusError`; when
     ``backend_id`` is given, an artifact built with another backend raises
-    :class:`BackendMismatchError`.
+    :class:`BackendError`.
     """
     version = data.get("version") if isinstance(data, dict) else None
     if version != FORMAT_VERSION:
         raise CorpusError(f"unsupported {what} format version {version!r} in {path}")
     if backend_id is not None and data.get("backend_id") != backend_id:
-        raise BackendMismatchError(
+        raise BackendError(
             f"{what} {path} was built with backend {data.get('backend_id')!r}, "
             f"configured {backend_id!r}"
         )

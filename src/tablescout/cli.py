@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .corpus import (
     pool_corpora,
     save_corpus,
 )
-from .errors import BackendError, BackendMismatchError, ConfigError, CorpusError
+from .errors import BackendError, ConfigError, CorpusError
 from .evaluation import (
     INPUT_RATE_PER_MILLION,
     OUTPUT_RATE_PER_MILLION,
@@ -329,6 +330,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_e2e(args: argparse.Namespace) -> int:
     _check_query_flags(args)
+    # a rate that is not finite would write NaN or Infinity, which is not
+    # JSON, into the report, and a negative one negative dollars
+    for name, rate in (("input rate", args.input_rate), ("output rate", args.output_rate)):
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ConfigError(f"{name} must be a finite number of at least 0, got {rate}")
     out = _out_dir(args)
     sql_generator = _generator(args, "e2e needs a generator (it writes SQL)")
     gold = load_gold_queries(args.gold)
@@ -441,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BackendError, BackendMismatchError) as exc:
+    except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -414,7 +414,7 @@ def gold_joins_from_records(records: object, path: str | Path | None = None) -> 
 def evaluate_cache(
     cache: CompatibilityCache,
     gold: Sequence[GoldJoin],
-    corpus: TableCorpus | None = None,
+    corpus: TableCorpus,
 ) -> dict[str, float]:
     """Compare cached scores against gold pair annotations.
 
@@ -423,21 +423,20 @@ def evaluate_cache(
     Column accuracy, over gold-joinable pairs with annotated columns, checks
     that the cached best join names the same column pair (side order
     ignored). The score error averages |score - label| with the label 1 or 0,
-    and an absent pair scoring 0. A corpus, when given, validates that the
-    annotations reference real tables and columns.
+    and an absent pair scoring 0. An annotation that names a table or column
+    ``corpus`` lacks raises :class:`CorpusError`, so no pair goes unscored.
     """
     if not gold:
         raise ValueError("gold annotations must be non-empty")
-    if corpus is not None:
-        known = set(corpus.ids())
-        for g in gold:
-            missing = {g.table_a, g.table_b} - known
-            if missing:
-                raise CorpusError(f"gold annotation references unknown tables: {sorted(missing)}")
-            if g.gold_columns is not None:
-                for tid, col in zip((g.table_a, g.table_b), g.gold_columns):
-                    if col not in corpus.get(tid).column_names():
-                        raise CorpusError(f"gold annotation references unknown column {tid}.{col}")
+    known = set(corpus.ids())
+    for g in gold:
+        missing = {g.table_a, g.table_b} - known
+        if missing:
+            raise CorpusError(f"gold annotation references unknown tables: {sorted(missing)}")
+        if g.gold_columns is not None:
+            for tid, col in zip((g.table_a, g.table_b), g.gold_columns):
+                if col not in corpus.get(tid).column_names():
+                    raise CorpusError(f"gold annotation references unknown column {tid}.{col}")
     join_hits = 0
     col_total = 0
     col_hits = 0

@@ -16,12 +16,10 @@ class ConfigError(TablescoutError):
 
 
 class BackendError(TablescoutError):
-    """A model service call failed or replied malformed. Only an HTTP transport
-    error, 429 or 5xx status is retried, in three attempts at most."""
-
-
-class BackendMismatchError(TablescoutError):
-    """A persisted artifact was built with a different backend than the one configured."""
+    """A model service call failed or replied malformed, or a persisted artifact
+    or a vector came from another backend than the one configured. Only an
+    HTTP transport error, 429 or 5xx status is retried, in three attempts at
+    most."""
 
 
 class SelectionParseError(TablescoutError):

@@ -418,19 +418,19 @@ def generate_sql(
     tables: Sequence[tuple[str, str]],
     generator: Generator,
     *,
-    ledger: TokenLedger | None = None,
+    ledger: TokenLedger,
 ) -> str:
     """One generation call turning the retrieved tables into a SQL string.
 
-    ``tables`` pairs table ids with their serialized content. The reply is
+    ``tables`` pairs table ids with their serialized content. The call's
+    tokens go to ``ledger`` under the SQL stage. The reply is
     stripped of a surrounding code fence if present, a one-line fence
     included.
     """
     tables_content = "\n\n".join(text for _, text in tables)
     prompt = SQL_PROMPT_TEMPLATE.format(question=question, tables_content=tables_content)
     response = generator.generate(GenerationRequest(prompt=prompt, max_tokens=SQL_MAX_TOKENS))
-    if ledger is not None:
-        ledger.record(SQL_STAGE, response.input_tokens, response.output_tokens)
+    ledger.record(SQL_STAGE, response.input_tokens, response.output_tokens)
     text = response.text.strip()
     if text.startswith("```"):
         text = text.split("\n", 1)[1] if "\n" in text else text[3:]

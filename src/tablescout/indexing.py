@@ -32,7 +32,7 @@ from .artifacts import (
     write_npz,
 )
 from .corpus import DEFAULT_SAMPLE_ROWS, DEFAULT_SEED, Table, markdown_grid, sample_rows, serialize_markdown
-from .errors import BackendMismatchError
+from .errors import BackendError
 from .services import Embedder, GenerationRequest, Generator, TokenLedger, cosine_of_norms, embed_keyed
 
 PURPOSE_PROMPT = (
@@ -72,18 +72,18 @@ def generate_purpose(
     grid: str,
     *,
     max_tokens: int = PURPOSE_MAX_TOKENS,
-    ledger: TokenLedger | None = None,
+    ledger: TokenLedger,
 ) -> str:
     """Ask the generator for the table's purpose; '' when it answers None.
 
     ``grid`` is ``markdown_grid(table, sample)``; the prompt embeds the
     table's :func:`serialize_markdown` snapshot around it, so the same grid
-    sends identical bytes.
+    sends identical bytes. The call's tokens go to ``ledger`` under the
+    purpose stage.
     """
     prompt = PURPOSE_PROMPT.replace("{table}", serialize_markdown(table, grid))
     response = generator.generate(GenerationRequest(prompt=prompt, max_tokens=max_tokens))
-    if ledger is not None:
-        ledger.record(PURPOSE_STAGE, response.input_tokens, response.output_tokens)
+    ledger.record(PURPOSE_STAGE, response.input_tokens, response.output_tokens)
     purpose = response.text.strip()
     return "" if purpose == "None" else purpose
 
@@ -112,24 +112,22 @@ class EnrichedTable:
 class EnrichmentStore:
     """Persisted table-id -> enriched-record map; makes enrichment resumable.
 
-    A file-backed store reads its file, then replays the journal beside it
-    (``enriched.json.journal``), a record a line. :meth:`put` appends each
-    new or changed record to that journal through one handle, opened at the
-    first record, as one write that is flushed before ``put`` returns.
-    :meth:`save` closes the handle and compacts the journal: it writes the
-    whole file, then deletes the journal. A killed enrichment thus loses at
-    most the record it was appending.
+    Every store has a file. It reads the file, if there is one, then replays
+    the journal beside it (``enriched.json.journal``), a record a line.
+    :meth:`put` appends each new or changed record to that journal through
+    one handle, opened at the first record, as one write that is flushed
+    before ``put`` returns. :meth:`save` closes the handle and compacts the
+    journal: it writes the whole file, then deletes the journal. A killed
+    enrichment thus loses at most the record it was appending.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self._path = Path(path) if path is not None else None
-        self._journal = journal_of(self._path) if self._path is not None else None
+    def __init__(self, path: str | Path):
+        self._path = Path(path)
+        self._journal = journal_of(self._path)
         self._entries: dict[str, EnrichedTable] = {}
         self._handle: BinaryIO | None = None
         #: whether the journal holds records :meth:`save` has not compacted
         self.pending = False
-        if self._path is None:
-            return
         what = "enrichment store"
         if self._path.exists():
             data = read_artifact(self._path, what)
@@ -153,8 +151,6 @@ class EnrichmentStore:
         """Close the journal's handle, write the whole store file, then delete
         the journal it held."""
         self._close()
-        if self._path is None:
-            return
         entries = {e.table_id: {"purpose": e.purpose, "text": e.text} for e in self._entries.values()}
         write_artifact(self._path, {"entries": entries})
         self._journal.unlink(missing_ok=True)
@@ -179,12 +175,11 @@ class EnrichmentStore:
         """Hold ``record``; a new or changed one is appended to the journal."""
         if self._entries.get(record.table_id) == record:
             return
-        if self._journal is not None:
-            if self._handle is None:
-                self._handle = open_journal(self._journal)
-            line = {"purpose": record.purpose, "table_id": record.table_id, "text": record.text}
-            append_journal(self._handle, line)
-            self.pending = True
+        if self._handle is None:
+            self._handle = open_journal(self._journal)
+        line = {"purpose": record.purpose, "table_id": record.table_id, "text": record.text}
+        append_journal(self._handle, line)
+        self.pending = True
         self._entries[record.table_id] = record
 
     def texts(self) -> dict[str, str]:
@@ -195,24 +190,23 @@ def enrich_tables(
     tables: Iterable[Table],
     generator: Generator,
     *,
-    store: EnrichmentStore | None = None,
+    store: EnrichmentStore,
     seed: int = DEFAULT_SEED,
     n_rows: int = DEFAULT_SAMPLE_ROWS,
     max_tokens: int = PURPOSE_MAX_TOKENS,
-    ledger: TokenLedger | None = None,
-) -> EnrichmentStore:
-    """Give every table a purpose and an indexed text in the store.
+    ledger: TokenLedger,
+) -> None:
+    """Give every table a purpose and an indexed text in ``store``.
 
-    Only ids new to the store cost a generator call. A stored id keeps its
-    purpose, but its text is composed again from the table holding the id
-    now. Tables go in sorted-id order so generator call order (and any
-    scripted backend) is reproducible. Each new or changed record goes to
+    Only ids new to the store cost a generator call, and each call's tokens
+    go to ``ledger``. A stored id keeps its purpose, but its text is
+    composed again from the table holding the id now. Tables go in sorted-id
+    order so generator call order (and any scripted backend) is
+    reproducible. Each new or changed record goes to
     the store's journal as it is made; the store is saved once, at the end,
     when its journal holds anything. The journal's handle is closed however
-    the loop ends, a generator error included. Returns the store.
+    the loop ends, a generator error included.
     """
-    if store is None:
-        store = EnrichmentStore()
     try:
         for table in sorted(tables, key=lambda t: t.id):
             # rendered once, for the prompt and the text
@@ -226,7 +220,6 @@ def enrich_tables(
             store.save()
     finally:
         store._close()
-    return store
 
 
 class DenseIndex:
@@ -279,7 +272,7 @@ class DenseIndex:
     def search(self, query_vector: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Top-k (table_id, cosine) pairs; k is clipped to the index size. A
         query vector of another width than the index's, which another
-        embedder gives, raises :class:`BackendMismatchError`.
+        embedder gives, raises :class:`BackendError`.
 
         One matrix-vector product scores every row. The rows within
         ``EPS`` of the k-th of those scores, and any row the product
@@ -294,7 +287,7 @@ class DenseIndex:
             return []
         q = np.asarray(query_vector, dtype=np.float64)
         if q.shape != (self.dimension,):
-            raise BackendMismatchError(
+            raise BackendError(
                 f"the embedder returned a query vector of width {q.size}, "
                 f"but the index holds vectors of width {self.dimension}"
             )

@@ -160,8 +160,6 @@ def parse_selection(response_text: str, topk: tuple[str, ...]) -> tuple[int, ...
 
     selection = obj.get("group_selection", obj)
     raw_index = selection.get("selected_group_index") if isinstance(selection, dict) else None
-    if raw_index is None:
-        raise SelectionParseError("response lacks selected_group_index")
     selected_index = _as_index(raw_index, "selected_group_index")
 
     by_index: dict[int, tuple[int, ...]] = {}
@@ -232,8 +230,8 @@ class OnlinePipeline:
     With no generator the pipeline is the dense-retrieval baseline: each
     query answers with its dense top-k, flagged as a fallback. With one,
     ``texts`` maps table id to the enriched text shown in selection prompts,
-    and an indexed table it lacks raises ``ValueError``. The ledger, when
-    given, accumulates selection-stage token usage.
+    and an indexed table it lacks raises ``ValueError``. ``ledger`` records
+    the tokens of every selection call, one that falls back included.
     """
 
     def __init__(
@@ -246,7 +244,7 @@ class OnlinePipeline:
         *,
         k: int = DEFAULT_TOP_K,
         tau: float = DEFAULT_RESTORE_THRESHOLD,
-        ledger: TokenLedger | None = None,
+        ledger: TokenLedger,
     ):
         if k <= 0:
             raise ValueError("k must be positive")
@@ -278,8 +276,7 @@ class OnlinePipeline:
                 response = self.generator.generate(
                     build_selection_prompt(query, topk, self.cache, self.texts)
                 )
-                if self.ledger is not None:
-                    self.ledger.record(SELECTION_STAGE, response.input_tokens, response.output_tokens)
+                self.ledger.record(SELECTION_STAGE, response.input_tokens, response.output_tokens)
                 selected = tuple(topk[i] for i in sorted(parse_selection(response.text, topk)))
             except (BackendError, SelectionParseError):
                 pass

@@ -19,6 +19,7 @@ from tablescout import (
     OnlinePipeline,
     ScriptedGenerator,
     TableCorpus,
+    TokenLedger,
     build_cache,
     enriched_text,
     markdown_grid,
@@ -28,6 +29,7 @@ from tablescout import (
     selection_metrics,
 )
 from tablescout.compatibility import JoinEdge, evaluate_cache, gold_joins_from_records
+from tablescout.corpus import load_corpus
 from tablescout.evaluation import (
     INPUT_RATE_PER_MILLION,
     OUTPUT_RATE_PER_MILLION,
@@ -154,7 +156,7 @@ def fixture_20_tables():
 
 def run_batch(emb, texts, index, cache, queries, responses):
     generator = ScriptedGenerator(responses=responses)
-    pipeline = OnlinePipeline(index, cache, emb, generator, texts=texts, k=10)
+    pipeline = OnlinePipeline(index, cache, emb, generator, texts=texts, k=10, ledger=TokenLedger())
     lines = []
     results = []
     for qi, query in enumerate(queries):
@@ -224,7 +226,7 @@ def test_criterion_4_adjustment_additivity():
         pick = rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False)
         tau = float(rng.choice([0.0, 0.2, 0.3, 0.7, 1.0]))
         generator = ScriptedGenerator(responses=[selection_reply(sorted(map(int, pick)))])
-        pipeline = OnlinePipeline(index, cache, emb, generator, texts=texts, k=k, tau=tau)
+        pipeline = OnlinePipeline(index, cache, emb, generator, texts=texts, k=k, tau=tau, ledger=TokenLedger())
         result = pipeline.run_query(" ".join(rng.choice(words, size=3)))
 
         gold = set(rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False))
@@ -377,7 +379,8 @@ REPRO_TARGETS = {
     REPRO_ENV not in os.environ,
     reason=(
         "external corpora not provided; set TABLESCOUT_REPRO_CONFIG to a JSON file "
-        'like {"bird": {"cache": ".../compat_cache.json", "gold_joins": ".../joins.json"}, '
+        'like {"bird": {"cache": ".../compat_cache.json", "gold_joins": ".../joins.json", '
+        '"corpus": ".../corpus.json"}, '
         '"spider": {...}} built with a real embedding backend to run this check'
     ),
 )
@@ -389,7 +392,8 @@ def test_criterion_8_external_reproduction():
             continue
         cache = CompatibilityCache.load(config[dataset]["cache"])
         raw = json.loads(open(config[dataset]["gold_joins"], encoding="utf-8").read())
-        metrics = evaluate_cache(cache, gold_joins_from_records(raw))
+        corpus = load_corpus(config[dataset]["corpus"])
+        metrics = evaluate_cache(cache, gold_joins_from_records(raw), corpus)
         checks = [
             ("joinability_accuracy", 100 * metrics["joinability_accuracy"], targets["joinability_accuracy"], 3.0),
             ("column_accuracy", 100 * metrics["column_accuracy"], targets["column_accuracy"], 3.0),

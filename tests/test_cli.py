@@ -1237,6 +1237,21 @@ class TestE2E:
         assert report["execution"]["em_all"] == 50.0
         assert report["selection"]["queries"] == 2.0
 
+    @pytest.mark.parametrize("flag", ["--input-rate", "--output-rate"])
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-1"])
+    def test_rate_that_is_negative_or_not_finite_is_refused_before_anything_is_read(self, tmp_path, capsys, flag, rate):
+        # NaN and infinities have no JSON form, and a negative rate prices a
+        # run below nothing; none of the paths exists, and none is made
+        missing = tmp_path / "missing"
+        argv = [
+            "e2e", "--out-dir", str(missing / "run"), "--gold", str(missing / "gold.jsonl"),
+            "--db", str(missing / "db.sqlite"), "--generator", f"scripted:{missing / 'replies.json'}",
+            f"{flag}={rate}",
+        ]
+        assert main(argv) == EXIT_CONFIG
+        assert f"must be a finite number of at least 0, got {float(rate)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rate_overrides_change_cost(self, built, tmp_path):
         out_dir, _ = built
         db = tmp_path / "tiny.sqlite"

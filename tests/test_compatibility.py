@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablescout import (
-    BackendMismatchError,
+    BackendError,
     CompatibilityCache,
     CorpusError,
     HashingEmbedder,
@@ -512,7 +512,7 @@ class TestCompatibilityCache:
         cache = build_cache(small_corpus(), HashingEmbedder(dimension=64))
         path = tmp_path / "cache.json"
         cache.save(path)
-        with pytest.raises(BackendMismatchError):
+        with pytest.raises(BackendError):
             CompatibilityCache.load(path, expected_backend_id="http:other-model")
 
     @pytest.mark.parametrize(
@@ -799,10 +799,22 @@ def fixed_cache():
     )
 
 
+def fixed_corpus():
+    """The tables and columns that the evaluation tests' annotations name."""
+    return TableCorpus(
+        tables=(
+            make_table("a", ["k"], [["1"]]),
+            make_table("b", ["fk", "other"], [["1", "2"]]),
+            make_table("c", ["x"], [["3"]]),
+        ),
+        provenance={},
+    )
+
+
 class TestEvaluateCache:
     def test_correct_pair_above_threshold(self):
         gold = [GoldJoin("a", "b", True, ("k", "fk"))]
-        report = evaluate_cache(fixed_cache(), gold)
+        report = evaluate_cache(fixed_cache(), gold, fixed_corpus())
         assert report["joinability_accuracy"] == 1.0
         assert report["column_accuracy"] == 1.0
         assert report["avg_score_error"] == pytest.approx(0.4, abs=1e-12)
@@ -814,34 +826,34 @@ class TestEvaluateCache:
             GoldJoin("a", "b", True, ("k", "fk")),
             GoldJoin("a", "c", False),
         ]
-        report = evaluate_cache(fixed_cache(), gold)
+        report = evaluate_cache(fixed_cache(), gold, fixed_corpus())
         assert report["joinability_accuracy"] == 1.0
         assert report["avg_score_error"] == pytest.approx(0.2, abs=1e-12)
 
     def test_missing_joinable_pair_is_an_error(self):
         gold = [GoldJoin("a", "c", True)]
-        report = evaluate_cache(fixed_cache(), gold)
+        report = evaluate_cache(fixed_cache(), gold, fixed_corpus())
         assert report["joinability_accuracy"] == 0.0
         assert report["avg_score_error"] == 1.0
 
     def test_score_below_threshold_counts_as_not_joinable(self):
         cache = CompatibilityCache(edges=[JoinEdge(0.3, "a", "k", "b", "fk")])
-        report = evaluate_cache(cache, [GoldJoin("a", "b", True)])
+        report = evaluate_cache(cache, [GoldJoin("a", "b", True)], fixed_corpus())
         assert report["joinability_accuracy"] == 0.0
         # joinable means strictly above the threshold
         for score, accuracy in [(JOINABILITY_THRESHOLD, 0.0), (JOINABILITY_THRESHOLD + 0.01, 1.0)]:
             cache = CompatibilityCache(edges=[JoinEdge(score, "a", "k", "b", "fk")])
-            report = evaluate_cache(cache, [GoldJoin("a", "b", True)])
+            report = evaluate_cache(cache, [GoldJoin("a", "b", True)], fixed_corpus())
             assert report["joinability_accuracy"] == accuracy
 
     def test_column_match_ignores_side_order(self):
         gold = [GoldJoin("b", "a", True, ("fk", "k"))]
-        report = evaluate_cache(fixed_cache(), gold)
+        report = evaluate_cache(fixed_cache(), gold, fixed_corpus())
         assert report["column_accuracy"] == 1.0
 
     def test_wrong_columns_fail_column_accuracy(self):
         gold = [GoldJoin("a", "b", True, ("k", "other"))]
-        report = evaluate_cache(fixed_cache(), gold)
+        report = evaluate_cache(fixed_cache(), gold, fixed_corpus())
         assert report["joinability_accuracy"] == 1.0
         assert report["column_accuracy"] == 0.0
 
@@ -852,13 +864,13 @@ class TestEvaluateCache:
             GoldJoin("a", "c", False, ("k", "x")),
             GoldJoin("b", "c", True),
         ]
-        report = evaluate_cache(fixed_cache(), gold)
+        report = evaluate_cache(fixed_cache(), gold, fixed_corpus())
         assert report["column_accuracy"] == 1.0
         assert report["joinable_pairs"] == 2.0
 
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_cache(fixed_cache(), [])
+            evaluate_cache(fixed_cache(), [], fixed_corpus())
 
     def test_corpus_validation(self):
         corpus = TableCorpus(

@@ -1,4 +1,4 @@
-"""Tests for selection metrics, execution match, and cost accounting."""
+"""Tests for selection metrics, execution match, and cost and token accounting."""
 
 import json
 import os
@@ -8,13 +8,20 @@ import threading
 import pytest
 
 from tablescout import (
+    BackendError,
+    CompatibilityCache,
     CorpusError,
     CostLedger,
+    DenseIndex,
     ExecutionOutcome,
+    HashingEmbedder,
+    OnlinePipeline,
     ScriptedGenerator,
+    Table,
     TokenLedger,
     aggregate_metrics,
     cost_estimate,
+    enrich_tables,
     execution_match,
     generate_sql,
     render_execution_table,
@@ -33,6 +40,7 @@ from tablescout.evaluation import (
     load_gold_queries,
     load_result_records,
 )
+from tablescout.indexing import EnrichmentStore
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +547,7 @@ class TestGenerateSql:
             "  SELECT 1  ",
         ):
             generator = ScriptedGenerator(responses=[reply])
-            assert generate_sql("q", [("t", "x")], generator) == "SELECT 1"
+            assert generate_sql("q", [("t", "x")], generator, ledger=TokenLedger()) == "SELECT 1"
 
 
 # ---------------------------------------------------------------------------
@@ -576,3 +584,61 @@ class TestCostLedger:
         ledger.record("sql", 800, 30)
         cost = CostLedger.from_token_ledger(ledger)
         assert (cost.input_tokens, cost.output_tokens) == (2000, 80)
+
+
+# ---------------------------------------------------------------------------
+# Every generation call is in the ledger
+# ---------------------------------------------------------------------------
+
+
+def run_purposes(generator, ledger, tmp_path):
+    tables = [Table.build(tid, tid, ["x"], [[tid]]) for tid in ("a", "b", "c")]
+    with pytest.raises(BackendError):  # the third purpose fails and stops enrichment
+        enrich_tables(tables, generator, store=EnrichmentStore(tmp_path / "enriched.json"), ledger=ledger)
+
+
+def run_selections(generator, ledger, tmp_path):
+    embedder = HashingEmbedder(dimension=16)
+    texts = {"a": "alpha rows", "b": "beta rows"}
+    index = DenseIndex.build(texts, embedder)
+    pipeline = OnlinePipeline(index, CompatibilityCache(edges=[]), embedder, generator, texts, ledger=ledger)
+    results = [pipeline.run_query(f"rows question {i}") for i in range(3)]
+    assert [r.fallback_used for r in results] == [False, True, True]
+
+
+def run_sql(generator, ledger, tmp_path):
+    for i in range(3):
+        try:
+            generate_sql(f"question {i}", [("t", "Table name: t")], generator, ledger=ledger)
+        except BackendError:  # as e2e does: a query without SQL, and the batch goes on
+            pass
+
+
+PICK = json.dumps(
+    {
+        "group_formation": {"groups_formed": [{"group_index": 0, "table_indices": [0]}]},
+        "group_selection": {"selected_group_index": 0},
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "stage, run, replies",
+    [
+        ("purpose", run_purposes, ["Tables of a.", "None", ScriptedGenerator.FAIL]),
+        ("selection", run_selections, [PICK, "no JSON here, sorry", ScriptedGenerator.FAIL]),
+        ("sql", run_sql, ["SELECT 1", "```sql\nSELECT 2\n```", ScriptedGenerator.FAIL]),
+    ],
+    ids=["purpose", "selection", "sql"],
+)
+def test_every_generation_call_that_replies_is_in_the_ledger(tmp_path, stage, run, replies):
+    """The ledger holds the whitespace tokens of each prompt that got a reply
+    and of the reply, a malformed selection reply included; a failed call
+    has no reply and no tokens."""
+    generator = ScriptedGenerator(responses=replies)
+    ledger = TokenLedger()
+    run(generator, ledger, tmp_path)
+    assert len(generator.calls) == len(replies)
+    answered = [(prompt, reply) for prompt, reply in zip(generator.calls, replies) if reply is not ScriptedGenerator.FAIL]
+    tokens = (sum(len(p.split()) for p, _ in answered), sum(len(r.split()) for _, r in answered))
+    assert ledger.stage_totals() == {stage: tokens}

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tablescout import (
     BackendError,
-    BackendMismatchError,
     DenseIndex,
     HashingEmbedder,
     ScriptedGenerator,
@@ -67,17 +66,18 @@ SIMPLE_GRID = markdown_grid(SIMPLE, sample_rows(SIMPLE))
 class TestGeneratePurpose:
     def test_prompt_embeds_instruction_and_serialized_table(self):
         gen = RecordingGenerator()
-        generate_purpose(SIMPLE, gen, SIMPLE_GRID)
+        generate_purpose(SIMPLE, gen, SIMPLE_GRID, ledger=TokenLedger())
         prompt = gen.requests[0].prompt
         rendered = serialize_markdown(SIMPLE, SIMPLE_GRID)
         assert prompt == PURPOSE_PROMPT.replace("{table}", rendered)
         assert prompt.startswith("Given the following table, describe the purpose")
         assert "output None." in prompt
 
-    def test_enrich_prompts_and_composes_from_one_sample(self):
+    def test_enrich_prompts_and_composes_from_one_sample(self, tmp_path):
         table = make_table("runs", ["id", "km"], [[str(i), str(i * 3)] for i in range(12)])
         gen = RecordingGenerator()
-        store = enrich_tables([table], gen)
+        store = EnrichmentStore(tmp_path / "enriched.json")
+        enrich_tables([table], gen, store=store, ledger=TokenLedger())
         sample = sample_rows(table)
         assert len(sample) < table.row_count
         grid = markdown_grid(table, sample)
@@ -86,21 +86,21 @@ class TestGeneratePurpose:
 
     def test_request_uses_token_cap(self):
         gen = RecordingGenerator()
-        generate_purpose(SIMPLE, gen, SIMPLE_GRID)
+        generate_purpose(SIMPLE, gen, SIMPLE_GRID, ledger=TokenLedger())
         request = gen.requests[0]
         assert request.max_tokens == PURPOSE_MAX_TOKENS == 256
 
     def test_none_sentinel_stored_as_empty(self):
         gen = ScriptedGenerator(responses=["None"])
-        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID) == ""
+        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID, ledger=TokenLedger()) == ""
 
     def test_none_with_whitespace_counts_as_sentinel(self):
         gen = ScriptedGenerator(responses=["  None\n"])
-        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID) == ""
+        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID, ledger=TokenLedger()) == ""
 
     def test_regular_purpose_returned_stripped(self):
         gen = ScriptedGenerator(responses=["  P. \n"])
-        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID) == "P."
+        assert generate_purpose(SIMPLE, gen, SIMPLE_GRID, ledger=TokenLedger()) == "P."
 
     def test_tokens_recorded_to_ledger(self):
         ledger = TokenLedger()
@@ -110,7 +110,7 @@ class TestGeneratePurpose:
     def test_generation_failure_propagates(self):
         gen = ScriptedGenerator(responses=[ScriptedGenerator.FAIL])
         with pytest.raises(BackendError):
-            generate_purpose(SIMPLE, gen, SIMPLE_GRID)
+            generate_purpose(SIMPLE, gen, SIMPLE_GRID, ledger=TokenLedger())
 
 
 class TestEnrichedText:
@@ -155,14 +155,15 @@ class TestEnrichment:
             make_table("c", ["z"], [["3"]]),
         ]
 
-    def test_enriches_all_tables_in_sorted_order(self):
+    def test_enriches_all_tables_in_sorted_order(self, tmp_path):
         gen = ScriptedGenerator(responses=["pa", "pb", "pc"])
-        store = enrich_tables(self.tables(), gen)
+        store = EnrichmentStore(tmp_path / "enriched.json")
+        enrich_tables(self.tables(), gen, store=store, ledger=TokenLedger())
         assert sorted(store.texts()) == ["a", "b", "c"]
         assert store.get("a").purpose == "pa"
         assert store.get("c").purpose == "pc"
 
-    def test_each_grid_is_rendered_once(self, monkeypatch):
+    def test_each_grid_is_rendered_once(self, monkeypatch, tmp_path):
         """The purpose prompt and the indexed text share one rendered grid."""
         rendered = []
         real = tablescout.corpus.markdown_grid
@@ -173,41 +174,43 @@ class TestEnrichment:
 
         monkeypatch.setattr(tablescout.corpus, "markdown_grid", counting)
         monkeypatch.setattr(tablescout.indexing, "markdown_grid", counting)
-        enrich_tables(self.tables(), ScriptedGenerator(responses=["pa", "pb", "pc"]))
+        store = EnrichmentStore(tmp_path / "enriched.json")
+        enrich_tables(self.tables(), ScriptedGenerator(responses=["pa", "pb", "pc"]), store=store, ledger=TokenLedger())
         assert rendered == ["a", "b", "c"]
 
     def test_resume_skips_already_enriched(self, tmp_path):
         path = tmp_path / "enriched.json"
         tables = self.tables()
         gen = ScriptedGenerator(responses=["pa", "pb", "pc"])
-        enrich_tables(tables[:2], gen, store=EnrichmentStore(path))
+        enrich_tables(tables[:2], gen, store=EnrichmentStore(path), ledger=TokenLedger())
         assert len(gen.calls) == 2
 
         resumed = ScriptedGenerator(responses=["pc"])
-        store = enrich_tables(tables, resumed, store=EnrichmentStore(path))
+        store = EnrichmentStore(path)
+        enrich_tables(tables, resumed, store=store, ledger=TokenLedger())
         assert len(resumed.calls) == 1
         assert sorted(store.texts()) == ["a", "b", "c"]
 
     def test_rerun_is_idempotent(self, tmp_path):
         path = tmp_path / "enriched.json"
         gen = ScriptedGenerator(responses=["pa", "pb", "pc"])
-        enrich_tables(self.tables(), gen, store=EnrichmentStore(path))
+        enrich_tables(self.tables(), gen, store=EnrichmentStore(path), ledger=TokenLedger())
         before = path.read_bytes()
 
         no_calls = ScriptedGenerator(responses=[])
-        enrich_tables(self.tables(), no_calls, store=EnrichmentStore(path))
+        enrich_tables(self.tables(), no_calls, store=EnrichmentStore(path), ledger=TokenLedger())
         assert no_calls.calls == []
         assert path.read_bytes() == before
 
     def test_table_replaced_under_its_id_keeps_purpose_and_shows_new_grid(self, tmp_path):
         path = tmp_path / "enriched.json"
         gen = ScriptedGenerator(responses=["pa", "pb", "pc"])
-        enrich_tables(self.tables(), gen, store=EnrichmentStore(path))
+        enrich_tables(self.tables(), gen, store=EnrichmentStore(path), ledger=TokenLedger())
 
         a, _, c = self.tables()
         replaced = make_table("b", ["w"], [["9"]])
         no_calls = ScriptedGenerator(responses=[])
-        enrich_tables([a, replaced, c], no_calls, store=EnrichmentStore(path))
+        enrich_tables([a, replaced, c], no_calls, store=EnrichmentStore(path), ledger=TokenLedger())
         assert no_calls.calls == []
         text = enriched_text(replaced, "pb", markdown_grid(replaced, sample_rows(replaced)))
         assert EnrichmentStore(path).get("b") == EnrichedTable("b", "pb", text)
@@ -224,7 +227,7 @@ class TestEnrichment:
 
         monkeypatch.setattr(os, "replace", counting_replace)
         tables = [make_table(f"t{i}", ["x"], [[str(i)]]) for i in range(6)]
-        enrich_tables(tables, ScriptedGenerator(reply=lambda prompt: "p"), store=EnrichmentStore(path))
+        enrich_tables(tables, ScriptedGenerator(reply=lambda prompt: "p"), store=EnrichmentStore(path), ledger=TokenLedger())
         assert replaced == [path]
         assert not journal_of(path).exists()
 
@@ -232,12 +235,13 @@ class TestEnrichment:
         path = tmp_path / "enriched.json"
         failing = ScriptedGenerator(responses=["pa", ScriptedGenerator.FAIL])
         with pytest.raises(BackendError):
-            enrich_tables(self.tables(), failing, store=EnrichmentStore(path))
+            enrich_tables(self.tables(), failing, store=EnrichmentStore(path), ledger=TokenLedger())
         assert not path.exists()
         assert sorted(EnrichmentStore(path).texts()) == ["a"]
 
         resumed = ScriptedGenerator(responses=["pb", "pc"])
-        store = enrich_tables(self.tables(), resumed, store=EnrichmentStore(path))
+        store = EnrichmentStore(path)
+        enrich_tables(self.tables(), resumed, store=store, ledger=TokenLedger())
         assert len(resumed.calls) == 2
         assert [store.get(i).purpose for i in sorted(store.texts())] == ["pa", "pb", "pc"]
         assert not journal_of(path).exists()
@@ -260,7 +264,7 @@ class TestEnrichment:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                enrich_tables(self.tables(), ScriptedGenerator(reply=reply), store=EnrichmentStore(path))
+                enrich_tables(self.tables(), ScriptedGenerator(reply=reply), store=EnrichmentStore(path), ledger=TokenLedger())
             except BackendError:
                 pass
             else:
@@ -274,18 +278,19 @@ class TestEnrichment:
             assert journal.read_bytes().endswith(b"\n")
             assert [record["table_id"] for _, record in read_journal(journal, "journal")] == ["a", "b"][: k - 1]
 
-        enrich_tables(self.tables(), ScriptedGenerator(responses=purposes[k - 1 :]), store=EnrichmentStore(path))
+        enrich_tables(self.tables(), ScriptedGenerator(responses=purposes[k - 1 :]), store=EnrichmentStore(path), ledger=TokenLedger())
         whole = tmp_path / "whole" / "enriched.json"
         whole.parent.mkdir()
-        enrich_tables(self.tables(), ScriptedGenerator(responses=purposes), store=EnrichmentStore(whole))
+        enrich_tables(self.tables(), ScriptedGenerator(responses=purposes), store=EnrichmentStore(whole), ledger=TokenLedger())
         assert path.read_bytes() == whole.read_bytes()
         assert not journal.exists()
 
-    def test_memory_store_keeps_no_journal(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        store = enrich_tables(self.tables(), ScriptedGenerator(responses=["pa", "pb", "pc"]))
+    def test_completed_enrichment_leaves_only_the_store_file(self, tmp_path):
+        path = tmp_path / "enriched.json"
+        store = EnrichmentStore(path)
+        enrich_tables(self.tables(), ScriptedGenerator(responses=["pa", "pb", "pc"]), store=store, ledger=TokenLedger())
         assert len(store) == 3 and not store.pending
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +356,7 @@ class TestDenseIndex:
         index = DenseIndex.build(self.texts(2), e)
         path = tmp_path / "index.npz"
         index.save(path)
-        with pytest.raises(BackendMismatchError):
+        with pytest.raises(BackendError):
             DenseIndex.load(path, HashingEmbedder(32).backend_id)
 
     @pytest.mark.parametrize("cached", [False, True], ids=["plain", "caching"])
@@ -388,7 +393,7 @@ class TestDenseIndex:
 
     def test_rejects_wrong_query_dimension(self):
         index = DenseIndex.build(self.texts(2), HashingEmbedder(16))
-        with pytest.raises(BackendMismatchError, match="width 8, but the index holds vectors of width 16"):
+        with pytest.raises(BackendError, match="width 8, but the index holds vectors of width 16"):
             index.search(np.ones(8), k=1)
 
     @pytest.mark.parametrize(

@@ -298,7 +298,7 @@ class TestParseSelection:
 
     def test_missing_selected_group_index_rejected(self):
         text = json.dumps({"groups_formed": [{"group_index": 0, "table_indices": [0]}]})
-        with pytest.raises(SelectionParseError, match="lacks selected_group_index"):
+        with pytest.raises(SelectionParseError, match="selected_group_index must be an integer, got None"):
             parse_selection(text, self.topk)
 
     @pytest.mark.parametrize("group", [[0, 1], 0, None], ids=["list", "number", "null"])
@@ -444,6 +444,7 @@ def pipeline_fixture(responses, **kwargs):
         JoinEdge(0.2, "t2", "a", "t4", "b"),
     )
     generator = ScriptedGenerator(responses=responses) if responses is not None else None
+    kwargs.setdefault("ledger", TokenLedger())
     pipeline = OnlinePipeline(
         index, cache, emb, generator, texts=texts if generator else None, **kwargs
     )
@@ -522,7 +523,7 @@ class TestOnlinePipeline:
         emb = HashingEmbedder(dimension=16)
         index = DenseIndex.build({}, emb)
         generator = ScriptedGenerator(responses=[])
-        pipeline = OnlinePipeline(index, edges_cache(), emb, generator, texts={})
+        pipeline = OnlinePipeline(index, edges_cache(), emb, generator, texts={}, ledger=TokenLedger())
         result = pipeline.run_query("anything")
         assert result.final == ()
         assert not result.fallback_used
@@ -608,18 +609,18 @@ class TestOnlinePipeline:
         index = DenseIndex.build({"a": "x"}, emb)
         generator = ScriptedGenerator(responses=[])
         with pytest.raises(ValueError):
-            OnlinePipeline(index, edges_cache(), emb, generator, texts={"a": "x"}, k=0)
+            OnlinePipeline(index, edges_cache(), emb, generator, texts={"a": "x"}, k=0, ledger=TokenLedger())
         with pytest.raises(ValueError):
-            OnlinePipeline(index, edges_cache(), emb, generator, texts=None)
+            OnlinePipeline(index, edges_cache(), emb, generator, texts=None, ledger=TokenLedger())
 
     def test_texts_lacking_an_indexed_table_are_refused_with_a_generator(self):
         emb = HashingEmbedder(dimension=16)
         index = DenseIndex.build({"a": "alpha", "b": "beta"}, emb)
         generator = ScriptedGenerator(responses=[selection_json([[0]])])
         with pytest.raises(ValueError, match="'b'"):
-            OnlinePipeline(index, edges_cache(), emb, generator, texts={"a": "alpha"})
+            OnlinePipeline(index, edges_cache(), emb, generator, texts={"a": "alpha"}, ledger=TokenLedger())
         # the dense baseline shows no text, so it needs none
-        pipeline = OnlinePipeline(index, edges_cache(), emb, None, texts={})
+        pipeline = OnlinePipeline(index, edges_cache(), emb, None, texts={}, ledger=TokenLedger())
         assert sorted(pipeline.run_query("beta").final) == ["a", "b"]
 
     def test_additivity_and_subset_invariants(self):
@@ -647,7 +648,7 @@ class TestOnlinePipeline:
             tau = float(rng.choice([0.0, 0.3, 0.7, 1.01]))
             generator = ScriptedGenerator(responses=[selection_json([list(map(int, pick))])])
             pipeline = OnlinePipeline(
-                index, cache, emb, generator, texts=texts, k=k, tau=tau
+                index, cache, emb, generator, texts=texts, k=k, tau=tau, ledger=TokenLedger()
             )
             result = pipeline.run_query(" ".join(rng.choice(words, size=3)))
             topk = result.topk

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tablescout import (
     BackendError,
-    BackendMismatchError,
     CorpusError,
     HashingEmbedder,
     ScriptedGenerator,
@@ -415,7 +414,7 @@ class TestCachingEmbedder:
         cached = CachingEmbedder(HashingEmbedder(dimension=16), path)
         cached.embed("t")
         cached.save()
-        with pytest.raises(BackendMismatchError):
+        with pytest.raises(BackendError):
             CachingEmbedder(HashingEmbedder(dimension=32), path)
 
     def test_json_cache_of_earlier_releases_refused(self, tmp_path):
